@@ -12,9 +12,9 @@ import argparse
 import sys
 import time
 
-from acfshape.cli import run
+from acfshape.cli import _RECIPES, run
 
-RECIPES = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]
+RECIPES = list(_RECIPES)
 
 
 def main() -> int:

@@ -5,7 +5,7 @@ The package is organized by pipeline stage:
     constellation  symbol alphabets and their fourth moments
     modulation     unitary bases (SC, OFDM, CDMA, custom)
     pulse          Nyquist pulses described by in-band spectral gains
-    fourier        DFT-grid correlation helpers shared by the stages
+    fourier        DFT conventions and phase vectors shared by the stages
     acfstats       closed-form mean/variance of the periodic ACF
     montecarlo     empirical validation of the closed forms
     qpsolver       scaled-dual ADMM solvers for small dense QPs

@@ -10,7 +10,7 @@ configuration as a single JSON line on stdout.
 Exit codes: 0 success, 1 usage error, 2 invalid configuration,
 3 numerical failure (a solver that did not converge, or a non-finite
 value reaching an output table).  A fixed seed gives byte-identical
-output files; the ACFSHAPE_THREADS variable only changes memory layout.
+output files.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ EXIT_NUMERICAL = 3
 # ranging sweeps use 2 inside their own modules
 _TAG_PROFILE = 3
 
-_METHOD_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_METHOD_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class NumericalFailure(RuntimeError):
@@ -75,6 +75,22 @@ def _emit_gains(path, values, command, params, seed, started) -> None:
     tableio.write_manifest(path, command, params, seed, time.perf_counter() - started)
 
 
+def _floor_db(pul: pulse.NyquistPulse) -> np.ndarray:
+    """Deterministic squared ACF of a pulse per lag, in dB of the peak."""
+    return acfstats.to_db_of_peak(np.abs(acfstats.mean_acf(pul)) ** 2, pul.n)
+
+
+def _emit_acf_table(path, rrc, designed, command, params, seed, started) -> None:
+    """Per-lag floors of the baseline and the designed pulse."""
+    rrc_db, designed_db = _floor_db(rrc), _floor_db(designed)
+    rows = [
+        [int(k), rrc_db[i], designed_db[i]]
+        for i, k in enumerate(acfstats.all_lags(rrc))
+    ]
+    _emit_table(path, ["lag", "rrc_db", "designed_db"], rows, command,
+                params | {"out": str(path)}, seed, started)
+
+
 def _rel_db(profile: np.ndarray) -> np.ndarray:
     """Profile in dB relative to its own peak, floored like acfstats."""
     top = float(np.max(profile))
@@ -86,31 +102,30 @@ def _rel_db(profile: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# waveform construction shared by acf-theory / acf-mc
+# acf-theory / acf-mc
 
 
-def _constellation_from_args(args) -> constellation.ConstellationSpec:
-    if args.constellation == "custom":
-        if not args.constellation_file:
-            raise ValueError("--constellation custom needs --constellation-file")
-        return constellation.from_text_file(args.constellation_file)
-    return constellation.from_name(args.constellation)
-
-
-def _basis_from_args(args, n: int) -> modulation.ModulationBasis:
-    if args.basis == "custom":
-        if not args.basis_file:
-            raise ValueError("--basis custom needs --basis-file")
-        return modulation.from_text_file(args.basis_file, n)
-    return modulation.from_name(args.basis, n)
-
-
-def _pulse_from_args(args) -> pulse.NyquistPulse:
+def _waveform_from_args(args):
+    """(pulse, basis, constellation) named by the shared waveform flags."""
     if args.pulse == "file":
         if not args.pulse_file:
             raise ValueError("--pulse file needs --pulse-file")
-        return pulse.from_text_file(args.pulse_file, args.n, args.l)
-    return pulse.rrc_spectrum(args.n, args.l, args.alpha)
+        pul = pulse.from_text_file(args.pulse_file, args.n, args.l)
+    else:
+        pul = pulse.rrc_spectrum(args.n, args.l, args.alpha)
+    if args.basis == "custom":
+        if not args.basis_file:
+            raise ValueError("--basis custom needs --basis-file")
+        basis = modulation.from_text_file(args.basis_file, args.n)
+    else:
+        basis = modulation.make_basis(args.basis, args.n)
+    if args.constellation == "custom":
+        if not args.constellation_file:
+            raise ValueError("--constellation custom needs --constellation-file")
+        const = constellation.from_text_file(args.constellation_file)
+    else:
+        const = constellation.from_name(args.constellation)
+    return pul, basis, const
 
 
 def _waveform_params(args, pul: pulse.NyquistPulse) -> dict:
@@ -125,15 +140,9 @@ def _waveform_params(args, pul: pulse.NyquistPulse) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# acf-theory / acf-mc
-
-
 def _cmd_acf_theory(args) -> dict:
     started = time.perf_counter()
-    pul = _pulse_from_args(args)
-    basis = _basis_from_args(args, args.n)
-    const = _constellation_from_args(args)
+    pul, basis, const = _waveform_from_args(args)
     kurt = constellation.kurtosis(const)
     stats = acfstats.expected_sq_acf(pul, basis, kurt, m=args.m)
     iceberg = acfstats.to_db_of_peak(stats.squared_mean, args.n)
@@ -144,27 +153,22 @@ def _cmd_acf_theory(args) -> dict:
         for i, k in enumerate(stats.lags)
     ]
     params = _waveform_params(args, pul) | {"kurtosis": kurt, "out": str(args.out)}
-    _emit_table(
-        args.out,
-        ["lag", "iceberg_db", "sea_db", "total_db"],
-        rows,
-        "acf-theory",
-        params,
-        None,
-        started,
-    )
+    _emit_table(args.out, ["lag", "iceberg_db", "sea_db", "total_db"], rows,
+                "acf-theory", params, None, started)
     return params
+
+
+def _theory_and_trials(const, basis, pul, m: int, trials: int, seed: int):
+    """Closed-form statistics and a seeded Monte Carlo run of one waveform."""
+    theory = acfstats.expected_sq_acf(pul, basis, constellation.kurtosis(const), m=m)
+    result = run_trials(TrialConfig(const, basis, pul, trials=trials, seed=seed, m=m))
+    return theory, result
 
 
 def _cmd_acf_mc(args) -> dict:
     started = time.perf_counter()
-    pul = _pulse_from_args(args)
-    basis = _basis_from_args(args, args.n)
-    const = _constellation_from_args(args)
-    kurt = constellation.kurtosis(const)
-    config = TrialConfig(const, basis, pul, trials=args.trials, seed=args.seed, m=args.m)
-    result = run_trials(config)
-    theory = acfstats.expected_sq_acf(pul, basis, kurt, m=args.m)
+    pul, basis, const = _waveform_from_args(args)
+    theory, result = _theory_and_trials(const, basis, pul, args.m, args.trials, args.seed)
     ref = float(args.n) ** 2
     empirical = acfstats.to_db_of_peak(result.mean_sq, args.n)
     expected = acfstats.to_db_of_peak(theory.total, args.n)
@@ -173,19 +177,12 @@ def _cmd_acf_mc(args) -> dict:
         for i, k in enumerate(result.lags)
     ]
     params = _waveform_params(args, pul) | {
-        "kurtosis": kurt,
+        "kurtosis": constellation.kurtosis(const),
         "trials": args.trials,
         "out": str(args.out),
     }
-    _emit_table(
-        args.out,
-        ["lag", "empirical_db", "theory_db", "stderr"],
-        rows,
-        "acf-mc",
-        params,
-        args.seed,
-        started,
-    )
+    _emit_table(args.out, ["lag", "empirical_db", "theory_db", "stderr"], rows,
+                "acf-mc", params, args.seed, started)
     return params | {"seed": args.seed}
 
 
@@ -255,182 +252,165 @@ def _cmd_shape(args) -> dict:
             params | {"out": str(args.out_spectrum)}, None, started,
         )
     if args.out_acf:
-        all_lags = acfstats.all_lags(rrc)
-        designed_db = acfstats.to_db_of_peak(
-            np.abs(acfstats.mean_acf(result.pulse)) ** 2, args.n
-        )
-        rrc_db = acfstats.to_db_of_peak(np.abs(acfstats.mean_acf(rrc)) ** 2, args.n)
-        rows = [
-            [int(k), rrc_db[i], designed_db[i]] for i, k in enumerate(all_lags)
-        ]
-        _emit_table(
-            args.out_acf,
-            ["lag", "rrc_db", "designed_db"],
-            rows,
-            "shape",
-            params | {"out": str(args.out_acf)},
-            None,
-            started,
-        )
+        _emit_acf_table(args.out_acf, rrc, result.pulse, "shape", params, None, started)
     return params
 
 
 # ---------------------------------------------------------------------------
-# range-sim
+# range-sim config: one (key, default, accepts, requirement) row per field
+
+_REQUIRED = object()
 
 
-def _build_method_pulse(method: dict, n: int, l: int, alpha: float, issues: list):
-    kind = method.get("pulse", "rrc")
-    name = method.get("name", "?")
-    if kind == "rrc":
-        return pulse.rrc_spectrum(n, l, alpha)
-    if kind == "file":
-        path = method.get("pulse_file")
-        if not path:
-            issues.append(f"methods[{name}].pulse_file: required when pulse is 'file'")
-            return None
-        return pulse.from_text_file(path, n, l)
-    if kind == "designed":
-        region = method.get("region")
-        if (
-            not isinstance(region, (list, tuple))
-            or len(region) != 2
-            or not all(isinstance(v, (int, float)) for v in region)
-        ):
-            issues.append(f"methods[{name}].region: need [lo, hi] for a designed pulse")
-            return None
-        units = method.get("region_units", "symbol")
-        if units not in ("symbol", "lag"):
-            issues.append(f"methods[{name}].region_units: 'symbol' or 'lag', got {units!r}")
-            return None
-        objective = method.get("objective", "isl")
-        if objective not in ("isl", "psl"):
-            issues.append(f"methods[{name}].objective: 'isl' or 'psl', got {objective!r}")
-            return None
-        lags = _region_lags(n, l, region[0], region[1], units)
-        spec = shaping.ShapingSpec(n, l, alpha, lags, objective)
-        return _design_or_fail(spec).pulse
-    issues.append(f"methods[{name}].pulse: 'rrc', 'designed', or 'file', got {kind!r}")
-    return None
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _resolve_range_config(cfg: dict, args) -> dict:
-    """Validate the range-sim config, collecting every violation."""
+def _int_from(lo: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _one_of(*choices):
+    return lambda v: isinstance(v, str) and v in choices
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_num, v))
+
+
+def _is_list(v) -> bool:
+    return isinstance(v, list) and len(v) > 0
+
+
+_CONFIG_FIELDS = (
+    ("n", _REQUIRED, _int_from(2), "integer >= 2 required"),
+    ("l", _REQUIRED, _int_from(2), "integer >= 2 required"),
+    ("alpha", _REQUIRED, lambda v: _is_num(v) and 0 <= v <= 1, "number in [0, 1] required"),
+    ("bandwidth_hz", 200e6, lambda v: _is_num(v) and v > 0, "positive number required"),
+    ("m", 1, _int_from(1), "positive integer required"),
+    ("targets", _REQUIRED, _is_list, "nonempty list of targets required"),
+    ("roi_m", _REQUIRED, lambda v: _is_pair(v) and v[0] <= v[1],
+     "ordered [lo, hi] in meters required"),
+    ("methods", _REQUIRED, _is_list, "nonempty list of methods required"),
+    ("sweep", _REQUIRED, lambda v: isinstance(v, dict), "object required"),
+    ("seed", 0, _int_from(0), "nonnegative integer required"),
+    ("profile_snr_db", None, _is_num, "number required"),
+)
+_SWEEP_FIELDS = (
+    ("snr_db", _REQUIRED, lambda v: _is_list(v) and all(map(_is_num, v)),
+     "nonempty list of numbers required"),
+    ("runs", _REQUIRED, _int_from(1), "positive integer required"),
+)
+_TARGET_FIELDS = (
+    ("range_m", _REQUIRED, lambda v: _is_num(v) and v >= 0, "nonnegative number required"),
+    ("gain_db", 0.0, _is_num, "number required"),
+)
+_METHOD_FIELDS = (
+    ("name", _REQUIRED, lambda v: isinstance(v, str) and _METHOD_NAME_RE.fullmatch(v),
+     "letters, digits, - and _ only"),
+    ("constellation", _REQUIRED, lambda v: isinstance(v, str), "name string required"),
+    ("basis", _REQUIRED, lambda v: isinstance(v, str), "name string required"),
+    ("m", None, _int_from(1), "positive integer required"),  # absent: top-level m
+    ("pulse", "rrc", _one_of("rrc", "designed", "file"), "'rrc', 'designed', or 'file' required"),
+)
+_PULSE_FIELDS = {
+    "designed": (
+        ("region", _REQUIRED, _is_pair, "[lo, hi] required for a designed pulse"),
+        ("region_units", "symbol", _one_of("symbol", "lag"), "'symbol' or 'lag' required"),
+        ("objective", "isl", _one_of("isl", "psl"), "'isl' or 'psl' required"),
+    ),
+    "file": (
+        ("pulse_file", _REQUIRED, lambda v: isinstance(v, str) and v != "", "path required"),
+    ),
+}
+
+
+def _fields(obj: dict, rows, path: str, issues: list) -> dict:
+    """Each row's value in obj, or its default; violations go to issues.
+
+    A missing required key and a present value that its row does not
+    accept each add one message naming the key's path; either way the
+    key's value comes back as None.
+    """
+    values = {}
+    for key, default, accepts, requirement in rows:
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            issues.append(f"{path}{key}: missing")
+            value = None
+        elif key in obj and not accepts(value):
+            issues.append(f"{path}{key}: {requirement}, got {value!r:.80}")
+            value = None
+        values[key] = value
+    return values
+
+
+def _method_fields(method: dict, path: str, issues: list) -> dict:
+    spec = _fields(method, _METHOD_FIELDS, path, issues)
+    return spec | _fields(method, _PULSE_FIELDS.get(spec["pulse"], ()), path, issues)
+
+
+def _objects(items, path: str, issues: list):
+    """Yield (index, item) for the objects in a list; others are violations."""
+    for i, item in enumerate(items or ()):
+        if isinstance(item, dict):
+            yield i, item
+        else:
+            issues.append(f"{path}[{i}]: object required")
+
+
+def _resolve_range_config(
+    cfg: dict,
+    runs: int | None = None,
+    seed: int | None = None,
+    profile_snr_db: float | None = None,
+) -> dict:
+    """Validate a range-sim config after overrides, collecting every violation."""
+    overrides = {"seed": seed, "profile_snr_db": profile_snr_db}
+    cfg = cfg | {key: v for key, v in overrides.items() if v is not None}
+    if runs is not None and isinstance(cfg.get("sweep"), dict):
+        cfg["sweep"] = cfg["sweep"] | {"runs": runs}
     issues: list[str] = []
-
-    def need(key, kind, label=None):
-        label = label or key
-        if key not in cfg:
-            issues.append(f"{label}: missing")
-            return None
-        if kind is not None and not isinstance(cfg[key], kind):
-            issues.append(f"{label}: wrong type {type(cfg[key]).__name__}")
-            return None
-        return cfg[key]
-
-    n = need("n", int)
-    l = need("l", int)
-    alpha = need("alpha", (int, float))
-    targets = need("targets", list)
-    roi_m = need("roi_m", list)
-    methods = need("methods", list)
-    sweep = need("sweep", dict)
-    bandwidth = cfg.get("bandwidth_hz", 200e6)
-    if not isinstance(bandwidth, (int, float)) or bandwidth <= 0:
-        issues.append(f"bandwidth_hz: positive number required, got {bandwidth!r}")
-    m_default = cfg.get("m", 1)
-    if not isinstance(m_default, int) or m_default < 1:
-        issues.append(f"m: positive integer required, got {m_default!r}")
-
-    snr_grid, runs = None, None
-    if sweep is not None:
-        snr_grid = sweep.get("snr_db")
-        if not isinstance(snr_grid, list) or not snr_grid or not all(
-            isinstance(v, (int, float)) for v in snr_grid
-        ):
-            issues.append("sweep.snr_db: nonempty list of numbers required")
-            snr_grid = None
-        runs = sweep.get("runs")
-        if not isinstance(runs, int) or runs < 1:
-            issues.append(f"sweep.runs: positive integer required, got {runs!r}")
-            runs = None
-    if args.runs is not None:
-        runs = args.runs
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        issues.append(f"seed: integer required, got {seed!r}")
-
-    if targets is not None:
-        if not targets:
-            issues.append("targets: at least one target required")
-        for i, t in enumerate(targets):
-            if not isinstance(t, dict) or "range_m" not in t:
-                issues.append(f"targets[{i}]: need an object with range_m")
-                continue
-            if not isinstance(t["range_m"], (int, float)) or t["range_m"] < 0:
-                issues.append(f"targets[{i}].range_m: nonnegative number required")
-            if not isinstance(t.get("gain_db", 0.0), (int, float)):
-                issues.append(f"targets[{i}].gain_db: number required")
-
-    if roi_m is not None and (
-        len(roi_m) != 2
-        or not all(isinstance(v, (int, float)) for v in roi_m)
-        or roi_m[0] > roi_m[1]
-    ):
-        issues.append(f"roi_m: ordered [lo, hi] in meters required, got {roi_m!r}")
-
+    top = _fields(cfg, _CONFIG_FIELDS, "", issues)
+    sweep = {} if top["sweep"] is None else _fields(top["sweep"], _SWEEP_FIELDS, "sweep.", issues)
+    labels = []
+    for i, target in _objects(top["targets"], "targets", issues):
+        _fields(target, _TARGET_FIELDS, f"targets[{i}].", issues)
+        labels.append(target.get("label"))
     names = []
-    if methods is not None:
-        if not methods:
-            issues.append("methods: at least one method required")
-        for i, meth in enumerate(methods):
-            if not isinstance(meth, dict):
-                issues.append(f"methods[{i}]: object required")
-                continue
-            name = meth.get("name")
-            if not isinstance(name, str) or not _METHOD_NAME_RE.match(name):
-                issues.append(
-                    f"methods[{i}].name: letters, digits, - and _ only, got {name!r}"
-                )
-            else:
-                names.append(name)
-            for key in ("constellation", "basis"):
-                if not isinstance(meth.get(key), str):
-                    issues.append(f"methods[{i}].{key}: name string required")
-            mm = meth.get("m", m_default)
-            if not isinstance(mm, int) or mm < 1:
-                issues.append(f"methods[{i}].m: positive integer required, got {mm!r}")
+    for i, method in _objects(top["methods"], "methods", issues):
+        name = _method_fields(method, f"methods[{i}].", issues)["name"]
+        if name is not None:
+            names.append(name)
     if len(names) != len(set(names)):
         issues.append("methods: names must be unique")
-
     estimate = cfg.get("estimate")
-    if estimate is not None:
-        labels = [t.get("label") for t in targets or [] if isinstance(t, dict)]
-        if estimate not in labels:
-            issues.append(f"estimate: no target labeled {estimate!r}")
-
+    if estimate is not None and estimate not in labels:
+        issues.append(f"estimate: no target labeled {estimate!r}")
     if issues:
-        raise ValueError("config invalid:\n  " + "\n  ".join(issues))
+        raise ValueError("config invalid: " + "; ".join(issues))
 
+    snr_grid = [float(v) for v in sweep["snr_db"]]
+    profile_snr = top["profile_snr_db"]
     return {
-        "n": n,
-        "l": l,
-        "alpha": float(alpha),
-        "bandwidth_hz": float(bandwidth),
-        "m": m_default,
-        "targets": targets,
-        "roi_m": [float(roi_m[0]), float(roi_m[1])],
-        "methods": methods,
-        "snr_db": [float(v) for v in snr_grid],
-        "runs": runs,
-        "seed": seed,
+        "n": top["n"],
+        "l": top["l"],
+        "alpha": float(top["alpha"]),
+        "bandwidth_hz": float(top["bandwidth_hz"]),
+        "m": top["m"],
+        "targets": top["targets"],
+        "roi_m": [float(v) for v in top["roi_m"]],
+        "methods": top["methods"],
+        "snr_db": snr_grid,
+        "runs": sweep["runs"],
+        "seed": top["seed"],
         "estimate": estimate,
-        "profile_snr_db": float(
-            args.profile_snr_db
-            if args.profile_snr_db is not None
-            else cfg.get("profile_snr_db", max(snr_grid))
-        ),
+        "profile_snr_db": float(max(snr_grid) if profile_snr is None else profile_snr),
     }
+
+
+# ---------------------------------------------------------------------------
+# range-sim pipeline, shared with the ranging recipes
 
 
 def _scene_geometry(resolved: dict) -> dict:
@@ -470,42 +450,39 @@ def _scene_geometry(resolved: dict) -> dict:
     }
 
 
+def _method_pulse(spec: dict, n: int, l: int, alpha: float) -> pulse.NyquistPulse:
+    if spec["pulse"] == "file":
+        return pulse.from_text_file(spec["pulse_file"], n, l)
+    if spec["pulse"] == "designed":
+        lo, hi = spec["region"]
+        lags = _region_lags(n, l, lo, hi, spec["region_units"])
+        return _design_or_fail(shaping.ShapingSpec(n, l, alpha, lags, spec["objective"])).pulse
+    return pulse.rrc_spectrum(n, l, alpha)
+
+
 def _build_scenarios(resolved: dict, geometry: dict) -> list[tuple[str, ranging.RangingScenario]]:
-    n, l, alpha = resolved["n"], resolved["l"], resolved["alpha"]
-    issues: list[str] = []
+    n, l = resolved["n"], resolved["l"]
     out = []
-    for meth in resolved["methods"]:
-        pul = _build_method_pulse(meth, n, l, alpha, issues)
-        if pul is None:
-            continue
-        const = constellation.from_name(meth["constellation"])
-        basis = modulation.from_name(meth["basis"], n)
+    for method in resolved["methods"]:
+        spec = _method_fields(method, "", [])  # validated already; fills defaults
         scenario = ranging.RangingScenario(
-            const,
-            basis,
-            pul,
+            constellation.from_name(spec["constellation"]),
+            modulation.make_basis(spec["basis"], n),
+            _method_pulse(spec, n, l, resolved["alpha"]),
             geometry["targets"],
             geometry["roi"],
             noise_var=0.0,
-            m=meth.get("m", resolved["m"]),
+            m=method.get("m", resolved["m"]),
             bandwidth_hz=resolved["bandwidth_hz"],
         )
-        out.append((meth["name"], scenario))
-    if issues:
-        raise ValueError("config invalid:\n  " + "\n  ".join(issues))
+        out.append((spec["name"], scenario))
     return out
 
 
-def _ranging_tables(
-    scenarios: list[tuple[str, ranging.RangingScenario]],
-    geometry: dict,
-    resolved: dict,
-    rmse_path,
-    profile_path,
-    command: str,
-    started: float,
-) -> None:
-    """Shared emitter for range-sim and the ranging recipes."""
+def _ranging_tables(resolved: dict, rmse_path, profile_path, command: str, started: float) -> dict:
+    """Run the configured sweep and profiles, write both tables; return the geometry."""
+    geometry = _scene_geometry(resolved)
+    scenarios = _build_scenarios(resolved, geometry)
     snr_grid = resolved["snr_db"]
     runs, seed = resolved["runs"], resolved["seed"]
     ref = geometry["amplitude_ref"]
@@ -560,6 +537,7 @@ def _ranging_tables(
         seed,
         started,
     )
+    return geometry
 
 
 def _cmd_range_sim(args) -> dict:
@@ -573,170 +551,113 @@ def _cmd_range_sim(args) -> dict:
         raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
-    resolved = _resolve_range_config(cfg, args)
-    geometry = _scene_geometry(resolved)
-    scenarios = _build_scenarios(resolved, geometry)
-    prefix = args.out_prefix
-    _ranging_tables(
-        scenarios,
-        geometry,
-        resolved,
-        f"{prefix}_rmse.csv",
-        f"{prefix}_profile.csv",
-        "range-sim",
-        started,
-    )
+    resolved = _resolve_range_config(cfg, args.runs, args.seed, args.profile_snr_db)
+    outputs = [f"{args.out_prefix}_rmse.csv", f"{args.out_prefix}_profile.csv"]
+    geometry = _ranging_tables(resolved, *outputs, "range-sim", started)
     return resolved | {
         "true_range_m": geometry["true_range_m"],
         "roi_lags": list(geometry["roi"]),
-        "outputs": [f"{prefix}_rmse.csv", f"{prefix}_profile.csv"],
+        "outputs": outputs,
     }
 
 
 # ---------------------------------------------------------------------------
-# reproduce recipes: canned experiments at the headline parameter set
+# reproduce: canned experiments at the headline parameter set, as data.
+# Kinds: "mc" compares Monte Carlo curves (label, constellation, basis, m)
+# with the closed form; "psl" designs worst-lag gains over a symbol
+# window; "range" is a range-sim config.
 
 _FIG_N, _FIG_L, _FIG_ALPHA = 128, 10, 0.35
-_FIG_BW = 200e6
-_FIG_SNR = [15.0, 20.0, 25.0, 30.0, 35.0]
 _SCENE = {
+    "n": _FIG_N,
+    "l": _FIG_L,
+    "alpha": _FIG_ALPHA,
+    "bandwidth_hz": 200e6,
     "targets": [
         {"range_m": 20.0, "gain_db": 0.0, "label": "strong"},
         {"range_m": 30.0, "gain_db": -45.0, "label": "weak"},
     ],
     "roi_m": [23.74, 31.24],
     "estimate": "weak",
+    "sweep": {"snr_db": [15.0, 20.0, 25.0, 30.0, 35.0]},
+}
+_DESIGNED = {"pulse": "designed", "objective": "isl", "region": [5, 15]}
+
+_RECIPES = {
+    # single-carrier 16-QAM with and without slot averaging
+    "fig1": {"kind": "mc", "pulse_db": True, "curves": [
+        ("m1", "qam16", "sc", 1), ("m100", "qam16", "sc", 100),
+    ]},
+    # 16-QAM across the three standard bases
+    "fig2": {"kind": "mc", "curves": [
+        ("sc", "qam16", "sc", 1), ("cdma", "qam16", "cdma", 1), ("ofdm", "qam16", "ofdm", 1),
+    ]},
+    # subcarrier basis across constellation families
+    "fig3": {"kind": "mc", "curves": [
+        ("psk16", "psk16", "ofdm", 1), ("qam16", "qam16", "ofdm", 1),
+        ("qam1024", "qam1024", "ofdm", 1), ("gaussian", "gaussian", "ofdm", 1),
+    ]},
+    # worst-lag gain design against the RRC baseline
+    "fig4": {"kind": "psl", "window": [5, 15]},
+    # SC against OFDM after 100-slot averaging
+    "fig5": {"kind": "mc", "curves": [
+        ("sc", "qam16", "sc", 100), ("ofdm", "qam16", "ofdm", 100),
+    ]},
+    # 16-PSK ranging: both bases, baseline and designed gains
+    "fig6": {"kind": "range", "config": _SCENE | {"methods": [
+        {"name": "sc_rrc", "constellation": "psk16", "basis": "sc", "pulse": "rrc"},
+        {"name": "sc_designed", "constellation": "psk16", "basis": "sc", **_DESIGNED},
+        {"name": "ofdm_rrc", "constellation": "psk16", "basis": "ofdm", "pulse": "rrc"},
+        {"name": "ofdm_designed", "constellation": "psk16", "basis": "ofdm", **_DESIGNED},
+    ]}},
+    # 16-QAM OFDM ranging with and without 1000-slot averaging
+    "fig7": {"kind": "range", "config": _SCENE | {"methods": [
+        {"name": f"{label}_m{m}", "constellation": "qam16", "basis": "ofdm", **kind, "m": m}
+        for m in (1, 1000)
+        for label, kind in (("rrc", {"pulse": "rrc"}), ("designed", _DESIGNED))
+    ]}},
 }
 
 
-def _mc_curve(const_name, basis_name, m, trials, seed):
-    const = constellation.from_name(const_name)
-    basis = modulation.from_name(basis_name, _FIG_N)
-    pul = pulse.rrc_spectrum(_FIG_N, _FIG_L, _FIG_ALPHA)
-    kurt = constellation.kurtosis(const)
-    theory = acfstats.expected_sq_acf(pul, basis, kurt, m=m)
-    result = run_trials(TrialConfig(const, basis, pul, trials=trials, seed=seed, m=m))
-    return (
-        acfstats.to_db_of_peak(theory.total, _FIG_N),
-        acfstats.to_db_of_peak(result.mean_sq, _FIG_N),
-    )
-
-
-def _recipe_fig1(args, out_dir) -> list[str]:
-    """Single-carrier 16-QAM correlation with and without slot averaging."""
+def _mc_recipe(name: str, recipe: dict, args) -> list[str]:
     started = time.perf_counter()
     pul = pulse.rrc_spectrum(_FIG_N, _FIG_L, _FIG_ALPHA)
-    pulse_db = acfstats.to_db_of_peak(
-        np.abs(acfstats.mean_acf(pul)) ** 2, _FIG_N
-    )
-    t1, e1 = _mc_curve("qam16", "sc", 1, args.trials, args.seed)
-    t100, e100 = _mc_curve("qam16", "sc", 100, args.trials, args.seed)
-    rows = [
-        [int(k), pulse_db[k], t1[k], e1[k], t100[k], e100[k]]
-        for k in range(_FIG_N * _FIG_L)
-    ]
-    path = f"{out_dir}/fig1.csv"
-    params = {
-        "recipe": "fig1",
-        "constellation": "qam16",
-        "basis": "sc",
-        "n": _FIG_N,
-        "l": _FIG_L,
-        "alpha": _FIG_ALPHA,
-        "m_values": [1, 100],
-        "trials": args.trials,
-    }
-    _emit_table(
-        path,
-        ["lag", "pulse_db", "theory_m1_db", "empirical_m1_db",
-         "theory_m100_db", "empirical_m100_db"],
-        rows,
-        "reproduce",
-        params,
-        args.seed,
-        started,
-    )
-    return [path]
-
-
-def _comparison_recipe(name, out_dir, args, variants, m):
-    """Theory and empirical curves per (label, constellation, basis)."""
-    started = time.perf_counter()
-    header = ["lag"]
-    curves = []
-    for label, const_name, basis_name in variants:
-        theory_db, emp_db = _mc_curve(const_name, basis_name, m, args.trials, args.seed)
+    header, columns = ["lag"], []
+    if recipe.get("pulse_db"):
+        header.append("pulse_db")
+        columns.append(_floor_db(pul))
+    for label, const_name, basis_name, m in recipe["curves"]:
+        theory, result = _theory_and_trials(
+            constellation.from_name(const_name),
+            modulation.make_basis(basis_name, _FIG_N),
+            pul, m, args.trials, args.seed,
+        )
         header += [f"theory_{label}_db", f"empirical_{label}_db"]
-        curves.append((theory_db, emp_db))
-    rows = []
-    for k in range(_FIG_N * _FIG_L):
-        row: list = [int(k)]
-        for theory_db, emp_db in curves:
-            row += [theory_db[k], emp_db[k]]
-        rows.append(row)
-    path = f"{out_dir}/{name}.csv"
+        columns += [acfstats.to_db_of_peak(theory.total, _FIG_N),
+                    acfstats.to_db_of_peak(result.mean_sq, _FIG_N)]
+    rows = [[k] + [column[k] for column in columns] for k in range(_FIG_N * _FIG_L)]
+    path = f"{args.out_dir}/{name}.csv"
     params = {
         "recipe": name,
-        "variants": [list(v) for v in variants],
+        "curves": [list(curve) for curve in recipe["curves"]],
         "n": _FIG_N,
         "l": _FIG_L,
         "alpha": _FIG_ALPHA,
-        "m": m,
         "trials": args.trials,
     }
     _emit_table(path, header, rows, "reproduce", params, args.seed, started)
     return [path]
 
 
-def _recipe_fig2(args, out_dir) -> list[str]:
-    """16-QAM correlation across the three standard bases."""
-    return _comparison_recipe(
-        "fig2",
-        out_dir,
-        args,
-        [("sc", "qam16", "sc"), ("cdma", "qam16", "cdma"), ("ofdm", "qam16", "ofdm")],
-        m=1,
-    )
-
-
-def _recipe_fig3(args, out_dir) -> list[str]:
-    """Subcarrier-basis correlation across constellation families."""
-    return _comparison_recipe(
-        "fig3",
-        out_dir,
-        args,
-        [
-            ("psk16", "psk16", "ofdm"),
-            ("qam16", "qam16", "ofdm"),
-            ("qam1024", "qam1024", "ofdm"),
-            ("gaussian", "gaussian", "ofdm"),
-        ],
-        m=1,
-    )
-
-
-def _recipe_fig5(args, out_dir) -> list[str]:
-    """SC against OFDM after 100-slot averaging."""
-    return _comparison_recipe(
-        "fig5",
-        out_dir,
-        args,
-        [("sc", "qam16", "sc"), ("ofdm", "qam16", "ofdm")],
-        m=100,
-    )
-
-
-def _recipe_fig4(args, out_dir) -> list[str]:
-    """Worst-lag gain design against the RRC baseline."""
+def _psl_recipe(name: str, recipe: dict, args) -> list[str]:
     started = time.perf_counter()
-    lags = shaping.sidelobe_lags(_FIG_N, _FIG_L, 5, 15)
-    spec = shaping.ShapingSpec(_FIG_N, _FIG_L, _FIG_ALPHA, lags, "psl")
-    result = _design_or_fail(spec)
+    lags = shaping.sidelobe_lags(_FIG_N, _FIG_L, *recipe["window"])
+    result = _design_or_fail(shaping.ShapingSpec(_FIG_N, _FIG_L, _FIG_ALPHA, lags, "psl"))
     rrc = pulse.rrc_spectrum(_FIG_N, _FIG_L, _FIG_ALPHA)
     params = {
-        "recipe": "fig4",
+        "recipe": name,
         "objective": "psl",
-        "region_symbols": [5, 15],
+        "region_symbols": recipe["window"],
         "region_lags": [int(lags[0]), int(lags[-1])],
         "n": _FIG_N,
         "l": _FIG_L,
@@ -744,20 +665,10 @@ def _recipe_fig4(args, out_dir) -> list[str]:
         "objective_value": result.value,
         "baseline_value": shaping.region_metrics(rrc, lags)["psl"],
     }
-    acf_path = f"{out_dir}/fig4_acf.csv"
-    rrc_db = acfstats.to_db_of_peak(np.abs(acfstats.mean_acf(rrc)) ** 2, _FIG_N)
-    designed_db = acfstats.to_db_of_peak(
-        np.abs(acfstats.mean_acf(result.pulse)) ** 2, _FIG_N
-    )
-    rows = [[int(k), rrc_db[k], designed_db[k]] for k in range(_FIG_N * _FIG_L)]
-    _emit_table(
-        acf_path, ["lag", "rrc_db", "designed_db"], rows,
-        "reproduce", params | {"out": acf_path}, args.seed, started,
-    )
-    spectrum_path = f"{out_dir}/fig4_spectrum.csv"
-    rows = [
-        [i, rrc.g[i], result.pulse.g[i]] for i in range(_FIG_N)
-    ]
+    acf_path = f"{args.out_dir}/{name}_acf.csv"
+    _emit_acf_table(acf_path, rrc, result.pulse, "reproduce", params, args.seed, started)
+    spectrum_path = f"{args.out_dir}/{name}_spectrum.csv"
+    rows = [[i, rrc.g[i], result.pulse.g[i]] for i in range(_FIG_N)]
     _emit_table(
         spectrum_path, ["bin", "rrc", "designed"], rows,
         "reproduce", params | {"out": spectrum_path}, args.seed, started,
@@ -765,88 +676,23 @@ def _recipe_fig4(args, out_dir) -> list[str]:
     return [acf_path, spectrum_path]
 
 
-def _ranging_recipe(name, out_dir, args, const_name, method_specs) -> list[str]:
+def _range_recipe(name: str, recipe: dict, args) -> list[str]:
     started = time.perf_counter()
-    resolved = {
-        "n": _FIG_N,
-        "l": _FIG_L,
-        "alpha": _FIG_ALPHA,
-        "bandwidth_hz": _FIG_BW,
-        "m": 1,
-        "targets": _SCENE["targets"],
-        "roi_m": _SCENE["roi_m"],
-        "estimate": _SCENE["estimate"],
-        "methods": [
-            {"name": mname, "constellation": const_name, "basis": basis} | extra
-            for mname, basis, extra in method_specs
-        ],
-        "snr_db": _FIG_SNR,
-        "runs": args.runs,
-        "seed": args.seed,
-        "profile_snr_db": _FIG_SNR[-1],
-        "recipe": name,
-    }
-    geometry = _scene_geometry(resolved)
-    scenarios = _build_scenarios(resolved, geometry)
-    rmse_path = f"{out_dir}/{name}_rmse.csv"
-    profile_path = f"{out_dir}/{name}_profile.csv"
-    _ranging_tables(
-        scenarios, geometry, resolved, rmse_path, profile_path, "reproduce", started
-    )
-    return [rmse_path, profile_path]
+    resolved = _resolve_range_config(recipe["config"], args.runs, args.seed)
+    outputs = [f"{args.out_dir}/{name}_rmse.csv", f"{args.out_dir}/{name}_profile.csv"]
+    _ranging_tables(resolved | {"recipe": name}, *outputs, "reproduce", started)
+    return outputs
 
 
-_DESIGNED = {"pulse": "designed", "objective": "isl", "region": [5, 15]}
-
-
-def _recipe_fig6(args, out_dir) -> list[str]:
-    """16-PSK ranging: both bases, baseline and designed gains."""
-    return _ranging_recipe(
-        "fig6",
-        out_dir,
-        args,
-        "psk16",
-        [
-            ("sc_rrc", "sc", {"pulse": "rrc"}),
-            ("sc_designed", "sc", dict(_DESIGNED)),
-            ("ofdm_rrc", "ofdm", {"pulse": "rrc"}),
-            ("ofdm_designed", "ofdm", dict(_DESIGNED)),
-        ],
-    )
-
-
-def _recipe_fig7(args, out_dir) -> list[str]:
-    """16-QAM ranging with and without 1000-slot averaging."""
-    return _ranging_recipe(
-        "fig7",
-        out_dir,
-        args,
-        "qam16",
-        [
-            ("rrc_m1", "ofdm", {"pulse": "rrc", "m": 1}),
-            ("designed_m1", "ofdm", dict(_DESIGNED) | {"m": 1}),
-            ("rrc_m1000", "ofdm", {"pulse": "rrc", "m": 1000}),
-            ("designed_m1000", "ofdm", dict(_DESIGNED) | {"m": 1000}),
-        ],
-    )
-
-
-_RECIPES = {
-    "fig1": _recipe_fig1,
-    "fig2": _recipe_fig2,
-    "fig3": _recipe_fig3,
-    "fig4": _recipe_fig4,
-    "fig5": _recipe_fig5,
-    "fig6": _recipe_fig6,
-    "fig7": _recipe_fig7,
-}
+_RECIPE_KINDS = {"mc": _mc_recipe, "psl": _psl_recipe, "range": _range_recipe}
 
 
 def _cmd_reproduce(args) -> dict:
     names = list(_RECIPES) if args.figure == "all" else [args.figure]
     files = []
     for name in names:
-        files += _RECIPES[name](args, args.out_dir)
+        recipe = _RECIPES[name]
+        files += _RECIPE_KINDS[recipe["kind"]](name, recipe, args)
     return {
         "figures": names,
         "out_dir": str(args.out_dir),

@@ -25,7 +25,6 @@ __all__ = [
     "from_name",
     "from_text_file",
     "kurtosis",
-    "classify",
     "sample_symbols",
 ]
 
@@ -193,14 +192,6 @@ def kurtosis(spec: ConstellationSpec) -> float:
     if spec.kind == "gaussian":
         return 2.0
     return float(np.dot(spec.probs, np.abs(spec.points) ** 4))
-
-
-def classify(spec: ConstellationSpec, eps: float = 1e-9) -> str:
-    """'sub-gaussian', 'gaussian', or 'super-gaussian' by kurtosis vs 2."""
-    k = kurtosis(spec)
-    if abs(k - 2.0) <= eps:
-        return "gaussian"
-    return "sub-gaussian" if k < 2.0 else "super-gaussian"
 
 
 def sample_symbols(

@@ -1,4 +1,4 @@
-"""Shared DFT conventions and FFT-based correlation helpers.
+"""Shared DFT conventions and oversampled-grid phase vectors.
 
 Every module derives its phase vectors from the helpers here so that the
 sign and scaling conventions cannot drift apart.  The convention is the
@@ -17,9 +17,6 @@ __all__ = [
     "dft_matrix",
     "band_dft_columns",
     "lag_rotation",
-    "circular_convolve",
-    "periodic_crosscorr",
-    "periodic_autocorr",
 ]
 
 
@@ -49,24 +46,3 @@ def band_dft_columns(n: int, l: int, lags: np.ndarray) -> np.ndarray:
 def lag_rotation(l: int, lags: np.ndarray) -> np.ndarray:
     """Per-lag rotation exp(-2j*pi*k/l) picked up by the folded band."""
     return np.exp(-2j * np.pi * np.asarray(lags) / l)
-
-
-def circular_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Circular convolution along the last axis (h broadcast against x)."""
-    return np.fft.ifft(np.fft.fft(x, axis=-1) * np.fft.fft(h), axis=-1)
-
-
-def periodic_crosscorr(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Periodic cross-correlation r[k] = sum_m conj(x[m]) y[(m+k) % n].
-
-    Computed along the last axis; x and y must have the same trailing length.
-    """
-    fx = np.fft.fft(x, axis=-1)
-    fy = np.fft.fft(y, axis=-1)
-    return np.fft.ifft(np.conj(fx) * fy, axis=-1)
-
-
-def periodic_autocorr(x: np.ndarray) -> np.ndarray:
-    """Periodic autocorrelation R[k] = sum_m conj(x[m]) x[(m+k) % n]."""
-    fx = np.fft.fft(x, axis=-1)
-    return np.fft.ifft(np.abs(fx) ** 2, axis=-1)

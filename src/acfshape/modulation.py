@@ -19,7 +19,6 @@ __all__ = [
     "make_basis",
     "modulate",
     "random_unitary",
-    "from_name",
     "from_text_file",
 ]
 
@@ -115,11 +114,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> ModulationBasis:
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return ModulationBasis("custom", n, q)
-
-
-def from_name(name: str, n: int) -> ModulationBasis:
-    """CLI-style lookup for the built-in basis kinds."""
-    return make_basis(name, n)
 
 
 def from_text_file(path, n: int) -> ModulationBasis:

@@ -8,7 +8,6 @@ results do not depend on chunking or execution order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,11 @@ __all__ = [
 ]
 
 _TAG_SYMBOLS = 1
+
+# Complex workspace per batch of trials.  Only memory layout depends on
+# the batch size; the per-trial generators make the numbers identical
+# for any batching.
+_BATCH_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -85,18 +89,6 @@ def synthesize(
     return np.fft.ifft(block_spectrum(pulse, basis, symbols), axis=-1)
 
 
-def _chunk_trials(total: int, block_bytes: int) -> int:
-    """Trials per batch, sized from an optional thread hint.
-
-    Only memory layout depends on this; the per-trial generators make the
-    numbers identical for any chunking.
-    """
-    threads = int(os.environ.get("ACFSHAPE_THREADS", "1") or "1")
-    budget = 1 << 25  # 32 MiB of complex workspace per thread
-    chunk = max(1, (budget * max(threads, 1)) // max(block_bytes, 1))
-    return min(total, chunk)
-
-
 def run_trials(config: TrialConfig) -> MonteCarloResult:
     """Monte Carlo estimate of the ACF mean and squared magnitude per lag."""
     pulse, basis = config.pulse, config.basis
@@ -104,7 +96,7 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
     lags = np.arange(ln) if config.lags is None else np.atleast_1d(config.lags)
     spectrum_amp = np.sqrt(pulse.l * assemble_full_spectrum(pulse))
     acf_rows = np.empty((config.trials, lags.size), dtype=complex)
-    chunk = _chunk_trials(config.trials, config.m * ln * 16)
+    chunk = min(config.trials, max(1, _BATCH_BYTES // (config.m * ln * 16)))
     for start in range(0, config.trials, chunk):
         stop = min(start + chunk, config.trials)
         blocks = np.empty((stop - start, config.m, pulse.n), dtype=complex)

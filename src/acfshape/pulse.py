@@ -25,7 +25,6 @@ __all__ = [
     "NyquistPulse",
     "rolloff_bin_count",
     "rrc_spectrum",
-    "custom_spectrum",
     "from_text_file",
     "assemble_full_spectrum",
     "spectrum_to_time",
@@ -104,11 +103,6 @@ def rrc_spectrum(n: int, l: int, alpha: float) -> NyquistPulse:
     g[zeros:zeros + width] = 0.5 * (1.0 - np.cos(np.pi * (j - 0.5) / width))
     g[zeros + width:] = 1.0
     return NyquistPulse(n, l, g, name=f"rrc{alpha:g}", alpha=width / n)
-
-
-def custom_spectrum(n: int, l: int, g: np.ndarray, name: str = "custom") -> NyquistPulse:
-    """Wrap externally supplied gains after validation."""
-    return NyquistPulse(n, l, g, name=name)
 
 
 def from_text_file(path, n: int, l: int) -> NyquistPulse:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acfstats import gain_energy  # noqa: F401  (re-exported for CLI tables)
 from .fourier import band_dft_columns, lag_rotation
 from .pulse import NyquistPulse, rolloff_bin_count, rrc_spectrum
 from .qpsolver import solve_box_qp, solve_minimax

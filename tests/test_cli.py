@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from acfshape import pulse, tableio
-from acfshape.cli import run
+from acfshape.cli import _RECIPES, run
 
 
 def _floats(row):
@@ -155,11 +155,10 @@ def test_range_sim_outputs(tmp_path, capsys):
     assert manifest["parameters"]["snr_definition"].startswith("strong-path")
 
 
-def test_range_sim_byte_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_range_sim_byte_identical_across_thread_counts(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     outputs = []
-    for threads, name in [("1", "a"), ("7", "b")]:
-        monkeypatch.setenv("ACFSHAPE_THREADS", threads)
+    for name in ("a", "b"):
         prefix = str(tmp_path / name)
         assert run(["range-sim", "--config", str(cfg), "--out-prefix", prefix]) == 0
         outputs.append(
@@ -186,17 +185,80 @@ def test_range_sim_lists_every_config_issue(tmp_path, capsys):
         assert needle in err
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"l": 0}, "l"),
+    ({"sweep": {"snr_db": [10.0, 30.0], "runs": True}}, "sweep.runs"),
+    ({"n": True}, "n"),
+    ({"alpha": 1.5}, "alpha"),
+], ids=["l-zero", "runs-bool", "n-bool", "alpha-above-one"])
+def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, key):
+    cfg = _write_config(tmp_path / "cfg.json", **override)
+    code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "config invalid" in err and f" {key}: " in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_range_sim_missing_config_file(tmp_path):
     assert run(["range-sim", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_reproduce_fig1_writes_curves(tmp_path):
-    code = run(["reproduce", "fig1", "--trials", "16", "--out-dir", str(tmp_path)])
-    assert code == 0
-    header, rows = tableio.read_csv(tmp_path / "fig1.csv")
-    assert header == [
+_RANGING_COLUMNS = ("rmse_m", "rmse_hits_m", "success_rate")
+
+
+def _ranging_layout(figure, methods):
+    return {
+        f"{figure}_rmse.csv": (
+            ["snr_db"] + [f"{m}_{c}" for m in methods for c in _RANGING_COLUMNS], 5
+        ),
+        f"{figure}_profile.csv": (["range_m"] + [f"{m}_db" for m in methods], 1280),
+    }
+
+
+# file -> (header, row count) for every recipe except the psl design
+_RECIPE_LAYOUTS = {
+    "fig1": {"fig1.csv": ([
         "lag", "pulse_db", "theory_m1_db", "empirical_m1_db",
         "theory_m100_db", "empirical_m100_db",
-    ]
-    assert len(rows) == 1280
-    assert (tmp_path / "fig1.csv.manifest.json").exists()
+    ], 1280)},
+    "fig2": {"fig2.csv": ([
+        "lag", "theory_sc_db", "empirical_sc_db", "theory_cdma_db",
+        "empirical_cdma_db", "theory_ofdm_db", "empirical_ofdm_db",
+    ], 1280)},
+    "fig3": {"fig3.csv": ([
+        "lag", "theory_psk16_db", "empirical_psk16_db", "theory_qam16_db",
+        "empirical_qam16_db", "theory_qam1024_db", "empirical_qam1024_db",
+        "theory_gaussian_db", "empirical_gaussian_db",
+    ], 1280)},
+    "fig5": {"fig5.csv": ([
+        "lag", "theory_sc_db", "empirical_sc_db", "theory_ofdm_db", "empirical_ofdm_db",
+    ], 1280)},
+    "fig6": _ranging_layout("fig6", ["sc_rrc", "sc_designed", "ofdm_rrc", "ofdm_designed"]),
+    "fig7": _ranging_layout("fig7", ["rrc_m1", "designed_m1", "rrc_m1000", "designed_m1000"]),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(_RECIPE_LAYOUTS))
+def test_reproduce_recipe_layout(tmp_path, figure):
+    code = run(["reproduce", figure, "--trials", "16", "--runs", "2",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    for name, (header, count) in _RECIPE_LAYOUTS[figure].items():
+        got, rows = tableio.read_csv(tmp_path / name)
+        assert got == header
+        assert len(rows) == count
+        assert (tmp_path / (name + ".manifest.json")).exists()
+
+
+def test_reproduce_fig6_equals_range_sim_on_its_config(tmp_path):
+    cfg = tmp_path / "fig6.json"
+    cfg.write_text(json.dumps(_RECIPES["fig6"]["config"]))
+    assert run(["reproduce", "fig6", "--runs", "2", "--out-dir", str(tmp_path / "rep")]) == 0
+    prefix = str(tmp_path / "rs")
+    assert run(["range-sim", "--config", str(cfg), "--runs", "2", "--seed", "0",
+                "--out-prefix", prefix]) == 0
+    for suffix in ("_rmse.csv", "_profile.csv"):
+        recipe = (tmp_path / "rep" / f"fig6{suffix}").read_bytes()
+        assert recipe == (tmp_path / f"rs{suffix}").read_bytes()

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from acfshape import fourier
 
@@ -41,48 +39,3 @@ def test_lag_rotation_values():
     np.testing.assert_allclose(np.abs(lam), 1.0, atol=1e-14)
     np.testing.assert_allclose(lam[np.array([0, 3, 6])], 1.0, atol=1e-14)
 
-
-def test_circular_convolve_against_direct_sum():
-    rng = np.random.default_rng(2)
-    n = 9
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    direct = np.array(
-        [sum(h[m] * x[(t - m) % n] for m in range(n)) for t in range(n)]
-    )
-    np.testing.assert_allclose(fourier.circular_convolve(x, h), direct, atol=1e-12)
-
-
-def test_periodic_crosscorr_against_direct_sum():
-    rng = np.random.default_rng(3)
-    n = 8
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    direct = np.array(
-        [sum(np.conj(x[m]) * y[(m + k) % n] for m in range(n)) for k in range(n)]
-    )
-    np.testing.assert_allclose(fourier.periodic_crosscorr(x, y), direct, atol=1e-12)
-
-
-def test_periodic_autocorr_against_shift_matrix():
-    rng = np.random.default_rng(4)
-    n = 7
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    shift = np.roll(np.eye(n), -1, axis=0)  # (shift @ x)[m] = x[m+1 mod n]
-    r = fourier.periodic_autocorr(x)
-    mat = np.eye(n)
-    for k in range(n):
-        np.testing.assert_allclose(r[k], x.conj() @ (mat @ x), atol=1e-12)
-        mat = shift @ mat
-    np.testing.assert_allclose(r[0], np.sum(np.abs(x) ** 2), atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 32), st.integers(0, 2**31 - 1))
-def test_autocorr_is_selfcrosscorr_and_parseval(n, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    r = fourier.periodic_autocorr(x)
-    np.testing.assert_allclose(r, fourier.periodic_crosscorr(x, x), atol=1e-10)
-    # lag-0 dominates every other lag in magnitude
-    assert np.all(np.abs(r) <= r[0].real + 1e-10)

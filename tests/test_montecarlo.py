@@ -53,9 +53,9 @@ def _base_config(**overrides):
 
 def test_run_trials_deterministic_and_chunk_invariant(monkeypatch):
     first = mc.run_trials(_base_config())
-    monkeypatch.setenv("ACFSHAPE_THREADS", "7")
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 1)  # one trial per batch
     second = mc.run_trials(_base_config())
-    monkeypatch.setenv("ACFSHAPE_THREADS", "1")
+    monkeypatch.undo()
     third = mc.run_trials(_base_config())
     np.testing.assert_array_equal(first.mean_sq, second.mean_sq)
     np.testing.assert_array_equal(first.mean_sq, third.mean_sq)

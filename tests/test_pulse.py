@@ -75,7 +75,7 @@ def test_pulse_acf_matches_time_domain_correlation():
     rng = np.random.default_rng(6)
     for n, l in [(8, 2), (12, 3), (16, 4)]:
         g = rng.random(n)
-        p = pul.custom_spectrum(n, l, g)
+        p = pul.NyquistPulse(n, l, g)
         taps = pul.spectrum_to_time(p)
         direct = np.fft.ifft(np.abs(np.fft.fft(taps)) ** 2)
         formula = pul.pulse_acf(p, np.arange(l * n))
@@ -92,7 +92,7 @@ def test_acf_vanishes_at_block_lags_for_any_gains(n, l, seed):
     # the gain/alias pairing forces zero correlation at nonzero multiples
     # of the oversampling factor, whatever the gains are
     g = np.random.default_rng(seed).random(n)
-    p = pul.custom_spectrum(n, l, g)
+    p = pul.NyquistPulse(n, l, g)
     lags = np.arange(1, n) * l
     np.testing.assert_allclose(pul.pulse_acf(p, lags), 0.0, atol=1e-12)
     zero = pul.pulse_acf(p, np.array([0]))
@@ -150,15 +150,15 @@ def test_gains_reproduce_closed_form_rrc(n, l, alpha):
 
 def test_gain_validation_messages():
     with pytest.raises(ValueError, match=r"g\[2\]"):
-        pul.custom_spectrum(4, 2, [0.0, 0.5, 1.5, 1.0])
+        pul.NyquistPulse(4, 2, [0.0, 0.5, 1.5, 1.0])
     with pytest.raises(ValueError, match=r"g\[0\]"):
-        pul.custom_spectrum(4, 2, [np.inf, 0.5, 0.5, 1.0])
+        pul.NyquistPulse(4, 2, [np.inf, 0.5, 0.5, 1.0])
     with pytest.raises(ValueError, match="shape"):
-        pul.custom_spectrum(4, 2, [0.0, 1.0])
+        pul.NyquistPulse(4, 2, [0.0, 1.0])
     with pytest.raises(ValueError, match="oversampling"):
-        pul.custom_spectrum(4, 1, [0.0, 0.5, 0.5, 1.0])
+        pul.NyquistPulse(4, 1, [0.0, 0.5, 0.5, 1.0])
     # values inside the tolerance band are clipped, not rejected
-    p = pul.custom_spectrum(4, 2, [0.0, 0.5, 1.0, 1.0 + 1e-12])
+    p = pul.NyquistPulse(4, 2, [0.0, 0.5, 1.0, 1.0 + 1e-12])
     assert p.g.max() == 1.0
 
 
@@ -180,6 +180,6 @@ def test_from_text_file_roundtrip(tmp_path):
     st.integers(2, 5),
 )
 def test_custom_gains_always_give_unit_energy(g, l):
-    p = pul.custom_spectrum(g.size, l, g)
+    p = pul.NyquistPulse(g.size, l, g)
     taps = pul.spectrum_to_time(p)
     assert np.sum(np.abs(taps) ** 2) == pytest.approx(1.0, abs=1e-10)

@@ -17,7 +17,7 @@ def test_sidelobe_maps_reproduce_squared_mean_acf():
     rng = np.random.default_rng(21)
     for n, l in [(8, 3), (16, 2), (12, 5)]:
         g = rng.random(n)
-        p = pul.custom_spectrum(n, l, g)
+        p = pul.NyquistPulse(n, l, g)
         lags = rng.choice(np.arange(1, l * n), size=7, replace=False)
         a_mat, c = sh.sidelobe_maps(n, l, lags)
         from_maps = np.abs(a_mat @ g + c) ** 2
