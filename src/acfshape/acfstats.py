@@ -23,8 +23,6 @@ __all__ = [
     "mean_acf",
     "gain_energy",
     "expected_sq_acf",
-    "ofdm_sq_acf",
-    "sc_sq_acf",
     "fourth_moment_matrix",
     "to_db_of_peak",
 ]
@@ -67,10 +65,6 @@ def gain_energy(pulse: NyquistPulse, lags=None) -> np.ndarray:
     return np.sum(np.abs(aliased_gain(pulse, lags)) ** 2, axis=0)
 
 
-def _squared_mean(pulse: NyquistPulse, lags: np.ndarray) -> np.ndarray:
-    return np.abs(mean_acf(pulse, lags)) ** 2
-
-
 def expected_sq_acf(
     pulse: NyquistPulse,
     basis: ModulationBasis,
@@ -98,31 +92,7 @@ def expected_sq_acf(
     spread = basis.v_tilde @ (gt * f.conj())
     basis_term = n * np.sum(np.abs(spread) ** 2, axis=0)
     variance = (energy + (kurt - 2.0) * basis_term) / m
-    return AcfStats(lags, _squared_mean(pulse, lags), variance)
-
-
-def ofdm_sq_acf(pulse: NyquistPulse, kurt: float, m: int = 1, lags=None) -> AcfStats:
-    """Shortcut for the subcarrier basis: variance = (kurt - 1)/m * ||gt_k||^2."""
-    if m < 1:
-        raise ValueError(f"averaging count must be >= 1, got {m}")
-    lags = _as_lags(pulse, lags)
-    variance = (kurt - 1.0) / m * gain_energy(pulse, lags)
-    return AcfStats(lags, _squared_mean(pulse, lags), variance)
-
-
-def sc_sq_acf(pulse: NyquistPulse, kurt: float, m: int = 1, lags=None) -> AcfStats:
-    """Shortcut for the identity basis.
-
-    The energy-spreading matrix averages uniformly, so the basis term folds
-    back onto the squared mean: variance =
-    (1/m) * (||gt_k||^2 + (kurt - 2)/n * mean_sq_k).
-    """
-    if m < 1:
-        raise ValueError(f"averaging count must be >= 1, got {m}")
-    lags = _as_lags(pulse, lags)
-    sq_mean = _squared_mean(pulse, lags)
-    variance = (gain_energy(pulse, lags) + (kurt - 2.0) / pulse.n * sq_mean) / m
-    return AcfStats(lags, sq_mean, variance)
+    return AcfStats(lags, np.abs(mean_acf(pulse, lags)) ** 2, variance)
 
 
 def fourth_moment_matrix(n: int, kurt: float) -> np.ndarray:

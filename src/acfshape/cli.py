@@ -282,6 +282,11 @@ def _is_list(v) -> bool:
     return isinstance(v, list) and len(v) > 0
 
 
+def _is_snr(v) -> bool:
+    # 10 ** (snr / 10) must stay finite and nonzero
+    return _is_num(v) and -300 <= v <= 300
+
+
 _CONFIG_FIELDS = (
     ("n", _REQUIRED, _int_from(2), "integer >= 2 required"),
     ("l", _REQUIRED, _int_from(2), "integer >= 2 required"),
@@ -294,11 +299,11 @@ _CONFIG_FIELDS = (
     ("methods", _REQUIRED, _is_list, "nonempty list of methods required"),
     ("sweep", _REQUIRED, lambda v: isinstance(v, dict), "object required"),
     ("seed", 0, _int_from(0), "nonnegative integer required"),
-    ("profile_snr_db", None, _is_num, "number required"),
+    ("profile_snr_db", None, _is_snr, "number in [-300, 300] dB required"),
 )
 _SWEEP_FIELDS = (
-    ("snr_db", _REQUIRED, lambda v: _is_list(v) and all(map(_is_num, v)),
-     "nonempty list of numbers required"),
+    ("snr_db", _REQUIRED, lambda v: _is_list(v) and all(map(_is_snr, v)),
+     "nonempty list of numbers in [-300, 300] dB required"),
     ("runs", _REQUIRED, _int_from(1), "positive integer required"),
 )
 _TARGET_FIELDS = (

@@ -1,7 +1,11 @@
 """Empirical ACF statistics for validating the closed forms.
 
-Each trial draws m independent symbol blocks, synthesizes the shaped
-signal for each, and averages the m periodic ACFs into one estimate.
+Each trial draws m independent symbol blocks and averages their m
+periodic ACFs into one estimate.  A periodic ACF is the inverse DFT of
+the power spectrum, so a trial never builds the shaped signal: it
+averages the slots' power spectra (slot_power) and takes one inverse
+transform.
+
 Trial t uses its own generator seeded from (seed, stream tag, t), so
 results do not depend on chunking or execution order.
 """
@@ -19,8 +23,7 @@ from .pulse import NyquistPulse, assemble_full_spectrum
 __all__ = [
     "TrialConfig",
     "MonteCarloResult",
-    "block_spectrum",
-    "synthesize",
+    "slot_power",
     "run_trials",
 ]
 
@@ -68,25 +71,21 @@ class MonteCarloResult:
     m: int
 
 
-def block_spectrum(
+def slot_power(
     pulse: NyquistPulse, basis: ModulationBasis, symbols: np.ndarray
 ) -> np.ndarray:
-    """DFT of the shaped signal for symbol blocks of shape (..., n).
+    """Slot-summed power spectrum P = sum_s |X_s|^2 over all l*n bins.
 
-    Zero-insertion upsampling replicates the block spectrum l times, so the
-    full transform is the tiled symbol spectrum times the pulse spectrum.
+    symbols has shape (..., m, n); the slot axis -2 is summed out.
+    Zero-insertion upsampling replicates each block's length-n spectrum l
+    times and the pulse weights bin f by l * G[f] (G from
+    assemble_full_spectrum), so the power is formed at length n and tiled
+    once.  ifft(P) is the sum of the m periodic ACFs.
     """
-    x = modulate(basis, symbols)
-    xf = np.fft.fft(x, axis=-1)
-    tiled = np.tile(xf, (1,) * (xf.ndim - 1) + (pulse.l,))
-    return tiled * np.sqrt(pulse.l * assemble_full_spectrum(pulse))
-
-
-def synthesize(
-    pulse: NyquistPulse, basis: ModulationBasis, symbols: np.ndarray
-) -> np.ndarray:
-    """Time-domain shaped signal of length l*n per symbol block."""
-    return np.fft.ifft(block_spectrum(pulse, basis, symbols), axis=-1)
+    xf = np.fft.fft(modulate(basis, symbols), axis=-1)
+    power = np.sum(np.abs(xf) ** 2, axis=-2)
+    tiled = np.tile(power, (1,) * (power.ndim - 1) + (pulse.l,))
+    return tiled * (pulse.l * assemble_full_spectrum(pulse))
 
 
 def run_trials(config: TrialConfig) -> MonteCarloResult:
@@ -94,7 +93,6 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
     pulse, basis = config.pulse, config.basis
     ln = pulse.l * pulse.n
     lags = np.arange(ln) if config.lags is None else np.atleast_1d(config.lags)
-    spectrum_amp = np.sqrt(pulse.l * assemble_full_spectrum(pulse))
     acf_rows = np.empty((config.trials, lags.size), dtype=complex)
     chunk = min(config.trials, max(1, _BATCH_BYTES // (config.m * ln * 16)))
     for start in range(0, config.trials, chunk):
@@ -107,10 +105,7 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
             blocks[t - start] = sample_symbols(
                 config.constellation, (config.m, pulse.n), rng
             )
-        xf = np.fft.fft(modulate(basis, blocks), axis=-1)
-        xf = np.tile(xf, (1, 1, pulse.l)) * spectrum_amp
-        # Averaging the m power spectra first saves m-1 inverse transforms.
-        power = np.mean(np.abs(xf) ** 2, axis=1)
+        power = slot_power(pulse, basis, blocks) / config.m
         acf_rows[start:stop] = np.fft.ifft(power, axis=-1)[:, lags]
     sq = np.abs(acf_rows) ** 2
     mean_sq = sq.mean(axis=0)

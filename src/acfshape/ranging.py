@@ -1,11 +1,14 @@
 """Matched-filter ranging over multi-target echoes of shaped random signals.
 
-A scene is a handful of on-grid point targets at fixed delays.  Each run
-synthesizes a fresh shaped signal, builds the echo as a sum of cyclically
-delayed copies plus circular complex Gaussian noise, and correlates the
-echo against the transmitted signal.  Coherent integration averages the
-matched-filter output over data slots while the targets stay put, which
-lowers both the noise floor and the data-induced sidelobe variance.
+A scene is a handful of on-grid point targets at fixed delays.  Each
+slot's echo is a sum of cyclically delayed copies of a fresh shaped
+signal plus circular complex Gaussian noise, and the matched filter
+correlates it against that slot's signal.  Coherent integration averages
+the matched-filter output over data slots while the targets stay put,
+which lowers both the noise floor and the data-induced sidelobe variance.
+The averaged output depends on the symbols only through their
+slot-summed power spectrum, so a run works on that spectrum and never
+builds the signals or the echoes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .constellation import ConstellationSpec, sample_symbols
 from .modulation import ModulationBasis
-from .montecarlo import synthesize
+from .montecarlo import slot_power
 from .pulse import NyquistPulse
 
 __all__ = [
@@ -28,8 +31,6 @@ __all__ = [
     "lag_for_range",
     "range_for_lag",
     "resolution_cell_m",
-    "synthesize_echo",
-    "matched_filter",
     "run_once",
     "estimate_range",
     "detection_success",
@@ -40,7 +41,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 _TAG_RANGING = 2
 
-# slots synthesized per batch inside one run; memory only, not results
+# slots drawn per batch inside one run; memory only, not results
 _SLOT_CHUNK = 512
 
 
@@ -121,63 +122,32 @@ def resolution_cell_m(bandwidth_hz: float, l: int) -> float:
     return range_per_lag_m(bandwidth_hz, l) * l
 
 
-def synthesize_echo(
-    scenario: RangingScenario, xt: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Sum of cyclically delayed scaled copies of xt plus complex noise.
-
-    xt may carry leading batch axes; the delay acts on the last axis and
-    every slot gets independent noise.
-    """
-    xt = np.asarray(xt)
-    grid = xt.shape[-1]
-    y = np.zeros(xt.shape, dtype=complex)
-    for t in scenario.targets:
-        y += t.amplitude * np.roll(xt, t.delay, axis=-1)
-    if scenario.noise_var > 0:
-        scale = np.sqrt(scenario.noise_var / 2.0)
-        y += scale * (
-            rng.standard_normal(xt.shape) + 1j * rng.standard_normal(xt.shape)
-        )
-    return y
-
-
-def matched_filter(xt: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Correlate the echo against the transmitted signal at every lag.
-
-    Output index i holds sum_t y[t] * conj(xt[t - i]) with cyclic indexing,
-    so a lone target at delay d peaks at i = d with value ||xt||^2.
-    Computed by FFT; batch axes pass through.
-    """
-    xt = np.asarray(xt)
-    y = np.asarray(y)
-    if xt.shape[-1] != y.shape[-1]:
-        raise ValueError(
-            f"length mismatch: signal {xt.shape[-1]}, echo {y.shape[-1]}"
-        )
-    return np.fft.ifft(np.fft.fft(y, axis=-1) * np.fft.fft(xt, axis=-1).conj(), axis=-1)
-
-
 def run_once(scenario: RangingScenario, rng: np.random.Generator) -> np.ndarray:
     """One integrated range profile: |mean of m matched-filter outputs|^2.
 
     Each slot carries fresh symbols and fresh noise against the static
-    targets, and the complex matched-filter outputs are averaged before
-    taking the squared magnitude.
+    targets.  Slot s's matched filter is ifft(conj(X_s) * Y_s) with
+    Y_s = X_s * H + N_s, where H = fft(channel) and the channel holds each
+    target's amplitude at its delay.  Summed over the slots this is
+    ifft(P * H + W) with P the slot-summed power spectrum (slot_power).
+    The DFT of white circular noise is white, so given the symbols W is
+    circular Gaussian, independent per bin, with variance
+    noise_var * l * n * P: one draw replaces the m per-slot noise records.
     """
-    n = scenario.pulse.n
-    grid = scenario.grid
-    total = np.zeros(grid, dtype=complex)
-    done = 0
-    while done < scenario.m:
-        count = min(_SLOT_CHUNK, scenario.m - done)
+    n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
+    power = np.zeros(grid)
+    for start in range(0, m, _SLOT_CHUNK):
+        count = min(_SLOT_CHUNK, m - start)
         symbols = sample_symbols(scenario.constellation, (count, n), rng)
-        xt = synthesize(scenario.pulse, scenario.basis, symbols)
-        y = synthesize_echo(scenario, xt, rng)
-        total += matched_filter(xt, y).sum(axis=0)
-        done += count
-    avg = total / scenario.m
-    return np.abs(avg) ** 2
+        power += slot_power(scenario.pulse, scenario.basis, symbols)
+    channel = np.zeros(grid, dtype=complex)
+    for t in scenario.targets:
+        channel[t.delay] = t.amplitude
+    spectrum = power * np.fft.fft(channel)
+    if scenario.noise_var > 0:
+        scale = np.sqrt(scenario.noise_var * grid * power / 2.0)
+        spectrum += scale * (rng.standard_normal(grid) + 1j * rng.standard_normal(grid))
+    return np.abs(np.fft.ifft(spectrum) / m) ** 2
 
 
 def estimate_range(

@@ -13,8 +13,8 @@ from acfshape import pulse as pul
 def enumerated_acf_moments(spec, basis, pulse):
     """Exact ACF mean and second moment by enumerating every symbol block.
 
-    Independent of the closed forms: goes the long way through time-domain
-    synthesis and the FFT correlation, weighting each block by its
+    Independent of the closed forms: goes the long way through each block's
+    power spectrum and its inverse DFT, weighting each block by its
     probability.  Only tractable for tiny alphabets and block sizes.
     """
     pts, pr = spec.points, spec.probs
@@ -22,7 +22,7 @@ def enumerated_acf_moments(spec, basis, pulse):
     combos = np.array(list(itertools.product(range(pts.size), repeat=pulse.n)))
     syms = pts[combos]
     w = np.prod(pr[combos], axis=1)
-    acf = np.fft.ifft(np.abs(mc.block_spectrum(pulse, basis, syms)) ** 2, axis=-1)
+    acf = np.fft.ifft(mc.slot_power(pulse, basis, syms[:, None, :]), axis=-1)
     mean = np.sum(w[:, None] * acf, axis=0)
     mean_sq = np.sum(w[:, None] * np.abs(acf) ** 2, axis=0)
     return mean, mean_sq
@@ -62,13 +62,20 @@ def test_expected_sq_acf_against_exact_enumeration(spec, n, l, m, kind):
 @pytest.mark.parametrize("kurt", [1.0, 1.32, 2.0, 2.5])
 @pytest.mark.parametrize("m", [1, 10])
 def test_special_cases_match_generic_formula(kind, kurt, m):
+    # the paper's corollaries for the two extreme bases, with
+    # ||gt_k||^2 = n - 2 (1 - cos(2 pi k / l)) sum g (1 - g)
     n, l = 16, 4
     pulse = pul.rrc_spectrum(n, l, 0.35)
-    basis = mod.make_basis(kind, n)
-    generic = st.expected_sq_acf(pulse, basis, kurt, m=m)
-    shortcut = (st.ofdm_sq_acf if kind == "ofdm" else st.sc_sq_acf)(pulse, kurt, m=m)
-    np.testing.assert_allclose(shortcut.variance, generic.variance, atol=1e-12)
-    np.testing.assert_allclose(shortcut.squared_mean, generic.squared_mean, atol=1e-12)
+    lags = np.arange(l * n)
+    gt_sq = n - 2.0 * (1.0 - np.cos(2 * np.pi * lags / l)) * np.sum(pulse.g * (1.0 - pulse.g))
+    mean_sq = np.abs(st.mean_acf(pulse)) ** 2
+    if kind == "ofdm":
+        variance = (kurt - 1.0) / m * gt_sq
+    else:
+        variance = (gt_sq + (kurt - 2.0) / n * mean_sq) / m
+    generic = st.expected_sq_acf(pulse, mod.make_basis(kind, n), kurt, m=m)
+    np.testing.assert_allclose(generic.variance, variance, atol=1e-12)
+    np.testing.assert_allclose(generic.squared_mean, mean_sq, atol=1e-12)
 
 
 def test_zero_lag_identity():

@@ -185,20 +185,43 @@ def test_range_sim_lists_every_config_issue(tmp_path, capsys):
         assert needle in err
 
 
-@pytest.mark.parametrize("override, key", [
-    ({"l": 0}, "l"),
-    ({"sweep": {"snr_db": [10.0, 30.0], "runs": True}}, "sweep.runs"),
-    ({"n": True}, "n"),
-    ({"alpha": 1.5}, "alpha"),
-], ids=["l-zero", "runs-bool", "n-bool", "alpha-above-one"])
-def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, key):
+@pytest.mark.parametrize("override, flags, key", [
+    ({"l": 0}, [], "l"),
+    ({"sweep": {"snr_db": [10.0, 30.0], "runs": True}}, [], "sweep.runs"),
+    ({"n": True}, [], "n"),
+    ({"alpha": 1.5}, [], "alpha"),
+    ({"sweep": {"snr_db": [10.0, 1e308], "runs": 4}}, [], "sweep.snr_db"),
+    ({"sweep": {"snr_db": [-1e308], "runs": 4}}, [], "sweep.snr_db"),
+    ({}, ["--profile-snr-db", "1e308"], "profile_snr_db"),
+], ids=["l-zero", "runs-bool", "n-bool", "alpha-above-one", "snr-huge",
+        "snr-tiny", "profile-snr-huge"])
+def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, flags, key):
     cfg = _write_config(tmp_path / "cfg.json", **override)
-    code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")])
+    code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]
+               + flags)
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "config invalid" in err and f" {key}: " in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_range_sim_runs_at_the_snr_bounds(tmp_path):
+    cfg = _write_config(
+        tmp_path / "cfg.json", n=4, l=2, roi_m=[0.5, 2.5],
+        targets=[{"range_m": 0.0, "label": "strong"},
+                 {"range_m": 1.5, "gain_db": -20.0, "label": "weak"}],
+        sweep={"snr_db": [-300.0, 300.0], "runs": 2},
+    )
+    prefix = str(tmp_path / "rs")
+    for bound in ("-300", "300"):
+        assert run(["range-sim", "--config", str(cfg), "--out-prefix", prefix,
+                    "--profile-snr-db", bound]) == 0
+        _, rows = tableio.read_csv(prefix + "_rmse.csv")
+        # rmse_hits_m (column 2) is empty when no run hits
+        assert np.isfinite(np.delete(np.array([_floats(r) for r in rows]), 2, axis=1)).all()
+        _, rows = tableio.read_csv(prefix + "_profile.csv")
+        assert np.isfinite(np.array([_floats(r) for r in rows])).all()
 
 
 def test_range_sim_missing_config_file(tmp_path):

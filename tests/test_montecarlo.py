@@ -8,32 +8,37 @@ from acfshape import montecarlo as mc
 from acfshape import pulse as pul
 
 
-def test_synthesize_matches_dense_circulant():
+def test_slot_power_matches_dense_circulant():
     rng = np.random.default_rng(21)
-    n, l = 8, 3
+    n, l, m = 8, 3, 3
     basis = mod.random_unitary(n, rng)
     pulse = pul.rrc_spectrum(n, l, 0.5)
-    s = con.sample_symbols(con.qam(16), n, rng)
-    up = np.zeros(l * n, dtype=complex)
-    up[::l] = mod.modulate(basis, s)
+    s = con.sample_symbols(con.qam(16), (m, n), rng)
+    up = np.zeros((m, l * n), dtype=complex)
+    up[:, ::l] = mod.modulate(basis, s)
     taps = pul.spectrum_to_time(pulse)
     circulant = np.array([np.roll(taps, k) for k in range(l * n)]).T
+    xt = up @ circulant.T  # row s is circulant @ up[s]
+    expect = np.sum(np.abs(np.fft.fft(xt, axis=-1)) ** 2, axis=0)
     np.testing.assert_allclose(
-        mc.synthesize(pulse, basis, s), circulant @ up, atol=1e-12
+        mc.slot_power(pulse, basis, s), expect, atol=1e-10
     )
 
 
-def test_synthesized_signal_energy():
+def test_slot_power_energy_by_parseval():
     rng = np.random.default_rng(22)
     n, l = 16, 4
     basis = mod.make_basis("ofdm", n)
     pulse = pul.rrc_spectrum(n, l, 0.35)
-    s = con.sample_symbols(con.psk(4), (5, n), rng)
-    x = mc.synthesize(pulse, basis, s)
-    assert x.shape == (5, l * n)
-    # the pulse is unit-energy and Nyquist, so each block keeps ||s||^2
+    s = con.sample_symbols(con.qam(16), (2, 5, n), rng)
+    power = mc.slot_power(pulse, basis, s)
+    assert power.shape == (2, l * n)
+    # the pulse is unit-energy and Nyquist, so each shaped block keeps
+    # ||s||^2, and Parseval puts l*n times that into the spectrum
     np.testing.assert_allclose(
-        np.sum(np.abs(x) ** 2, axis=-1), np.sum(np.abs(s) ** 2, axis=-1), rtol=1e-10
+        power.sum(axis=-1) / (l * n),
+        np.sum(np.abs(s) ** 2, axis=(-2, -1)),
+        rtol=1e-10,
     )
 
 

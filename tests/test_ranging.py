@@ -1,5 +1,7 @@
 """Matched-filter ranging against dense-matrix and closed-form oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from acfshape import constellation as con
 from acfshape import modulation as mod
 from acfshape import pulse as pul
 from acfshape import ranging as rng_mod
-from acfshape.montecarlo import synthesize
 
 
 def _waveform(n=16, l=2, kind="ofdm", const="qam16"):
@@ -31,71 +32,58 @@ def test_grid_mapping_matches_paper_scale():
     assert rng_mod.resolution_cell_m(200e6, 10) == pytest.approx(10 * per_lag)
 
 
+def _time_domain_profile(scenario, symbols):
+    """Brute-force oracle for run_once without noise, one slot per row.
+
+    Shapes each slot with the dense pulse circulant, builds the echo by
+    rolling the signal once per target, correlates it against the signal
+    by the cyclic sum at every lag, and averages the m outputs.
+    """
+    pulse, grid = scenario.pulse, scenario.grid
+    taps = pul.spectrum_to_time(pulse)
+    circulant = np.array([np.roll(taps, k) for k in range(grid)]).T
+    total = np.zeros(grid, dtype=complex)
+    for s in symbols:
+        up = np.zeros(grid, dtype=complex)
+        up[::pulse.l] = mod.modulate(scenario.basis, s)
+        xt = circulant @ up
+        y = np.zeros(grid, dtype=complex)
+        for t in scenario.targets:
+            y += t.amplitude * np.roll(xt, t.delay)
+        total += [
+            sum(y[t] * np.conj(xt[(t - i) % grid]) for t in range(grid))
+            for i in range(grid)
+        ]
+    return np.abs(total / len(symbols)) ** 2
+
+
 def test_echo_trivial_cases():
-    gen = np.random.default_rng(0)
-    xt = gen.standard_normal(32) + 1j * gen.standard_normal(32)
-    empty = _scenario(n=16, l=2, targets=())
-    np.testing.assert_array_equal(rng_mod.synthesize_echo(empty, xt, gen), 0.0)
-    one = _scenario(n=16, l=2, targets=[rng_mod.Target(0, 1.0)])
-    np.testing.assert_allclose(rng_mod.synthesize_echo(one, xt, gen), xt)
+    n, m = 16, 2
+    empty = _scenario(n=n, l=2, m=m)
+    np.testing.assert_array_equal(rng_mod.run_once(empty, np.random.default_rng(0)), 0.0)
+    # a unit target at delay 0 returns the squared slot-averaged ACF
+    one = replace(empty, targets=(rng_mod.Target(0, 1.0),))
+    profile = rng_mod.run_once(one, np.random.default_rng(0))
+    symbols = con.sample_symbols(one.constellation, (m, n), np.random.default_rng(0))
+    oracle = _time_domain_profile(one, symbols)
+    np.testing.assert_allclose(profile, oracle, rtol=0, atol=1e-12 * oracle.max())
 
 
-def test_echo_matches_dense_shift_matrices():
-    gen = np.random.default_rng(1)
-    grid = 32
-    xt = gen.standard_normal(grid) + 1j * gen.standard_normal(grid)
-    t1 = rng_mod.Target(3, 0.8 * np.exp(0.4j))
-    t2 = rng_mod.Target(17, 0.1 * np.exp(-1.1j))
-    scene = _scenario(n=16, l=2, targets=[t1, t2])
-    echo = rng_mod.synthesize_echo(scene, xt, gen)
-    eye = np.eye(grid)
-    dense = sum(
-        t.amplitude * np.roll(eye, t.delay, axis=0) @ xt for t in (t1, t2)
-    )
-    np.testing.assert_allclose(echo, dense, atol=1e-12)
-
-
-def test_matched_filter_brute_force_oracle():
-    gen = np.random.default_rng(2)
-    grid = 16
-    xt = gen.standard_normal(grid) + 1j * gen.standard_normal(grid)
-    y = gen.standard_normal(grid) + 1j * gen.standard_normal(grid)
-    out = rng_mod.matched_filter(xt, y)
-    brute = np.array(
-        [sum(y[t] * np.conj(xt[(t - i) % grid]) for t in range(grid)) for i in range(grid)]
-    )
-    np.testing.assert_allclose(out, brute, atol=1e-12)
-
-
-def test_matched_filter_peaks_at_target_delay():
-    c, b, p = _waveform(16, 2)
-    gen = np.random.default_rng(3)
-    xt = synthesize(p, b, con.sample_symbols(c, 16, gen))
-    scene = _scenario(n=16, l=2, targets=[rng_mod.Target(11, 1.0)])
-    out = rng_mod.matched_filter(xt, rng_mod.synthesize_echo(scene, xt, gen))
-    assert np.argmax(np.abs(out)) == 11
-    energy = np.sum(np.abs(xt) ** 2)
-    assert np.abs(out[11]) == pytest.approx(energy, rel=1e-12)
-
-
-def test_matched_filter_is_linear_in_the_echo():
-    gen = np.random.default_rng(4)
-    xt = gen.standard_normal(24) + 1j * gen.standard_normal(24)
-    y1 = gen.standard_normal(24) + 1j * gen.standard_normal(24)
-    y2 = gen.standard_normal(24) + 1j * gen.standard_normal(24)
-    lhs = rng_mod.matched_filter(xt, 2.0 * y1 - 1j * y2)
-    rhs = 2.0 * rng_mod.matched_filter(xt, y1) - 1j * rng_mod.matched_filter(xt, y2)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_matched_filter_parseval_consistency():
-    gen = np.random.default_rng(5)
-    xt = gen.standard_normal(64) + 1j * gen.standard_normal(64)
-    y = gen.standard_normal(64) + 1j * gen.standard_normal(64)
-    out = rng_mod.matched_filter(xt, y)
-    time_energy = np.sum(np.abs(out) ** 2)
-    freq_energy = np.sum(np.abs(np.fft.fft(y) * np.fft.fft(xt).conj()) ** 2) / 64
-    assert time_energy == pytest.approx(freq_energy, rel=1e-9)
+def test_run_once_matches_time_domain_oracle(monkeypatch):
+    n, m = 16, 3
+    targets = [
+        rng_mod.Target(3, 0.8 * np.exp(0.4j)),
+        rng_mod.Target(41, 0.1 * np.exp(-1.1j)),
+    ]
+    scene = _scenario(n=n, l=4, targets=targets, m=m)
+    profile = rng_mod.run_once(scene, np.random.default_rng(2))
+    # without noise run_once draws nothing but the symbols
+    symbols = con.sample_symbols(scene.constellation, (m, n), np.random.default_rng(2))
+    oracle = _time_domain_profile(scene, symbols)
+    np.testing.assert_allclose(profile, oracle, rtol=0, atol=1e-12 * oracle.max())
+    monkeypatch.setattr(rng_mod, "_SLOT_CHUNK", 2)
+    chunked = rng_mod.run_once(scene, np.random.default_rng(2))
+    np.testing.assert_allclose(chunked, oracle, rtol=0, atol=1e-12 * oracle.max())
 
 
 def test_run_once_noiseless_single_target_is_exact():
@@ -133,6 +121,22 @@ def test_noise_floor_drops_with_integration():
         levels[m] = acc.mean() / 40
     drop_db = 10 * np.log10(levels[1] / levels[64])
     assert drop_db == pytest.approx(10 * np.log10(64), abs=1.0)
+
+
+def test_noise_floor_is_absolute():
+    # no targets and constant-modulus symbols (||x||^2 = n in every slot):
+    # the lag-averaged output is pure noise with mean noise_var * n / m.
+    # One run's lag mean is a sum over about n independent bins, so it
+    # scatters by roughly 1/sqrt(n) = 18%; 50 runs bring that to 2.5%.
+    n, l, noise_var, runs = 32, 4, 0.5, 50
+    c, b, p = _waveform(n, l, kind="ofdm", const="psk16")
+    for m in (1, 64):
+        scene = rng_mod.RangingScenario(
+            c, b, p, (), roi=(0, n * l - 1), noise_var=noise_var, m=m
+        )
+        gen = np.random.default_rng(12)
+        level = np.mean([rng_mod.run_once(scene, gen).mean() for _ in range(runs)])
+        assert level == pytest.approx(noise_var * n / m, rel=0.1)
 
 
 def test_estimate_range_tie_breaks_to_smallest_lag():
