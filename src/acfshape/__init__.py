@@ -8,7 +8,7 @@ The package is organized by pipeline stage:
     fourier        DFT conventions and phase vectors shared by the stages
     acfstats       closed-form mean/variance of the periodic ACF
     montecarlo     empirical validation of the closed forms
-    qpsolver       scaled-dual ADMM solvers for small dense QPs
+    qpsolver       one scaled-dual ADMM loop for small dense QPs
     shaping        sidelobe-shaping gain design (quadratic programs)
     ranging        matched-filter range estimation experiments
     tableio        deterministic CSV/JSON experiment outputs

@@ -21,7 +21,6 @@ __all__ = [
     "AcfStats",
     "all_lags",
     "mean_acf",
-    "gain_energy",
     "expected_sq_acf",
     "fourth_moment_matrix",
     "to_db_of_peak",
@@ -57,12 +56,6 @@ def mean_acf(pulse: NyquistPulse, lags=None) -> np.ndarray:
     """Expected ACF value per lag; n times the pulse autocorrelation."""
     lags = _as_lags(pulse, lags)
     return pulse.n * pulse_acf(pulse, lags)
-
-
-def gain_energy(pulse: NyquistPulse, lags=None) -> np.ndarray:
-    """Squared norm of the lag-combined gain vector at each lag."""
-    lags = _as_lags(pulse, lags)
-    return np.sum(np.abs(aliased_gain(pulse, lags)) ** 2, axis=0)
 
 
 def expected_sq_acf(

@@ -206,6 +206,8 @@ def _region_lags(n: int, l: int, lo: float, hi: float, units: str) -> np.ndarray
         return shaping.sidelobe_lags(n, l, lo, hi)
     if not (float(lo).is_integer() and float(hi).is_integer()):
         raise ValueError(f"lag-unit region needs integer endpoints, got {lo}:{hi}")
+    if not 1 <= lo <= hi <= l * n - 1:
+        raise ValueError(f"lag region [{lo:.15g}, {hi:.15g}] lies outside [1, {l * n - 1}]")
     return np.arange(int(lo), int(hi) + 1)
 
 
@@ -384,9 +386,15 @@ def _resolve_range_config(
         labels.append(target.get("label"))
     names = []
     for i, method in _objects(top["methods"], "methods", issues):
-        name = _method_fields(method, f"methods[{i}].", issues)["name"]
-        if name is not None:
-            names.append(name)
+        spec = _method_fields(method, f"methods[{i}].", issues)
+        if spec["name"] is not None:
+            names.append(spec["name"])
+        region, units = spec.get("region"), spec.get("region_units")
+        if None not in (region, units, top["n"], top["l"]):
+            try:  # endpoints against the grid, before any design runs
+                _region_lags(top["n"], top["l"], *region, units)
+            except ValueError as exc:
+                issues.append(f"methods[{i}].region: {exc}")
     if len(names) != len(set(names)):
         issues.append("methods: names must be unique")
     estimate = cfg.get("estimate")

@@ -66,15 +66,18 @@ class ShapingResult:
 
 
 def sidelobe_lags(n: int, l: int, lo_symbol: float, hi_symbol: float) -> np.ndarray:
-    """Inclusive symbol-spaced interval converted to sample lags."""
-    lo = int(round(lo_symbol * l))
-    hi = int(round(hi_symbol * l))
+    """Inclusive symbol-spaced interval converted to sample lags.
+
+    The endpoints are checked as floats, so an infinite or huge one is
+    refused before it is converted to an integer.
+    """
+    lo, hi = float(np.round(lo_symbol * l)), float(np.round(hi_symbol * l))
     if not 1 <= lo <= hi <= l * n - 1:
         raise ValueError(
             f"symbol interval [{lo_symbol}, {hi_symbol}] maps to sample lags "
-            f"[{lo}, {hi}], outside [1, {l * n - 1}]"
+            f"[{lo:.15g}, {hi:.15g}], outside [1, {l * n - 1}]"
         )
-    return np.arange(lo, hi + 1)
+    return np.arange(int(lo), int(hi) + 1)
 
 
 def sidelobe_maps(n: int, l: int, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

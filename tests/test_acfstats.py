@@ -95,11 +95,13 @@ def test_zero_lag_identity():
 
 
 def test_gain_energy_closed_form():
-    # ||gt_k||^2 = n - 2 (1 - cos(2 pi k / l)) sum g (1 - g)
+    # ||gt_k||^2 = n - 2 (1 - cos(2 pi k / l)) sum g (1 - g); with Gaussian
+    # symbols (kurt = 2) the basis term vanishes and the variance is ||gt_k||^2
     n, l = 32, 4
     pulse = pul.rrc_spectrum(n, l, 0.7)
     lags = np.arange(l * n)
-    got = st.gain_energy(pulse, lags)
+    basis = mod.make_basis("sc", n)
+    got = st.expected_sq_acf(pulse, basis, 2.0, m=1, lags=lags).variance
     cross = np.sum(pulse.g * (1.0 - pulse.g))
     expect = n - 2.0 * (1.0 - np.cos(2 * np.pi * lags / l)) * cross
     np.testing.assert_allclose(got, expect, atol=1e-10)

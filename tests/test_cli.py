@@ -92,13 +92,23 @@ def test_shape_outputs_loadable_gains(tmp_path):
     assert json.loads(open(tableio.manifest_path(gains)).read())["command"] == "shape"
 
 
-def test_shape_region_validation(tmp_path):
+def test_shape_region_validation(tmp_path, capsys):
     code = run(["shape", "--n", "16", "--l", "2", "--region", "40:50",
                 "--region-units", "lag", "--out-acf", str(tmp_path / "x.csv")])
     assert code == 2
     code = run(["shape", "--n", "16", "--l", "2", "--region", "5",
                 "--out-acf", str(tmp_path / "x.csv")])
     assert code == 2
+    capsys.readouterr()
+    # endpoints beyond the grid are refused as numbers, before any conversion
+    for region, units in [("1:1e308", "symbol"), ("1:inf", "symbol"), ("1:1e308", "lag")]:
+        code = run(["shape", "--n", "16", "--l", "2", "--region", region,
+                    "--region-units", units, "--out-acf", str(tmp_path / "x.csv"),
+                    "--out-spectrum", str(tmp_path / "g.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside [1, 31]" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_shape_iteration_cap_is_numerical_failure(tmp_path, capsys):
@@ -185,6 +195,10 @@ def test_range_sim_lists_every_config_issue(tmp_path, capsys):
         assert needle in err
 
 
+_DESIGNED = {"name": "designed", "constellation": "psk16", "basis": "ofdm",
+             "pulse": "designed", "objective": "isl"}
+
+
 @pytest.mark.parametrize("override, flags, key", [
     ({"l": 0}, [], "l"),
     ({"sweep": {"snr_db": [10.0, 30.0], "runs": True}}, [], "sweep.runs"),
@@ -193,8 +207,11 @@ def test_range_sim_lists_every_config_issue(tmp_path, capsys):
     ({"sweep": {"snr_db": [10.0, 1e308], "runs": 4}}, [], "sweep.snr_db"),
     ({"sweep": {"snr_db": [-1e308], "runs": 4}}, [], "sweep.snr_db"),
     ({}, ["--profile-snr-db", "1e308"], "profile_snr_db"),
+    ({"methods": [_DESIGNED | {"region": [1, 1e308]}]}, [], "methods[0].region"),
+    ({"methods": [_DESIGNED | {"region": [1, 1e308], "region_units": "lag"}]}, [],
+     "methods[0].region"),
 ], ids=["l-zero", "runs-bool", "n-bool", "alpha-above-one", "snr-huge",
-        "snr-tiny", "profile-snr-huge"])
+        "snr-tiny", "profile-snr-huge", "region-huge", "lag-region-huge"])
 def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, flags, key):
     cfg = _write_config(tmp_path / "cfg.json", **override)
     code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]

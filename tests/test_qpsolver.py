@@ -163,3 +163,43 @@ def test_minimax_no_worse_than_random_feasible_probes():
     probes = rng.uniform(-1.5, 1.5, size=(4000, 4))
     probe_vals = (np.abs(probes @ a_rows.T + b) ** 2).max(axis=1)
     assert res.value <= probe_vals.min() + 1e-6
+
+
+def test_minimax_matches_box_qp_on_one_row():
+    # with one row max_k |a x + b|^2 is |a x + b|^2 itself, which is a box QP
+    # over the stacked real parts; the box excludes the zero-residual point,
+    # so the minimizer is unique and lies on the box
+    rng = np.random.default_rng(15)
+    lo, up = np.full(2, -0.2), np.full(2, 0.2)
+    for _ in range(5):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        b = -a @ (rng.uniform(0.5, 1.0, 2) * rng.choice([-1.0, 1.0], 2))
+        ar = np.vstack([a.real, a.imag])
+        br = np.array([b.real, b.imag])
+        qp = solve_box_qp(2.0 * ar.T @ ar, 2.0 * ar.T @ br, np.eye(2), lo, up)
+        mm = solve_minimax(a[None, :], np.array([b]), np.eye(2), lo, up)
+        assert qp.converged and mm.converged
+        assert np.max(np.abs(qp.x)) == pytest.approx(0.2, abs=1e-9)
+        np.testing.assert_allclose(mm.x, qp.x, rtol=0, atol=1e-7)
+        assert mm.value == pytest.approx(abs(a @ qp.x + b) ** 2, rel=1e-8)
+
+
+def test_paraboloid_projection_across_scales():
+    # r0 and |s| from 1e-6 to 1e6; the Newton loop has no cap, so it must
+    # end at the root of 2 r^3 + (1 - 2 s0) r - r0 for every outside point
+    grid = np.logspace(-6, 6, 25)
+    r0, s_abs = (v.ravel() for v in np.meshgrid(grid, grid))
+    r0 = np.concatenate([r0, r0])
+    s = np.concatenate([s_abs, -s_abs])
+    outside = r0**2 > s
+    r0, s = r0[outside], s[outside]
+    phase = np.random.default_rng(16).uniform(-np.pi, np.pi, r0.size)
+    re, im = r0 * np.cos(phase), r0 * np.sin(phase)
+    zr, zi, sp = _project_paraboloid(re, im, s)
+    radius = np.hypot(zr, zi)
+    np.testing.assert_array_less(np.abs(zr**2 + zi**2 - sp), 1e-12 * sp)
+    np.testing.assert_array_less(np.abs(re * zi - im * zr), 1e-12 * r0 * radius)
+    assert np.all(re * zr + im * zi > 0)  # same phase, not the opposite one
+    cubic = 2 * radius**3 + (1 - 2 * s) * radius - r0
+    scale = 2 * radius**3 + np.abs(1 - 2 * s) * radius + r0
+    np.testing.assert_array_less(np.abs(cubic), 1e-12 * scale)
