@@ -8,8 +8,8 @@ The package is organized by pipeline stage:
     fourier        DFT conventions and phase vectors shared by the stages
     acfstats       closed-form mean/variance of the periodic ACF
     montecarlo     empirical validation of the closed forms
-    qpsolver       one scaled-dual ADMM loop for small dense QPs
-    shaping        sidelobe-shaping gain design (quadratic programs)
+    qpsolver       exact active-set least squares and Lawson minimax
+    shaping        sidelobe-shaping gain design (isl and psl programs)
     ranging        matched-filter range estimation experiments
     tableio        deterministic CSV/JSON experiment outputs
 

@@ -107,6 +107,8 @@ def _rel_db(profile: np.ndarray) -> np.ndarray:
 
 def _waveform_from_args(args):
     """(pulse, basis, constellation) named by the shared waveform flags."""
+    if args.n < 2 or args.l < 2:
+        raise ValueError(f"--n and --l must be >= 2, got {args.n} and {args.l}")
     if args.pulse == "file":
         if not args.pulse_file:
             raise ValueError("--pulse file needs --pulse-file")
@@ -220,7 +222,7 @@ def _design_or_fail(
     if not result.converged:
         raise NumericalFailure(
             f"{spec.objective} design stopped after {result.iterations} iterations "
-            f"with residuals {result.primal_residual:.3e}/{result.dual_residual:.3e}"
+            f"with certified gap {result.gap:.3e}"
         )
     if result.constraint_violation > 1e-8:
         raise NumericalFailure(
@@ -247,6 +249,7 @@ def _cmd_shape(args) -> dict:
         "objective_value": result.value,
         "baseline_value": shaping.region_metrics(rrc, lags)[args.objective],
         "iterations": result.iterations,
+        "gap": result.gap,
     }
     if args.out_spectrum:
         _emit_gains(
@@ -677,6 +680,8 @@ def _psl_recipe(name: str, recipe: dict, args) -> list[str]:
         "alpha": _FIG_ALPHA,
         "objective_value": result.value,
         "baseline_value": shaping.region_metrics(rrc, lags)["psl"],
+        "iterations": result.iterations,
+        "gap": result.gap,
     }
     acf_path = f"{args.out_dir}/{name}_acf.csv"
     _emit_acf_table(acf_path, rrc, result.pulse, "reproduce", params, args.seed, started)
@@ -760,8 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=0.35)
     sp.add_argument("--n", type=int, default=128)
     sp.add_argument("--l", type=int, default=10)
-    sp.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-    sp.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
+    sp.add_argument("--tol", type=float, default=None, help="psl relative duality gap")
+    sp.add_argument("--max-iter", type=int, default=None, help="Lawson step or active-set cap")
     sp.add_argument("--out-spectrum", help="designed gains, one per line (loadable)")
     sp.add_argument("--out-acf", help="CSV of baseline and designed correlation floors")
     sp.set_defaults(handler=_cmd_shape)

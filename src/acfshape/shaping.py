@@ -4,9 +4,10 @@ The expected ACF at lag k is affine in the gain vector g, so pushing its
 squared magnitude down over a window of lags is a small convex program.
 The designable part is the transition segment of g (the flat 0/1 ends are
 pinned), under a fixed half-band sum, monotonicity, and the [0, 1] box.
-Minimizing the summed floor is a box QP; minimizing the worst lag is a
-minimax program.  Every such g still yields a unit-energy Nyquist pulse,
-so the zero crossings at block lags survive the redesign untouched.
+Minimizing the summed floor (isl) is a constrained least-squares problem;
+minimizing the worst lag (psl) is a minimax program.  Every such g still
+yields a unit-energy Nyquist pulse, so the zero crossings at block lags
+survive the redesign untouched.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ class ShapingResult:
     spec: ShapingSpec
     value: float
     iterations: int
-    primal_residual: float
-    dual_residual: float
+    gap: float
     constraint_violation: float
     converged: bool
 
@@ -103,12 +103,6 @@ def region_metrics(pulse: NyquistPulse, lags: np.ndarray) -> dict[str, float]:
     return {"isl": float(np.sum(floor)), "psl": float(np.max(floor))}
 
 
-def _null_space_of_sum(w: int) -> np.ndarray:
-    """Orthonormal basis of {h: sum(h) = 0}, deterministic via SVD."""
-    _, _, vh = np.linalg.svd(np.ones((1, w)))
-    return vh[1:].T
-
-
 def design_pulse(
     spec: ShapingSpec,
     *,
@@ -117,72 +111,52 @@ def design_pulse(
 ) -> ShapingResult:
     """Solve the gain design problem and wrap the result as a pulse.
 
-    The transition segment h (width w from the roll-off budget) carries
-    sum(h) = w/2, a nondecreasing chain, and the [0, 1] box.  The sum is
-    eliminated exactly by moving to the zero-sum subspace, which leaves
-    only interval constraints for the ADMM solvers.  With w <= 1 there is
-    nothing to optimize and the half-bin raised-cosine gains come back.
-    tol and max_iter override the solver defaults when given.
+    The transition segment h (width w from the roll-off budget) is
+    h = cumsum(z) with z >= 0, nondecreasing and nonnegative by
+    construction, under sum(h) = w/2 and h_last + s = 1 with a slack
+    s >= 0.  isl is one exact active-set solve, psl Lawson's reweighting
+    around it, both from the raised-cosine gains; with w <= 1 those gains
+    come back as they are.  tol (psl only) is the relative duality gap and
+    max_iter caps the Lawson steps (psl) or active-set iterations (isl).
     """
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if tol is not None and (spec.objective == "isl" or not 0 < tol < 1):
+        raise ValueError(f"tol must be a psl relative gap in (0, 1) (isl is exact), got {tol}")
     n, l = spec.n, spec.l
     rrc = rrc_spectrum(n, l, spec.alpha)
     w = rolloff_bin_count(n, spec.alpha)
     zeros = (n - w) // 2
-    a_full, c_full = sidelobe_maps(n, l, spec.region)
     if w <= 1:
-        floor = np.abs(a_full @ rrc.g + c_full) ** 2
-        value = float(np.max(floor) if spec.objective == "psl" else np.sum(floor))
-        return ShapingResult(rrc, spec, value, 0, 0.0, 0.0, 0.0, True)
+        value = region_metrics(rrc, spec.region)[spec.objective]
+        return ShapingResult(rrc, spec, value, 0, 0.0, 0.0, True)
 
+    a_full, c_full = sidelobe_maps(n, l, spec.region)
     template = np.zeros(n)
     template[zeros + w:] = 1.0
     seg = slice(zeros, zeros + w)
-    # affine maps restricted to the free segment: y = b + a_seg h
-    b = c_full + a_full @ template
-    a_seg = a_full[:, seg]
-    h0 = np.full(w, 0.5)
-    basis = _null_space_of_sum(w)
-    a_red = a_seg @ basis
-    b_red = b + a_seg @ h0
-    diff = np.diff(np.eye(w), axis=0)
-    m_mat = np.vstack([diff @ basis, basis])
-    lo = np.concatenate([np.zeros(w - 1), np.full(w, -0.5)])
-    up = np.concatenate([np.full(w - 1, np.inf), np.full(w, 0.5)])
-    xi0 = basis.T @ (rrc.g[seg] - h0)
+    # over x = (z, s) the floor is |a x - b|^2 with h = cumsum(z): column i
+    # of a sums the segment columns from i on
+    a_z = np.cumsum(a_full[:, seg][:, ::-1], axis=1)[:, ::-1]
+    a = np.hstack([a_z, np.zeros((len(spec.region), 1))])
+    b = -(c_full + a_full @ template)
+    e = np.vstack([np.append(np.arange(w, 0, -1), 0.0), np.ones(w + 1)])
+    f = np.array([w / 2, 1.0])
+    x0 = np.append(np.diff(rrc.g[seg], prepend=0.0), 1.0 - rrc.g[seg][-1])
 
-    opts: dict = {}
-    if tol is not None:
-        opts["eps"] = tol
-    if max_iter is not None:
-        opts["max_iter"] = max_iter
+    opts = {k: v for k, v in (("tol", tol), ("max_iter", max_iter)) if v is not None}
     if spec.objective == "isl":
-        ar = np.vstack([a_red.real, a_red.imag])
-        br = np.concatenate([b_red.real, b_red.imag])
-        res = solve_box_qp(
-            2.0 * ar.T @ ar, 2.0 * ar.T @ br, m_mat, lo, up, x0=xi0, **opts
-        )
+        res = solve_box_qp(np.vstack([a.real, a.imag]), np.concatenate([b.real, b.imag]),
+                           e, f, x0, **opts)
     else:
-        res = solve_minimax(a_red, b_red, m_mat, lo, up, x0=xi0, **opts)
+        res = solve_minimax(a, b, e, f, x0, **opts)
+    # an isl solve that converged is exact; one cut short certifies nothing
+    gap = res.gap if spec.objective == "psl" else 0.0 if res.converged else np.inf
 
-    h = h0 + basis @ res.x
-    violation = max(
-        float(np.max(np.maximum(-np.diff(h), 0.0), initial=0.0)),
-        float(np.max(np.maximum(h - 1.0, 0.0), initial=0.0)),
-        float(np.max(np.maximum(-h, 0.0), initial=0.0)),
-        abs(float(np.sum(h)) - w / 2),
-    )
+    h = np.cumsum(res.x[:w])
+    violation = max(float(h[-1]) - 1.0, abs(float(np.sum(h)) - w / 2), 0.0)
     g = template.copy()
     g[seg] = np.clip(h, 0.0, 1.0)
     pulse = NyquistPulse(n, l, g, name=f"designed-{spec.objective}", alpha=w / n)
-    floor = np.abs(a_full @ pulse.g + c_full) ** 2
-    value = float(np.max(floor) if spec.objective == "psl" else np.sum(floor))
-    return ShapingResult(
-        pulse,
-        spec,
-        value,
-        res.iterations,
-        res.primal_residual,
-        res.dual_residual,
-        violation,
-        res.converged,
-    )
+    value = region_metrics(pulse, spec.region)[spec.objective]
+    return ShapingResult(pulse, spec, value, res.iterations, gap, violation, res.converged)

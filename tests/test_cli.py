@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from acfshape import pulse, tableio
+from acfshape import pulse, shaping, tableio
 from acfshape.cli import _RECIPES, run
 
 
@@ -48,6 +48,17 @@ def test_acf_theory_rejects_bad_rolloff(tmp_path):
     code = run(["acf-theory", "--n", "16", "--l", "4", "--alpha", "1.5",
                 "--out", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["acf-theory", "acf-mc"])
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "1"], ["--n", "-3"], ["--l", "0"]])
+def test_waveform_rejects_bad_sizes(tmp_path, capsys, command, flags):
+    out = tmp_path / "t.csv"
+    code = run([command, *flags, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "must be >= 2" in err
     assert not out.exists()
 
 
@@ -118,6 +129,43 @@ def test_shape_iteration_cap_is_numerical_failure(tmp_path, capsys):
     ])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--tol", "1"],
+    ["--max-iter", "0"], ["--max-iter", "-5"], ["--objective", "isl", "--tol", "1e-3"],
+], ids=["tol-0", "tol-neg", "tol-nan", "tol-inf", "tol-1", "cap-0", "cap-neg", "isl-tol"])
+def test_shape_rejects_bad_solver_stops(tmp_path, capsys, monkeypatch, flags):
+    def no_design(*args, **kwargs):
+        raise AssertionError("a design ran")
+
+    monkeypatch.setattr(shaping, "solve_box_qp", no_design)
+    monkeypatch.setattr(shaping, "solve_minimax", no_design)
+    code = run([
+        "shape", "--n", "32", "--l", "4", "--alpha", "0.5", "--region", "2:6", *flags,
+        "--out-acf", str(tmp_path / "x.csv"), "--out-spectrum", str(tmp_path / "g.txt"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid configuration" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_design_manifests_report_solver_stats(tmp_path, capsys):
+    assert run(["reproduce", "fig4", "--out-dir", str(tmp_path)]) == 0
+    for name, header, count in [("fig4_acf.csv", ["lag", "rrc_db", "designed_db"], 1280),
+                                ("fig4_spectrum.csv", ["bin", "rrc", "designed"], 128)]:
+        got, rows = tableio.read_csv(tmp_path / name)
+        assert got == header and len(rows) == count
+        params = json.loads(open(tableio.manifest_path(tmp_path / name)).read())["parameters"]
+        assert 1 <= params["iterations"] < 20_000
+        assert 0 <= params["gap"] <= 1e-4
+    gains = tmp_path / "g.txt"
+    assert run(["shape", "--n", "32", "--l", "4", "--alpha", "0.5", "--region", "2:6",
+                "--objective", "isl", "--out-spectrum", str(gains)]) == 0
+    params = json.loads(open(tableio.manifest_path(gains)).read())["parameters"]
+    assert params["gap"] == 0.0 and params["iterations"] >= 1
+    capsys.readouterr()
 
 
 def _write_config(path, **overrides):

@@ -28,6 +28,11 @@ def test_design_tradeoff(tmp_path):
     proc = _run_script("design_tradeoff.py", "--widths", "2", "--out", out)
     assert proc.returncode == 0, proc.stderr
     _assert_outputs(tmp_path, ["tradeoff.csv", "tradeoff.csv.manifest.json"])
+    # a missing output directory is created, as the CLI does
+    nested = tmp_path / "new" / "dir" / "tradeoff.csv"
+    proc = _run_script("design_tradeoff.py", "--widths", "2", "--out", nested)
+    assert proc.returncode == 0, proc.stderr
+    _assert_outputs(nested.parent, ["tradeoff.csv", "tradeoff.csv.manifest.json"])
     assert len(out.read_text().splitlines()) == 2  # header and one width
 
 

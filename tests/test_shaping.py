@@ -74,6 +74,17 @@ def test_design_improves_on_rrc_and_stays_feasible(objective):
     assert result.value == pytest.approx(attained, rel=1e-9)
 
 
+@pytest.mark.parametrize("objective, tol, max_iter", [
+    ("psl", 0.0, None), ("psl", -1.0, None), ("psl", float("nan"), None),
+    ("psl", float("inf"), None), ("psl", 1.0, None), ("psl", None, 0),
+    ("isl", None, -5), ("isl", 1e-3, None),
+])
+def test_design_rejects_bad_stops(objective, tol, max_iter):
+    spec = sh.ShapingSpec(32, 4, 0.5, sh.sidelobe_lags(32, 4, 2, 6), objective)
+    with pytest.raises(ValueError, match="tol|max_iter"):
+        sh.design_pulse(spec, tol=tol, max_iter=max_iter)
+
+
 def test_tiny_design_matches_grid_search():
     # w = 2 leaves one degree of freedom: h = (h1, 1 - h1), monotone means
     # h1 <= 0.5, so a dense scan is an exact oracle
@@ -96,6 +107,39 @@ def test_tiny_design_matches_grid_search():
     assert result.value == pytest.approx(best, abs=1e-3 * max(best, 1.0))
 
 
+def _monotone_grid(w, steps):
+    """Every nondecreasing h on the grid k/steps in [0, 1] with sum(h) = w/2, for w = 4."""
+    assert w == 4 and steps % 2 == 0
+    total, points = 2 * steps, []
+    k = np.arange(steps + 1)
+    for k1 in range(total // 4 + 1):
+        k2, k3 = np.meshgrid(k, k, indexing="ij")
+        k4 = total - k1 - k2 - k3
+        keep = (k1 <= k2) & (k2 <= k3) & (k3 <= k4) & (k4 <= steps)
+        points.append(np.stack([np.full(keep.sum(), k1), k2[keep], k3[keep], k4[keep]], 1))
+    return np.concatenate(points) / steps
+
+
+@pytest.mark.parametrize("objective", ["isl", "psl"])
+def test_design_beats_brute_force_grid(objective):
+    # w = 4: every monotone segment on a 1/200 grid with the half-band sum
+    n, l = 16, 2
+    region = np.array([5, 9, 13])
+    spec = sh.ShapingSpec(n, l, 0.25, region, objective)
+    w = pul.rolloff_bin_count(n, spec.alpha)
+    zeros = (n - w) // 2
+    h = _monotone_grid(w, 200)
+    assert len(h) == 230_673
+    a_mat, c = sh.sidelobe_maps(n, l, region)
+    floor = np.abs(h @ a_mat[:, zeros:zeros + w].T + (c + a_mat[:, zeros + w:].sum(axis=1))) ** 2
+    best = (floor.max(axis=1) if objective == "psl" else floor.sum(axis=1)).min()
+    result = sh.design_pulse(spec)
+    assert result.converged
+    _check_feasible(result, spec)
+    assert result.value <= best
+    assert best >= result.value * (1 - result.gap)
+
+
 def test_degenerate_rolloff_returns_rrc():
     # alpha small enough that the budget is at most one bin: nothing to tune
     spec = sh.ShapingSpec(9, 3, 0.05, np.array([4, 5]), "isl")
@@ -109,6 +153,8 @@ def test_degenerate_rolloff_returns_rrc():
 def test_designed_pulse_keeps_nyquist_zeros():
     spec = sh.ShapingSpec(16, 4, 0.75, sh.sidelobe_lags(16, 4, 2, 3), "psl")
     result = sh.design_pulse(spec)
+    # the optimum here is a zero floor, which is certified rather than chased
+    assert result.converged and result.gap == 0.0
     block_lags = np.arange(1, 16) * 4
     np.testing.assert_allclose(
         pul.pulse_acf(result.pulse, block_lags), 0.0, atol=1e-10
