@@ -22,7 +22,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -268,7 +267,7 @@ _REQUIRED = object()
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _int_from(lo: int):
@@ -287,8 +286,8 @@ def _is_list(v) -> bool:
     return isinstance(v, list) and len(v) > 0
 
 
-def _is_snr(v) -> bool:
-    # 10 ** (snr / 10) must stay finite and nonzero
+def _is_db(v) -> bool:
+    # 10 ** (v / 10) and 10 ** (v / 20) must stay finite and nonzero
     return _is_num(v) and -300 <= v <= 300
 
 
@@ -304,16 +303,16 @@ _CONFIG_FIELDS = (
     ("methods", _REQUIRED, _is_list, "nonempty list of methods required"),
     ("sweep", _REQUIRED, lambda v: isinstance(v, dict), "object required"),
     ("seed", 0, _int_from(0), "nonnegative integer required"),
-    ("profile_snr_db", None, _is_snr, "number in [-300, 300] dB required"),
+    ("profile_snr_db", None, _is_db, "number in [-300, 300] dB required"),
 )
 _SWEEP_FIELDS = (
-    ("snr_db", _REQUIRED, lambda v: _is_list(v) and all(map(_is_snr, v)),
+    ("snr_db", _REQUIRED, lambda v: _is_list(v) and all(map(_is_db, v)),
      "nonempty list of numbers in [-300, 300] dB required"),
     ("runs", _REQUIRED, _int_from(1), "positive integer required"),
 )
 _TARGET_FIELDS = (
     ("range_m", _REQUIRED, lambda v: _is_num(v) and v >= 0, "nonnegative number required"),
-    ("gain_db", 0.0, _is_num, "number required"),
+    ("gain_db", 0.0, _is_db, "number in [-300, 300] dB required"),
 )
 _METHOD_FIELDS = (
     ("name", _REQUIRED, lambda v: isinstance(v, str) and _METHOD_NAME_RE.fullmatch(v),
@@ -383,10 +382,20 @@ def _resolve_range_config(
     issues: list[str] = []
     top = _fields(cfg, _CONFIG_FIELDS, "", issues)
     sweep = {} if top["sweep"] is None else _fields(top["sweep"], _SWEEP_FIELDS, "sweep.", issues)
-    labels = []
+    labels, ranges = [], [("roi_m", v) for v in top["roi_m"] or ()]
     for i, target in _objects(top["targets"], "targets", issues):
-        _fields(target, _TARGET_FIELDS, f"targets[{i}].", issues)
+        range_m = _fields(target, _TARGET_FIELDS, f"targets[{i}].", issues)["range_m"]
+        ranges += [] if range_m is None else [(f"targets[{i}].range_m", range_m)]
         labels.append(target.get("label"))
+    if None not in (top["n"], top["l"], top["bandwidth_hz"]):
+        # lags are checked as floats, before int, so a huge range cannot overflow
+        step, grid = ranging.range_per_lag_m(top["bandwidth_hz"], top["l"]), top["n"] * top["l"]
+        if not 0 < step < math.inf:
+            issues.append(f"bandwidth_hz: lag step {step!r} m must be finite and positive")
+            ranges = []
+        for key, value in ranges:
+            if not 0 <= (lag := float(np.round(value / step))) < grid:
+                issues.append(f"{key}: {value} m maps to lag {lag:.15g}, outside [0, {grid - 1}]")
     names = []
     for i, method in _objects(top["methods"], "methods", issues):
         spec = _method_fields(method, f"methods[{i}].", issues)
@@ -432,13 +441,10 @@ def _resolve_range_config(
 def _scene_geometry(resolved: dict) -> dict:
     """Snap targets and roi onto the lag grid; report the mapping."""
     bw, l = resolved["bandwidth_hz"], resolved["l"]
-    grid = resolved["n"] * resolved["l"]
     step = ranging.range_per_lag_m(bw, l)
     targets = []
     for i, t in enumerate(resolved["targets"]):
         lag = ranging.lag_for_range(t["range_m"], bw, l)
-        if not 0 <= lag < grid:
-            raise ValueError(f"targets[{i}]: range {t['range_m']} m falls off the grid")
         gain_db = float(t.get("gain_db", 0.0))
         targets.append(
             ranging.Target(
@@ -487,7 +493,6 @@ def _build_scenarios(resolved: dict, geometry: dict) -> list[tuple[str, ranging.
             _method_pulse(spec, n, l, resolved["alpha"]),
             geometry["targets"],
             geometry["roi"],
-            noise_var=0.0,
             m=method.get("m", resolved["m"]),
             bandwidth_hz=resolved["bandwidth_hz"],
         )
@@ -536,8 +541,7 @@ def _ranging_tables(resolved: dict, rmse_path, profile_path, command: str, start
     profiles = []
     for idx, (name, scenario) in enumerate(scenarios):
         rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_PROFILE, idx)))
-        scene = replace(scenario, noise_var=noise_var)
-        profiles.append(_rel_db(ranging.run_once(scene, rng)))
+        profiles.append(_rel_db(ranging.run_once(scenario, rng, noise_var)))
     grid = scenarios[0][1].grid
     bw, l = resolved["bandwidth_hz"], resolved["l"]
     rows = [
@@ -706,6 +710,9 @@ _RECIPE_KINDS = {"mc": _mc_recipe, "psl": _psl_recipe, "range": _range_recipe}
 
 
 def _cmd_reproduce(args) -> dict:
+    for flag, lo in (("trials", 2), ("runs", 1), ("seed", 0)):  # before any recipe writes
+        if getattr(args, flag) < lo:
+            raise ValueError(f"--{flag} must be >= {lo}, got {getattr(args, flag)}")
     names = list(_RECIPES) if args.figure == "all" else [args.figure]
     files = []
     for name in names:

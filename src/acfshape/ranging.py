@@ -8,7 +8,8 @@ the matched-filter output over data slots while the targets stay put,
 which lowers both the noise floor and the data-induced sidelobe variance.
 The averaged output depends on the symbols only through their
 slot-summed power spectrum, so a run works on that spectrum and never
-builds the signals or the echoes.
+builds the signals or the echoes.  The noise variance belongs to the
+run, not the scene, so one draw scores a whole SNR grid.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ _TAG_RANGING = 2
 
 # slots drawn per batch inside one run; memory only, not results
 _SLOT_CHUNK = 512
+# SNR points scored per draw in a sweep; memory only, not results
+_SNR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,7 @@ class RangingScenario:
     """Scene plus waveform for one ranging experiment.
 
     The region of interest is an inclusive lag window (lo, hi) searched for
-    the weak-target peak.  noise_var is the per-sample variance of the
-    circular complex noise; m is the number of coherently averaged slots.
+    the weak-target peak; m is the number of coherently averaged slots.
     """
 
     constellation: ConstellationSpec
@@ -68,7 +70,6 @@ class RangingScenario:
     pulse: NyquistPulse
     targets: tuple[Target, ...]
     roi: tuple[int, int]
-    noise_var: float = 0.0
     m: int = 1
     bandwidth_hz: float = 200e6
 
@@ -87,8 +88,6 @@ class RangingScenario:
         lo, hi = self.roi
         if not (0 <= lo <= hi < grid):
             raise ValueError(f"roi {self.roi} outside the grid [0, {grid - 1}]")
-        if self.noise_var < 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.noise_var}")
         if self.m < 1:
             raise ValueError(f"integration count must be >= 1, got {self.m}")
 
@@ -122,8 +121,8 @@ def resolution_cell_m(bandwidth_hz: float, l: int) -> float:
     return range_per_lag_m(bandwidth_hz, l) * l
 
 
-def run_once(scenario: RangingScenario, rng: np.random.Generator) -> np.ndarray:
-    """One integrated range profile: |mean of m matched-filter outputs|^2.
+def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0) -> np.ndarray:
+    """Integrated range profiles |mean of m matched-filter outputs|^2.
 
     Each slot carries fresh symbols and fresh noise against the static
     targets.  Slot s's matched filter is ifft(conj(X_s) * Y_s) with
@@ -133,7 +132,12 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator) -> np.ndarray:
     The DFT of white circular noise is white, so given the symbols W is
     circular Gaussian, independent per bin, with variance
     noise_var * l * n * P: one draw replaces the m per-slot noise records.
+    A 1-D noise_var gives one row per variance, all from the same draw;
+    the unit noise record is always drawn, after the symbols.
     """
+    variances = np.asarray(noise_var, dtype=float)
+    if variances.ndim > 1 or not np.all(variances >= 0):
+        raise ValueError(f"noise variance must be a scalar or 1-D, each >= 0, got {noise_var}")
     n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
     power = np.zeros(grid)
     for start in range(0, m, _SLOT_CHUNK):
@@ -143,29 +147,21 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator) -> np.ndarray:
     channel = np.zeros(grid, dtype=complex)
     for t in scenario.targets:
         channel[t.delay] = t.amplitude
-    spectrum = power * np.fft.fft(channel)
-    if scenario.noise_var > 0:
-        scale = np.sqrt(scenario.noise_var * grid * power / 2.0)
-        spectrum += scale * (rng.standard_normal(grid) + 1j * rng.standard_normal(grid))
+    noise = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+    scale = np.sqrt(variances[..., None] * grid * power / 2.0)
+    spectrum = power * np.fft.fft(channel) + scale * noise
     return np.abs(np.fft.ifft(spectrum) / m) ** 2
 
 
 def estimate_range(
     profile: np.ndarray, roi: tuple[int, int], bandwidth_hz: float, l: int
-) -> tuple[float, float]:
-    """Peak pick inside the inclusive lag window, mapped to meters.
-
-    Returns (range_m, peak_db) where peak_db is the peak level relative to
-    the profile's global maximum.  Ties go to the smallest lag.
-    """
+) -> float:
+    """Range in meters of the peak inside the inclusive lag window; ties go low."""
     lo, hi = roi
     if not 0 <= lo <= hi < len(profile):
         raise ValueError(f"roi {roi} outside the profile of length {len(profile)}")
-    window = profile[lo:hi + 1]
-    lag = lo + int(np.argmax(window))
-    top = float(np.max(profile))
-    peak_db = 10.0 * np.log10(window.max() / top) if top > 0 else 0.0
-    return range_for_lag(lag, bandwidth_hz, l), peak_db
+    lag = lo + int(np.argmax(profile[lo:hi + 1]))
+    return range_for_lag(lag, bandwidth_hz, l)
 
 
 def detection_success(
@@ -202,37 +198,33 @@ def rmse_sweep(
 
     SNR is the strong-path per-sample received power over the noise
     variance: each sample carries amplitude_ref^2 / l of signal power, so
-    noise_var = amplitude_ref^2 / (l * 10^(snr/10)).  Every run redraws
-    target phases, symbols, and noise from its own substream, making rows
-    independent of execution order.  Returns one dict per SNR with keys
-    snr_db, rmse_m, rmse_hits_m, success_rate (rmse_hits_m is NaN when no
-    run succeeds; callers serialize it as an empty field).
+    noise_var = amplitude_ref^2 / (l * 10^(snr/10)).  Run r draws target
+    phases, symbols and noise from its own substream, and every SNR point
+    scores that one draw, so rows are independent of execution order.
+    Each block of _SNR_BLOCK points redraws run r from scratch.  Returns
+    one dict per SNR with keys snr_db, rmse_m, rmse_hits_m, success_rate
+    (rmse_hits_m is NaN when no run succeeds; callers serialize it as an
+    empty field).
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     bw, l = scenario.bandwidth_hz, scenario.pulse.l
+    snr_grid_db = list(snr_grid_db)
     rows = []
-    for snr_db in snr_grid_db:
-        noise_var = amplitude_ref**2 / (l * 10.0 ** (snr_db / 10.0))
-        base = replace(scenario, noise_var=noise_var)
-        errors = np.empty(runs)
-        hits = np.zeros(runs, dtype=bool)
+    for start in range(0, len(snr_grid_db), _SNR_BLOCK):
+        block = snr_grid_db[start:start + _SNR_BLOCK]
+        noise_var = [amplitude_ref**2 / (l * 10.0 ** (snr_db / 10.0)) for snr_db in block]
+        errors = np.empty((len(block), runs))
+        hits = np.zeros((len(block), runs), dtype=bool)
         for run in range(runs):
             rng = _run_generator(seed, run)
-            scene = _with_phases(base, rng)
-            profile = run_once(scene, rng)
-            est_m, _ = estimate_range(profile, scene.roi, bw, l)
-            errors[run] = est_m - true_range_m
-            hits[run] = detection_success(est_m, true_range_m, bw, l)
-        rate = float(np.mean(hits))
-        rmse_all = float(np.sqrt(np.mean(errors**2)))
-        rmse_hits = float(np.sqrt(np.mean(errors[hits] ** 2))) if hits.any() else float("nan")
-        rows.append(
-            {
-                "snr_db": float(snr_db),
-                "rmse_m": rmse_all,
-                "rmse_hits_m": rmse_hits,
-                "success_rate": rate,
-            }
-        )
+            scene = _with_phases(scenario, rng)
+            for i, profile in enumerate(run_once(scene, rng, noise_var)):
+                est_m = estimate_range(profile, scene.roi, bw, l)
+                errors[i, run] = est_m - true_range_m
+                hits[i, run] = detection_success(est_m, true_range_m, bw, l)
+        for snr_db, err, hit in zip(block, errors, hits):
+            rmse_hits = float(np.sqrt(np.mean(err[hit] ** 2))) if hit.any() else float("nan")
+            rows.append({"snr_db": float(snr_db), "rmse_m": float(np.sqrt(np.mean(err**2))),
+                         "rmse_hits_m": rmse_hits, "success_rate": float(np.mean(hit))})
     return rows

@@ -168,15 +168,19 @@ def test_design_manifests_report_solver_stats(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _targets(**strong):
+    return [
+        {"range_m": 3.0, "gain_db": 0.0, "label": "strong"} | strong,
+        {"range_m": 9.0, "gain_db": -20.0, "label": "weak"},
+    ]
+
+
 def _write_config(path, **overrides):
     cfg = {
         "n": 32, "l": 4, "alpha": 0.5,
         "bandwidth_hz": 200e6,
         "m": 1,
-        "targets": [
-            {"range_m": 3.0, "gain_db": 0.0, "label": "strong"},
-            {"range_m": 9.0, "gain_db": -20.0, "label": "weak"},
-        ],
+        "targets": _targets(),
         "estimate": "weak",
         "roi_m": [6.0, 12.0],
         "methods": [
@@ -258,8 +262,18 @@ _DESIGNED = {"name": "designed", "constellation": "psk16", "basis": "ofdm",
     ({"methods": [_DESIGNED | {"region": [1, 1e308]}]}, [], "methods[0].region"),
     ({"methods": [_DESIGNED | {"region": [1, 1e308], "region_units": "lag"}]}, [],
      "methods[0].region"),
+    ({"targets": _targets(range_m=1e308)}, [], "targets[0].range_m"),
+    ({"targets": _targets(range_m=10**400)}, [], "targets[0].range_m"),
+    ({"roi_m": [6.0, 1e308]}, [], "roi_m"),
+    ({"roi_m": [-6.0, 12.0]}, [], "roi_m"),
+    ({"bandwidth_hz": 1e308}, [], "bandwidth_hz"),
+    ({"bandwidth_hz": 1e-306}, [], "bandwidth_hz"),
+    ({"targets": _targets(gain_db=1e308)}, [], "targets[0].gain_db"),
+    ({"targets": [t | {"gain_db": -8000} for t in _targets()]}, [], "targets[1].gain_db"),
 ], ids=["l-zero", "runs-bool", "n-bool", "alpha-above-one", "snr-huge",
-        "snr-tiny", "profile-snr-huge", "region-huge", "lag-region-huge"])
+        "snr-tiny", "profile-snr-huge", "region-huge", "lag-region-huge",
+        "range-huge", "range-huge-int", "roi-huge", "roi-negative", "bandwidth-huge",
+        "bandwidth-tiny", "gain-huge", "gain-tiny"])
 def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, flags, key):
     cfg = _write_config(tmp_path / "cfg.json", **override)
     code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]
@@ -338,6 +352,18 @@ def test_reproduce_recipe_layout(tmp_path, figure):
         assert got == header
         assert len(rows) == count
         assert (tmp_path / (name + ".manifest.json")).exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["all", "--runs", "0", "--trials", "4"], ["all", "--trials", "1"],
+    ["fig1", "--runs", "0", "--trials", "4"], ["fig4", "--seed", "-1"],
+], ids=["all-runs", "all-trials", "fig1-runs", "fig4-seed"])
+def test_reproduce_checks_flags_before_writing(tmp_path, capsys, flags):
+    # every flag is checked up front, whichever recipes are named
+    assert run(["reproduce", *flags, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flags[1]} must be" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_fig6_equals_range_sim_on_its_config(tmp_path):

@@ -77,7 +77,7 @@ def test_run_once_matches_time_domain_oracle(monkeypatch):
     ]
     scene = _scenario(n=n, l=4, targets=targets, m=m)
     profile = rng_mod.run_once(scene, np.random.default_rng(2))
-    # without noise run_once draws nothing but the symbols
+    # run_once draws the symbols first, then the noise record
     symbols = con.sample_symbols(scene.constellation, (m, n), np.random.default_rng(2))
     oracle = _time_domain_profile(scene, symbols)
     np.testing.assert_allclose(profile, oracle, rtol=0, atol=1e-12 * oracle.max())
@@ -92,15 +92,14 @@ def test_run_once_noiseless_single_target_is_exact():
     # exactly n, so the coherent average peaks at n^2 with no spread
     c, b, p = _waveform(n, l, kind="ofdm", const="psk8")
     scene = rng_mod.RangingScenario(
-        c, b, p, (rng_mod.Target(23, 1.0),), roi=(16, 48), noise_var=0.0, m=3
+        c, b, p, (rng_mod.Target(23, 1.0),), roi=(16, 48), m=3
     )
     profile = rng_mod.run_once(scene, np.random.default_rng(6))
     assert np.argmax(profile) == 23
     assert profile[23] == pytest.approx(n**2, rel=1e-9)
-    est, peak_db = rng_mod.estimate_range(profile, scene.roi, scene.bandwidth_hz, l)
+    est = rng_mod.estimate_range(profile, scene.roi, scene.bandwidth_hz, l)
     truth = rng_mod.range_for_lag(23, scene.bandwidth_hz, l)
     assert est == pytest.approx(truth)
-    assert peak_db == pytest.approx(0.0)
     assert rng_mod.detection_success(est, truth, scene.bandwidth_hz, l)
 
 
@@ -111,13 +110,11 @@ def test_noise_floor_drops_with_integration():
     c, b, p = _waveform(n, l, kind="ofdm", const="psk16")
     levels = {}
     for m in (1, 64):
-        scene = rng_mod.RangingScenario(
-            c, b, p, (), roi=(0, n * l - 1), noise_var=0.5, m=m
-        )
+        scene = rng_mod.RangingScenario(c, b, p, (), roi=(0, n * l - 1), m=m)
         gen = np.random.default_rng(7)
         acc = np.zeros(n * l)
         for _ in range(40):
-            acc += rng_mod.run_once(scene, gen)
+            acc += rng_mod.run_once(scene, gen, 0.5)
         levels[m] = acc.mean() / 40
     drop_db = 10 * np.log10(levels[1] / levels[64])
     assert drop_db == pytest.approx(10 * np.log10(64), abs=1.0)
@@ -131,17 +128,15 @@ def test_noise_floor_is_absolute():
     n, l, noise_var, runs = 32, 4, 0.5, 50
     c, b, p = _waveform(n, l, kind="ofdm", const="psk16")
     for m in (1, 64):
-        scene = rng_mod.RangingScenario(
-            c, b, p, (), roi=(0, n * l - 1), noise_var=noise_var, m=m
-        )
+        scene = rng_mod.RangingScenario(c, b, p, (), roi=(0, n * l - 1), m=m)
         gen = np.random.default_rng(12)
-        level = np.mean([rng_mod.run_once(scene, gen).mean() for _ in range(runs)])
+        level = np.mean([rng_mod.run_once(scene, gen, noise_var).mean() for _ in range(runs)])
         assert level == pytest.approx(noise_var * n / m, rel=0.1)
 
 
 def test_estimate_range_tie_breaks_to_smallest_lag():
     profile = np.ones(32)
-    est, _ = rng_mod.estimate_range(profile, (10, 20), 200e6, 2)
+    est = rng_mod.estimate_range(profile, (10, 20), 200e6, 2)
     assert est == rng_mod.range_for_lag(10, 200e6, 2)
 
 
@@ -154,14 +149,16 @@ def test_scenario_validation():
         rng_mod.RangingScenario(c, b, p, (good, rng_mod.Target(3, 0.5)), (0, 15))
     with pytest.raises(ValueError, match="roi"):
         rng_mod.RangingScenario(c, b, p, (good,), (4, 16))
-    with pytest.raises(ValueError, match="noise"):
-        rng_mod.RangingScenario(c, b, p, (good,), (0, 15), noise_var=-1.0)
     with pytest.raises(ValueError, match="integration"):
         rng_mod.RangingScenario(c, b, p, (good,), (0, 15), m=0)
     with pytest.raises(ValueError, match="basis size"):
         rng_mod.RangingScenario(c, mod.make_basis("ofdm", 16), p, (good,), (0, 15))
     with pytest.raises(ValueError, match="roi"):
         rng_mod.estimate_range(np.ones(8), (5, 9), 200e6, 2)
+    scene = rng_mod.RangingScenario(c, b, p, (good,), (0, 15))
+    for bad in (-1.0, [0.5, -1.0], [[0.5]], np.nan):
+        with pytest.raises(ValueError, match="noise"):
+            rng_mod.run_once(scene, np.random.default_rng(0), bad)
 
 
 def test_rmse_sweep_is_deterministic_and_well_formed():
@@ -199,3 +196,76 @@ def test_target_phase_redraw_keeps_magnitudes():
     mags = [abs(t.amplitude) for t in redrawn.targets]
     assert mags == pytest.approx([2.0, 0.25])
     assert redrawn.targets[0].amplitude != scene.targets[0].amplitude
+
+
+def test_run_once_rows_equal_scalar_calls():
+    scene = _scenario(
+        n=16, l=4, targets=[rng_mod.Target(3, 1.0), rng_mod.Target(40, 0.1j)], m=3
+    )
+    variances = [0.0, 1e-3, 0.5, 7.0]
+    rows = rng_mod.run_once(scene, np.random.default_rng(4), variances)
+    assert rows.shape == (len(variances), scene.grid)
+    for row, var in zip(rows, variances):
+        single = rng_mod.run_once(scene, np.random.default_rng(4), var)
+        assert single.shape == (scene.grid,)
+        assert np.array_equal(row, single)
+
+
+def _per_snr_reference(scene, truth, snr_grid, runs, seed):
+    """rmse_sweep as one fresh draw per (SNR, run), the loop it replaced."""
+    bw, l = scene.bandwidth_hz, scene.pulse.l
+    rows = []
+    for snr_db in snr_grid:
+        noise_var = 1.0 / (l * 10.0 ** (snr_db / 10.0))
+        errors, hits = np.empty(runs), np.zeros(runs, dtype=bool)
+        for run in range(runs):
+            rng = rng_mod._run_generator(seed, run)
+            drawn = rng_mod._with_phases(scene, rng)
+            profile = rng_mod.run_once(drawn, rng, noise_var)
+            est_m = rng_mod.estimate_range(profile, drawn.roi, bw, l)
+            errors[run] = est_m - truth
+            hits[run] = rng_mod.detection_success(est_m, truth, bw, l)
+        rows.append({
+            "snr_db": float(snr_db),
+            "rmse_m": float(np.sqrt(np.mean(errors**2))),
+            "rmse_hits_m": float(np.sqrt(np.mean(errors[hits] ** 2))),
+            "success_rate": float(np.mean(hits)),
+        })
+    return rows
+
+
+def _sweep_scene():
+    # a weak target beside a strong one: low SNR misses some runs, high SNR hits all
+    targets = [rng_mod.Target(4, 1.0), rng_mod.Target(20, 0.5)]
+    scene = _scenario(n=16, l=2, targets=targets, roi=(12, 28), m=2)
+    return scene, rng_mod.range_for_lag(20, scene.bandwidth_hz, 2)
+
+
+@pytest.mark.parametrize("block", [None, 2])
+def test_rmse_sweep_equals_per_snr_draws(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(rng_mod, "_SNR_BLOCK", block)
+    scene, truth = _sweep_scene()
+    grid = [-10.0, 0.0, 30.0]
+    rows = rng_mod.rmse_sweep(scene, truth, grid, runs=8, seed=3)
+    assert rows == _per_snr_reference(scene, truth, grid, runs=8, seed=3)
+    assert 0.0 < rows[0]["success_rate"] < 1.0
+    assert rows[-1]["success_rate"] == 1.0
+
+
+def test_rmse_sweep_draws_once_per_run_and_block(monkeypatch):
+    calls = []
+    original = rng_mod.run_once
+
+    def counted(scenario, rng, noise_var=0.0):
+        calls.append(len(noise_var))
+        return original(scenario, rng, noise_var)
+
+    monkeypatch.setattr(rng_mod, "run_once", counted)
+    scene, truth = _sweep_scene()
+    rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
+    assert calls == [3] * 4
+    calls.clear()
+    monkeypatch.setattr(rng_mod, "_SNR_BLOCK", 2)
+    rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
+    assert calls == [2] * 4 + [1] * 4

@@ -51,3 +51,12 @@ def test_reproduce_all(tmp_path):
     proc = _run_script("reproduce_all.py", "fig2", "--trials", 16, "--out-dir", tmp_path)
     assert proc.returncode == 0, proc.stderr
     _assert_outputs(tmp_path, ["fig2.csv", "fig2.csv.manifest.json"])
+
+
+def test_reproduce_all_checks_flags_before_any_recipe(tmp_path):
+    # fig1 alone is valid; --runs 0 only matters to fig6, yet nothing is written
+    proc = _run_script("reproduce_all.py", "fig1", "fig6", "--runs", 0, "--trials", 4,
+                       "--out-dir", tmp_path)
+    assert proc.returncode == 2
+    assert "--runs must be >= 1" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
