@@ -5,7 +5,6 @@ The package is organized by pipeline stage:
     constellation  symbol alphabets and their fourth moments
     modulation     unitary bases (SC, OFDM, CDMA, custom)
     pulse          Nyquist pulses described by in-band spectral gains
-    fourier        DFT conventions and phase vectors shared by the stages
     acfstats       closed-form mean/variance of the periodic ACF
     montecarlo     empirical validation of the closed forms
     qpsolver       exact active-set least squares and Lawson minimax
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 from . import (
     acfstats,
     constellation,
-    fourier,
     modulation,
     montecarlo,
     pulse,
@@ -36,7 +34,6 @@ __all__ = [
     "__version__",
     "acfstats",
     "constellation",
-    "fourier",
     "modulation",
     "montecarlo",
     "pulse",

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import band_dft_columns
 from .modulation import ModulationBasis
-from .pulse import NyquistPulse, aliased_gain, pulse_acf
+from .pulse import NyquistPulse, assemble_full_spectrum
 
 __all__ = [
     "AcfStats",
@@ -53,9 +52,13 @@ def _as_lags(pulse: NyquistPulse, lags) -> np.ndarray:
 
 
 def mean_acf(pulse: NyquistPulse, lags=None) -> np.ndarray:
-    """Expected ACF value per lag; n times the pulse autocorrelation."""
-    lags = _as_lags(pulse, lags)
-    return pulse.n * pulse_acf(pulse, lags)
+    """Expected ACF value per lag: (n * l * ifft(G))[lags].
+
+    G is the assembled power spectrum (assemble_full_spectrum), so this is
+    n times the periodic autocorrelation of the unit-energy pulse taps.
+    """
+    acf = pulse.n * pulse.l * np.fft.ifft(assemble_full_spectrum(pulse))
+    return acf[_as_lags(pulse, lags)]
 
 
 def expected_sq_acf(
@@ -67,24 +70,28 @@ def expected_sq_acf(
 ) -> AcfStats:
     """Exact E|R_k|^2 for any unitary basis, split as mean^2 + variance.
 
-    The variance at lag k is
-        (1/m) * (||gt_k||^2 + (kurt - 2) * n * ||Vt (gt_k * conj(f_k))||^2)
-    where gt_k are the lag-combined gains, f_k the in-band DFT column and
-    Vt the basis energy-spreading matrix.  With kurt = 2 (Gaussian symbols)
-    the basis term vanishes and every basis gives the same statistics.
+    With S = n * l * G the expected slot power spectrum and, for an n x n
+    energy-spread matrix W,
+        spread(W)[k] = sum_j |ifft(tile(W_j, l) * S)[k]|^2,
+    the variance at lag k is
+        (spread(I) + (kurt - 2) * spread(Vt)) / m
+    with Vt the basis energy-spreading matrix.  spread(I) is the energy of
+    the lag-combined gains; with kurt = 2 (Gaussian symbols) the basis term
+    vanishes and every basis gives the same statistics.
     """
     if basis.n != pulse.n:
         raise ValueError(f"basis size {basis.n} != pulse block size {pulse.n}")
     if m < 1:
         raise ValueError(f"averaging count must be >= 1, got {m}")
     lags = _as_lags(pulse, lags)
-    n = pulse.n
-    f = band_dft_columns(n, pulse.l, lags)
-    gt = aliased_gain(pulse, lags)
-    energy = np.sum(np.abs(gt) ** 2, axis=0)
-    spread = basis.v_tilde @ (gt * f.conj())
-    basis_term = n * np.sum(np.abs(spread) ** 2, axis=0)
-    variance = (energy + (kurt - 2.0) * basis_term) / m
+    n, l = pulse.n, pulse.l
+    s = n * l * assemble_full_spectrum(pulse)
+
+    def spread(w: np.ndarray) -> np.ndarray:
+        rows = np.fft.ifft(np.tile(w, l) * s, axis=-1)[:, lags]
+        return np.sum(np.abs(rows) ** 2, axis=0)
+
+    variance = (spread(np.eye(n)) + (kurt - 2.0) * spread(basis.v_tilde)) / m
     return AcfStats(lags, np.abs(mean_acf(pulse, lags)) ** 2, variance)
 
 
@@ -107,12 +114,12 @@ def to_db_of_peak(values: np.ndarray, n: int, floor_db: float = DB_FLOOR) -> np.
 
     Cancellation in the variance formulas can leave residues a hair below
     zero where the true value is exactly zero, so negatives within 1e-9 of
-    the peak count as zero; anything more negative is a real error.
+    the peak count as zero; anything more negative is a numerical failure.
     """
     values = np.asarray(values, dtype=float)
     ref = float(n) ** 2
     if np.any(values < -1e-9 * ref):
-        raise ValueError("negative value cannot be expressed in dB")
+        raise FloatingPointError("negative value cannot be expressed in dB")
     values = np.maximum(values, 0.0)
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(values / ref)

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import dft_matrix
-
 __all__ = [
+    "dft_matrix",
     "ModulationBasis",
     "make_basis",
     "modulate",
@@ -23,6 +22,16 @@ __all__ = [
 ]
 
 _UNITARY_TOL = 1e-10
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    """Unitary forward DFT matrix of size n, in the engineering convention.
+
+    F[m, k] = exp(-2j*pi*m*k / n) / sqrt(n), so F @ F.conj().T == I and
+    numpy.fft.fft(x) == sqrt(n) * F @ x.
+    """
+    m = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import band_dft_columns, lag_rotation
-
 __all__ = [
     "NyquistPulse",
     "rolloff_bin_count",
@@ -28,8 +26,6 @@ __all__ = [
     "from_text_file",
     "assemble_full_spectrum",
     "spectrum_to_time",
-    "aliased_gain",
-    "pulse_acf",
 ]
 
 _GAIN_TOL = 1e-9
@@ -150,29 +146,3 @@ def spectrum_to_time(pulse: NyquistPulse) -> np.ndarray:
     """
     amplitude = np.sqrt(pulse.l * assemble_full_spectrum(pulse))
     return np.fft.ifft(amplitude)
-
-
-def aliased_gain(pulse: NyquistPulse, lags: np.ndarray) -> np.ndarray:
-    """Per-bin gain pairs combined at each lag: p + (1 - p) * twiddle.
-
-    Here p is the assembled in-band profile (the gain vector reversed, as
-    in assemble_full_spectrum).  Returns an (n, len(lags)) array aligned
-    with band_dft_columns.  At lags that are multiples of l the twiddle
-    is 1 and every entry collapses to 1, which is how the zero-crossings
-    of the pulse autocorrelation arise.
-    """
-    profile = pulse.g[::-1]
-    rot = lag_rotation(pulse.l, lags)
-    return profile[:, None] + (1.0 - profile)[:, None] * rot[None, :]
-
-
-def pulse_acf(pulse: NyquistPulse, lags: np.ndarray) -> np.ndarray:
-    """Periodic autocorrelation of the unit-energy taps at the given lags.
-
-    Computed in closed form from the gains; equals the time-domain
-    correlation of spectrum_to_time (covered by tests).
-    """
-    lags = np.asarray(lags)
-    f = band_dft_columns(pulse.n, pulse.l, lags)
-    gt = aliased_gain(pulse, lags)
-    return np.einsum("nk,nk->k", f.conj(), gt) / np.sqrt(pulse.n)

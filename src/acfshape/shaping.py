@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import band_dft_columns, lag_rotation
 from .pulse import NyquistPulse, rolloff_bin_count, rrc_spectrum
 from .qpsolver import solve_box_qp, solve_minimax
 
@@ -89,8 +88,8 @@ def sidelobe_maps(n: int, l: int, lags: np.ndarray) -> tuple[np.ndarray, np.ndar
     spectrum reads from.
     """
     lags = np.asarray(lags)
-    f = band_dft_columns(n, l, lags)
-    lam = lag_rotation(l, lags)
+    f = np.exp(-2j * np.pi * np.outer(np.arange(n), lags) / (l * n)) / np.sqrt(n)
+    lam = np.exp(-2j * np.pi * lags / l)
     a_mat = np.sqrt(n) * (f.conj() * (1.0 - lam)[None, :]).T[:, ::-1]
     c = np.sqrt(n) * lam * f.conj().sum(axis=0)
     return a_mat, c

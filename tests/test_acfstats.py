@@ -58,6 +58,45 @@ def test_expected_sq_acf_against_exact_enumeration(spec, n, l, m, kind):
     np.testing.assert_allclose(stats.squared_mean, np.abs(mean) ** 2, atol=1e-12)
 
 
+def dense_acf_moments(pulse, basis, kurt, m):
+    """The closed form written out with dense in-band phase matrices.
+
+    f_k holds exp(-2j pi k i / (l n)) / sqrt(n) over the n in-band bins,
+    gt_k the gain pairs combined at lag k, p + (1 - p) exp(-2j pi k / l),
+    and the variance is (||gt_k||^2 + (kurt - 2) n ||Vt (gt_k f_k*)||^2) / m.
+    """
+    n, l = pulse.n, pulse.l
+    lags = np.arange(l * n)
+    f = np.exp(-2j * np.pi * np.outer(np.arange(n), lags) / (l * n)) / np.sqrt(n)
+    p = pulse.g[::-1, None]
+    gt = p + (1.0 - p) * np.exp(-2j * np.pi * lags / l)
+    mean = np.sqrt(n) * np.sum(f.conj() * gt, axis=0)
+    energy = np.sum(np.abs(gt) ** 2, axis=0)
+    basis_term = n * np.sum(np.abs(basis.v_tilde @ (gt * f.conj())) ** 2, axis=0)
+    return mean, (energy + (kurt - 2.0) * basis_term) / m
+
+
+@pytest.mark.parametrize("kurt", [1.0, 1.32, 2.5])
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in (16, 33, 128) for kind in ("sc", "ofdm", "cdma", "haar")
+     if not (kind == "cdma" and n == 33)],
+)
+def test_expected_sq_acf_matches_dense_formula(n, kind, kurt):
+    rng = np.random.default_rng(n)
+    if kind == "haar":
+        basis = mod.random_unitary(n, rng)
+    else:
+        basis = mod.make_basis(kind, n)
+    pulse = pul.NyquistPulse(n, 3, rng.random(n))
+    mean, variance = dense_acf_moments(pulse, basis, kurt, m=3)
+    stats = st.expected_sq_acf(pulse, basis, kurt, m=3)
+    tol = 1e-12 * n**2
+    np.testing.assert_allclose(st.mean_acf(pulse), mean, rtol=0, atol=tol)
+    np.testing.assert_allclose(stats.squared_mean, np.abs(mean) ** 2, rtol=0, atol=tol)
+    np.testing.assert_allclose(stats.variance, variance, rtol=0, atol=tol)
+
+
 @pytest.mark.parametrize("kind", ["sc", "ofdm"])
 @pytest.mark.parametrize("kurt", [1.0, 1.32, 2.0, 2.5])
 @pytest.mark.parametrize("m", [1, 10])
@@ -175,7 +214,7 @@ def test_to_db_of_peak():
     assert db[0] == pytest.approx(0.0, abs=1e-12)
     assert db[1] == st.DB_FLOOR
     assert db[2] == st.DB_FLOOR
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError):
         st.to_db_of_peak(np.array([-1.0]), 4)
 
 

@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from acfshape import pulse, shaping, tableio
-from acfshape.cli import _RECIPES, run
+from acfshape import acfstats, modulation, pulse, shaping, tableio
+from acfshape.cli import _RECIPES, NumericalFailure, _resolve_range_config, run
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _floats(row):
@@ -217,17 +224,34 @@ def test_range_sim_outputs(tmp_path, capsys):
     assert manifest["parameters"]["snr_definition"].startswith("strong-path")
 
 
+def _child_outputs(threads, argv, outputs):
+    """Run the CLI in a child process at a BLAS thread count; output bytes."""
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": str(threads)}
+    proc = subprocess.run([sys.executable, "-m", "acfshape", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [pathlib.Path(path).read_bytes() for path in outputs]
+
+
 def test_range_sim_byte_identical_across_thread_counts(tmp_path):
+    # the closed forms, custom-basis Monte Carlo and RRC ranging; designed
+    # pulses still go through LAPACK and are left out
     cfg = _write_config(tmp_path / "cfg.json")
-    outputs = []
-    for name in ("a", "b"):
-        prefix = str(tmp_path / name)
-        assert run(["range-sim", "--config", str(cfg), "--out-prefix", prefix]) == 0
-        outputs.append(
-            (open(prefix + "_rmse.csv", "rb").read(),
-             open(prefix + "_profile.csv", "rb").read())
+    haar = modulation.random_unitary(128, np.random.default_rng(5)).u.reshape(-1)
+    np.savetxt(tmp_path / "haar.txt", np.column_stack([haar.real, haar.imag]))
+    custom = ["--basis", "custom", "--basis-file", tmp_path / "haar.txt"]
+    by_threads = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        by_threads.append(
+            _child_outputs(threads, ["range-sim", "--config", cfg, "--out-prefix", out / "rs"],
+                           [out / "rs_rmse.csv", out / "rs_profile.csv"])
+            + _child_outputs(threads, ["acf-theory", *custom, "--out", out / "theory.csv"],
+                             [out / "theory.csv"])
+            + _child_outputs(threads, ["acf-mc", *custom, "--trials", 100,
+                                       "--out", out / "mc.csv"], [out / "mc.csv"])
         )
-    assert outputs[0] == outputs[1]
+    assert by_threads[0] == by_threads[1]
 
 
 def test_range_sim_lists_every_config_issue(tmp_path, capsys):
@@ -270,10 +294,14 @@ _DESIGNED = {"name": "designed", "constellation": "psk16", "basis": "ofdm",
     ({"bandwidth_hz": 1e-306}, [], "bandwidth_hz"),
     ({"targets": _targets(gain_db=1e308)}, [], "targets[0].gain_db"),
     ({"targets": [t | {"gain_db": -8000} for t in _targets()]}, [], "targets[1].gain_db"),
+    ({"n": 10**400}, [], "n"),
+    ({"l": 10**400}, [], "l"),
+    ({"sweep": {"snr_db": [10.0, 30.0], "runs": 10**400}}, [], "sweep.runs"),
 ], ids=["l-zero", "runs-bool", "n-bool", "alpha-above-one", "snr-huge",
         "snr-tiny", "profile-snr-huge", "region-huge", "lag-region-huge",
         "range-huge", "range-huge-int", "roi-huge", "roi-negative", "bandwidth-huge",
-        "bandwidth-tiny", "gain-huge", "gain-tiny"])
+        "bandwidth-tiny", "gain-huge", "gain-tiny", "n-huge-int", "l-huge-int",
+        "runs-huge-int"])
 def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, flags, key):
     cfg = _write_config(tmp_path / "cfg.json", **override)
     code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]
@@ -283,6 +311,56 @@ def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, flags
     assert err.count("\n") == 1
     assert "config invalid" in err and f" {key}: " in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"m": 10**400}, "m"),
+    ({"methods": [{"name": "a", "constellation": "psk16", "basis": "ofdm", "m": 10**400}]},
+     "methods[0].m"),
+])
+def test_range_config_rejects_huge_slot_counts(tmp_path, override, key):
+    # checked on the config alone: a regression would loop over every slot
+    cfg = json.loads(_write_config(tmp_path / "cfg.json", **override).read_text())
+    with pytest.raises(ValueError, match=rf" {re.escape(key)}: positive integer required"):
+        _resolve_range_config(cfg)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("exc", [
+    NumericalFailure("diverged"),
+    np.linalg.LinAlgError("SVD did not converge"),
+    MemoryError("Unable to allocate 1.00 EiB"),
+    OverflowError("int too large to convert to float"),
+    RuntimeError("first line\nsecond line"),
+], ids=lambda exc: type(exc).__name__)
+def test_unexpected_errors_exit_numerical(tmp_path, capsys, monkeypatch, exc):
+    monkeypatch.setattr(acfstats, "expected_sq_acf", _raise(exc))
+    code = run(["acf-theory", "--n", "8", "--l", "2", "--out", str(tmp_path / "t.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"numerical failure: {type(exc).__name__}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_table_value_exits_numerical(tmp_path, capsys, monkeypatch):
+    exact = acfstats.expected_sq_acf
+
+    def negated(*args, **kwargs):
+        stats = exact(*args, **kwargs)
+        return acfstats.AcfStats(stats.lags, stats.squared_mean, -stats.variance)
+
+    monkeypatch.setattr(acfstats, "expected_sq_acf", negated)
+    code = run(["acf-theory", "--n", "8", "--l", "2", "--out", str(tmp_path / "t.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: FloatingPointError: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_range_sim_runs_at_the_snr_bounds(tmp_path):

@@ -6,6 +6,21 @@ from hypothesis import strategies as st
 from acfshape import modulation as mod
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+def test_dft_matrix_is_unitary(n):
+    f = mod.dft_matrix(n)
+    np.testing.assert_allclose(f.conj().T @ f, np.eye(n), atol=1e-12)
+
+
+def test_dft_matrix_matches_numpy_fft():
+    rng = np.random.default_rng(1)
+    n = 12
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    np.testing.assert_allclose(
+        np.sqrt(n) * mod.dft_matrix(n) @ x, np.fft.fft(x), atol=1e-12
+    )
+
+
 @pytest.mark.parametrize("kind, n", [("sc", 7), ("ofdm", 12), ("cdma", 8)])
 def test_builtin_bases_are_unitary(kind, n):
     basis = mod.make_basis(kind, n)
