@@ -70,14 +70,13 @@ def expected_sq_acf(
 ) -> AcfStats:
     """Exact E|R_k|^2 for any unitary basis, split as mean^2 + variance.
 
-    With S = n * l * G the expected slot power spectrum and, for an n x n
-    energy-spread matrix W,
-        spread(W)[k] = sum_j |ifft(tile(W_j, l) * S)[k]|^2,
-    the variance at lag k is
-        (spread(I) + (kurt - 2) * spread(Vt)) / m
-    with Vt the basis energy-spreading matrix.  spread(I) is the energy of
-    the lag-combined gains; with kurt = 2 (Gaussian symbols) the basis term
-    vanishes and every basis gives the same statistics.
+    With S = n * l * G the expected slot power spectrum and Vt the basis
+    energy-spreading matrix, the variance at lag k is
+        (n - 2 (1 - cos(2 pi k / l)) sum g (1 - g)
+         + (kurt - 2) * sum_j |ifft(tile(Vt_j, l) * S)[k]|^2) / m.
+    The first term is the energy of the lag-combined gains; with kurt = 2
+    (Gaussian symbols) the basis term vanishes and every basis gives the
+    same statistics.
     """
     if basis.n != pulse.n:
         raise ValueError(f"basis size {basis.n} != pulse block size {pulse.n}")
@@ -85,13 +84,10 @@ def expected_sq_acf(
         raise ValueError(f"averaging count must be >= 1, got {m}")
     lags = _as_lags(pulse, lags)
     n, l = pulse.n, pulse.l
+    energy = n - 2.0 * (1.0 - np.cos(2.0 * np.pi * lags / l)) * np.sum(pulse.g * (1.0 - pulse.g))
     s = n * l * assemble_full_spectrum(pulse)
-
-    def spread(w: np.ndarray) -> np.ndarray:
-        rows = np.fft.ifft(np.tile(w, l) * s, axis=-1)[:, lags]
-        return np.sum(np.abs(rows) ** 2, axis=0)
-
-    variance = (spread(np.eye(n)) + (kurt - 2.0) * spread(basis.v_tilde)) / m
+    rows = np.fft.ifft(np.tile(basis.v_tilde, l) * s, axis=-1)[:, lags]
+    variance = (energy + (kurt - 2.0) * np.sum(np.abs(rows) ** 2, axis=0)) / m
     return AcfStats(lags, np.abs(mean_acf(pulse, lags)) ** 2, variance)
 
 

@@ -2,10 +2,13 @@
 
 Subcommands: acf-theory (closed-form tables), acf-mc (empirical sweeps),
 shape (gain design), range-sim (configurable ranging experiments), and
-reproduce (canned experiment recipes fig1..fig7).  Each one validates
-its whole configuration up front, writes outputs atomically through
-tableio with a JSON manifest per file, and echoes the resolved
-configuration as a single JSON line on stdout.
+reproduce (one or more canned recipes fig1..fig7, each timed on stderr).
+Each one validates its whole configuration up front: a range-sim config
+is parsed once into its scene (constellations, bases, pulse files,
+targets on distinct lags, unique labels, no unknown keys) before any
+design runs.  Outputs are written atomically through tableio with a
+JSON manifest per file, and the resolved configuration is echoed as a
+single JSON line on stdout.
 
 Exit codes: 0 success, 1 usage error, 2 invalid configuration,
 3 numerical failure (a solver that did not converge or broke down, a
@@ -53,28 +56,20 @@ class NumericalFailure(RuntimeError):
 # output plumbing
 
 
-def _ensure_parent(path) -> None:
+def _emit_table(path, header, rows, command, params, seed, started) -> None:
+    """Write a CSV, or with header None one value per line, and its manifest."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
-
-
-def _emit_table(path, header, rows, command, params, seed, started) -> None:
-    _ensure_parent(path)
     try:
-        tableio.emit_csv(path, header, rows)
+        if header is None:
+            tableio.emit_text(path, rows)
+        else:
+            tableio.emit_csv(path, header, rows)
     except ValueError as exc:
         raise NumericalFailure(str(exc)) from exc
-    tableio.write_manifest(path, command, params, seed, time.perf_counter() - started)
-
-
-def _emit_gains(path, values, command, params, seed, started) -> None:
-    _ensure_parent(path)
-    try:
-        tableio.emit_text(path, values)
-    except ValueError as exc:
-        raise NumericalFailure(str(exc)) from exc
-    tableio.write_manifest(path, command, params, seed, time.perf_counter() - started)
+    tableio.write_manifest(path, command, params | {"out": str(path)}, seed,
+                           time.perf_counter() - started)
 
 
 def _floor_db(pul: pulse.NyquistPulse) -> np.ndarray:
@@ -89,8 +84,7 @@ def _emit_acf_table(path, rrc, designed, command, params, seed, started) -> None
         [int(k), rrc_db[i], designed_db[i]]
         for i, k in enumerate(acfstats.all_lags(rrc))
     ]
-    _emit_table(path, ["lag", "rrc_db", "designed_db"], rows, command,
-                params | {"out": str(path)}, seed, started)
+    _emit_table(path, ["lag", "rrc_db", "designed_db"], rows, command, params, seed, started)
 
 
 def _rel_db(profile: np.ndarray) -> np.ndarray:
@@ -215,11 +209,8 @@ def _region_lags(n: int, l: int, lo: float, hi: float, units: str) -> np.ndarray
     return np.arange(int(lo), int(hi) + 1)
 
 
-def _design_or_fail(
-    spec: shaping.ShapingSpec,
-    tol: float | None = None,
-    max_iter: int | None = None,
-) -> shaping.ShapingResult:
+def _design_or_fail(spec: shaping.ShapingSpec, tol: float | None = None,
+                    max_iter: int | None = None) -> shaping.ShapingResult:
     result = shaping.design_pulse(spec, tol=tol, max_iter=max_iter)
     if not result.converged:
         raise NumericalFailure(
@@ -233,31 +224,32 @@ def _design_or_fail(
     return result
 
 
-def _cmd_shape(args) -> dict:
-    started = time.perf_counter()
-    lo, hi = _parse_region(args.region)
-    lags = _region_lags(args.n, args.l, lo, hi, args.region_units)
-    spec = shaping.ShapingSpec(args.n, args.l, args.alpha, lags, args.objective)
-    result = _design_or_fail(spec, args.tol, args.max_iter)
-    rrc = pulse.rrc_spectrum(args.n, args.l, args.alpha)
-    params = {
-        "objective": args.objective,
-        "region": args.region,
-        "region_units": args.region_units,
+def _design(n: int, l: int, alpha: float, lags: np.ndarray, objective: str,
+            tol: float | None = None, max_iter: int | None = None):
+    """Designed result, RRC baseline and the manifest keys every design shares."""
+    result = _design_or_fail(shaping.ShapingSpec(n, l, alpha, lags, objective), tol, max_iter)
+    rrc = pulse.rrc_spectrum(n, l, alpha)
+    return result, rrc, {
+        "objective": objective,
         "region_lags": [int(lags[0]), int(lags[-1])],
-        "n": args.n,
-        "l": args.l,
-        "alpha": args.alpha,
+        "n": n,
+        "l": l,
+        "alpha": alpha,
         "objective_value": result.value,
-        "baseline_value": shaping.region_metrics(rrc, lags)[args.objective],
+        "baseline_value": shaping.region_metrics(rrc, lags)[objective],
         "iterations": result.iterations,
         "gap": result.gap,
     }
+
+
+def _cmd_shape(args) -> dict:
+    started = time.perf_counter()
+    lags = _region_lags(args.n, args.l, *_parse_region(args.region), args.region_units)
+    result, rrc, params = _design(args.n, args.l, args.alpha, lags, args.objective,
+                                  args.tol, args.max_iter)
+    params |= {"region": args.region, "region_units": args.region_units}
     if args.out_spectrum:
-        _emit_gains(
-            args.out_spectrum, result.pulse.g, "shape",
-            params | {"out": str(args.out_spectrum)}, None, started,
-        )
+        _emit_table(args.out_spectrum, None, result.pulse.g, "shape", params, None, started)
     if args.out_acf:
         _emit_acf_table(args.out_acf, rrc, result.pulse, "shape", params, None, started)
     return params
@@ -294,6 +286,10 @@ def _is_db(v) -> bool:
     return _is_num(v) and -300 <= v <= 300
 
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
 _CONFIG_FIELDS = (
     ("n", _REQUIRED, _int_from(2), "integer >= 2 required"),
     ("l", _REQUIRED, _int_from(2), "integer >= 2 required"),
@@ -301,6 +297,7 @@ _CONFIG_FIELDS = (
     ("bandwidth_hz", 200e6, lambda v: _is_num(v) and v > 0, "positive number required"),
     ("m", 1, _int_from(1), "positive integer required"),
     ("targets", _REQUIRED, _is_list, "nonempty list of targets required"),
+    ("estimate", None, _is_str, "target label string required"),  # absent: the weakest
     ("roi_m", _REQUIRED, lambda v: _is_pair(v) and v[0] <= v[1],
      "ordered [lo, hi] in meters required"),
     ("methods", _REQUIRED, _is_list, "nonempty list of methods required"),
@@ -316,12 +313,13 @@ _SWEEP_FIELDS = (
 _TARGET_FIELDS = (
     ("range_m", _REQUIRED, lambda v: _is_num(v) and v >= 0, "nonnegative number required"),
     ("gain_db", 0.0, _is_db, "number in [-300, 300] dB required"),
+    ("label", None, _is_str, "string required"),  # absent: target<index>
 )
 _METHOD_FIELDS = (
-    ("name", _REQUIRED, lambda v: isinstance(v, str) and _METHOD_NAME_RE.fullmatch(v),
+    ("name", _REQUIRED, lambda v: _is_str(v) and _METHOD_NAME_RE.fullmatch(v),
      "letters, digits, - and _ only"),
-    ("constellation", _REQUIRED, lambda v: isinstance(v, str), "name string required"),
-    ("basis", _REQUIRED, lambda v: isinstance(v, str), "name string required"),
+    ("constellation", _REQUIRED, _is_str, "name string required"),
+    ("basis", _REQUIRED, _is_str, "name string required"),
     ("m", None, _int_from(1), "positive integer required"),  # absent: top-level m
     ("pulse", "rrc", _one_of("rrc", "designed", "file"), "'rrc', 'designed', or 'file' required"),
 )
@@ -332,7 +330,7 @@ _PULSE_FIELDS = {
         ("objective", "isl", _one_of("isl", "psl"), "'isl' or 'psl' required"),
     ),
     "file": (
-        ("pulse_file", _REQUIRED, lambda v: isinstance(v, str) and v != "", "path required"),
+        ("pulse_file", _REQUIRED, lambda v: _is_str(v) and v != "", "path required"),
     ),
 }
 
@@ -340,10 +338,12 @@ _PULSE_FIELDS = {
 def _fields(obj: dict, rows, path: str, issues: list) -> dict:
     """Each row's value in obj, or its default; violations go to issues.
 
-    A missing required key and a present value that its row does not
-    accept each add one message naming the key's path; either way the
-    key's value comes back as None.
+    A key that no row names, a missing required key and a present value
+    that its row does not accept each add one message naming the key's
+    path; the last two come back as None.
     """
+    names = [row[0] for row in rows]
+    issues += [f"{path}{key!s:.80}: unknown key" for key in obj if key not in names]
     values = {}
     for key, default, accepts, requirement in rows:
         value = obj.get(key, default)
@@ -357,11 +357,6 @@ def _fields(obj: dict, rows, path: str, issues: list) -> dict:
     return values
 
 
-def _method_fields(method: dict, path: str, issues: list) -> dict:
-    spec = _fields(method, _METHOD_FIELDS, path, issues)
-    return spec | _fields(method, _PULSE_FIELDS.get(spec["pulse"], ()), path, issues)
-
-
 def _objects(items, path: str, issues: list):
     """Yield (index, item) for the objects in a list; others are violations."""
     for i, item in enumerate(items or ()):
@@ -371,13 +366,28 @@ def _objects(items, path: str, issues: list):
             issues.append(f"{path}[{i}]: object required")
 
 
-def _resolve_range_config(
-    cfg: dict,
-    runs: int | None = None,
-    seed: int | None = None,
-    profile_snr_db: float | None = None,
-) -> dict:
-    """Validate a range-sim config after overrides, collecting every violation."""
+def _built(issues: list, key: str, make, *fields):
+    """make(*fields); None if a field failed its row, or if make raised (key's issue)."""
+    if any(field is None for field in fields):
+        return None
+    try:
+        return make(*fields)
+    except (ValueError, OSError) as exc:
+        issues.append(f"{key}: {exc}")
+        return None
+
+
+def _resolve_range_config(cfg: dict, runs: int | None = None, seed: int | None = None,
+                          profile_snr_db: float | None = None) -> tuple[dict, dict]:
+    """Validate a range-sim config after overrides and parse it into a scene.
+
+    Returns the echo of the resolved values and the scene that the sweep
+    runs: targets snapped to lags, the roi, the tracked target and per
+    method (name, constellation, basis, m, pulse), the pulse ready or a
+    ShapingSpec still to design.  Every violation is collected, a
+    constellation, basis or pulse that fails to build included; an
+    object is built only from fields that passed their rows.
+    """
     overrides = {"seed": seed, "profile_snr_db": profile_snr_db}
     cfg = cfg | {key: v for key, v in overrides.items() if v is not None}
     if runs is not None and isinstance(cfg.get("sweep"), dict):
@@ -385,46 +395,72 @@ def _resolve_range_config(
     issues: list[str] = []
     top = _fields(cfg, _CONFIG_FIELDS, "", issues)
     sweep = {} if top["sweep"] is None else _fields(top["sweep"], _SWEEP_FIELDS, "sweep.", issues)
-    labels, ranges = [], [("roi_m", v) for v in top["roi_m"] or ()]
+    n, l = top["n"], top["l"]
+    alpha, bw = (None if top[k] is None else float(top[k]) for k in ("alpha", "bandwidth_hz"))
+    step = None if None in (n, l, bw) else ranging.range_per_lag_m(bw, l)
+    if step is not None and not 0 < step < math.inf:
+        issues.append(f"bandwidth_hz: lag step {step!r} m must be finite and positive")
+        step = None
+
+    def lag_of(key: str, value) -> int | None:
+        # checked as a float, before int, so a huge range cannot overflow
+        if step is None or value is None:
+            return None
+        if 0 <= (lag := float(np.round(value / step))) < n * l:
+            return int(lag)
+        issues.append(f"{key}: {value} m maps to lag {lag:.15g}, outside [0, {n * l - 1}]")
+        return None
+
+    roi = [lag_of("roi_m", v) for v in top["roi_m"] or ()]
+    targets, labels, lags = [], {}, {}
     for i, target in _objects(top["targets"], "targets", issues):
-        range_m = _fields(target, _TARGET_FIELDS, f"targets[{i}].", issues)["range_m"]
-        ranges += [] if range_m is None else [(f"targets[{i}].range_m", range_m)]
-        labels.append(target.get("label"))
-    if None not in (top["n"], top["l"], top["bandwidth_hz"]):
-        # lags are checked as floats, before int, so a huge range cannot overflow
-        step, grid = ranging.range_per_lag_m(top["bandwidth_hz"], top["l"]), top["n"] * top["l"]
-        if not 0 < step < math.inf:
-            issues.append(f"bandwidth_hz: lag step {step!r} m must be finite and positive")
-            ranges = []
-        for key, value in ranges:
-            if not 0 <= (lag := float(np.round(value / step))) < grid:
-                issues.append(f"{key}: {value} m maps to lag {lag:.15g}, outside [0, {grid - 1}]")
-    names = []
+        path = f"targets[{i}]."
+        spec = _fields(target, _TARGET_FIELDS, path, issues)
+        label = f"target{i}" if spec["label"] is None else spec["label"]
+        if (first := labels.setdefault(label, i)) != i:
+            issues.append(f"{path}label: {label!r:.80} already used by targets[{first}]")
+        delay = lag_of(f"{path}range_m", spec["range_m"])
+        if delay is not None and (first := lags.setdefault(delay, i)) != i:
+            issues.append(f"{path}range_m: maps to lag {delay}, same as targets[{first}]")
+        if None not in (delay, spec["gain_db"]):
+            targets.append(ranging.Target(delay, 10.0 ** (spec["gain_db"] / 20.0), label))
+    if top["estimate"] is not None and top["estimate"] not in labels:
+        issues.append(f"estimate: no target labeled {top['estimate']!r:.80}")
+
+    methods, names = [], {}
     for i, method in _objects(top["methods"], "methods", issues):
-        spec = _method_fields(method, f"methods[{i}].", issues)
-        if spec["name"] is not None:
-            names.append(spec["name"])
-        region, units = spec.get("region"), spec.get("region_units")
-        if None not in (region, units, top["n"], top["l"]):
-            try:  # endpoints against the grid, before any design runs
-                _region_lags(top["n"], top["l"], *region, units)
-            except ValueError as exc:
-                issues.append(f"methods[{i}].region: {exc}")
-    if len(names) != len(set(names)):
-        issues.append("methods: names must be unique")
-    estimate = cfg.get("estimate")
-    if estimate is not None and estimate not in labels:
-        issues.append(f"estimate: no target labeled {estimate!r}")
+        path = f"methods[{i}]."
+        kind = method.get("pulse", "rrc")
+        rows = _METHOD_FIELDS + (_PULSE_FIELDS.get(kind, ()) if _is_str(kind) else ())
+        spec = _fields(method, rows, path, issues)
+        if spec["name"] is not None and (first := names.setdefault(spec["name"], i)) != i:
+            issues.append(f"{path}name: {spec['name']!r} already used by methods[{first}]")
+        const = _built(issues, f"{path}constellation", constellation.from_name,
+                       spec["constellation"])
+        basis = _built(issues, f"{path}basis", modulation.make_basis, spec["basis"], n)
+        pul = None
+        if spec["pulse"] == "rrc":
+            pul = _built(issues, f"{path}pulse", pulse.rrc_spectrum, n, l, alpha)
+        elif spec["pulse"] == "file":
+            pul = _built(issues, f"{path}pulse_file", pulse.from_text_file,
+                         spec["pulse_file"], n, l)
+        elif spec["pulse"] == "designed":  # endpoints against the grid, before any design
+            region_lags = _built(issues, f"{path}region", _region_lags, n, l,
+                                 *(spec["region"] or (None, None)), spec["region_units"])
+            pul = _built(issues, f"{path}region", shaping.ShapingSpec, n, l, alpha,
+                         region_lags, spec["objective"])
+        m = top["m"] if spec["m"] is None else spec["m"]
+        methods.append((spec["name"], const, basis, m, pul))
     if issues:
         raise ValueError("config invalid: " + "; ".join(issues))
 
     snr_grid = [float(v) for v in sweep["snr_db"]]
-    profile_snr = top["profile_snr_db"]
-    return {
-        "n": top["n"],
-        "l": top["l"],
-        "alpha": float(top["alpha"]),
-        "bandwidth_hz": float(top["bandwidth_hz"]),
+    profile_snr = float(max(snr_grid) if top["profile_snr_db"] is None else top["profile_snr_db"])
+    echo = {
+        "n": n,
+        "l": l,
+        "alpha": alpha,
+        "bandwidth_hz": bw,
         "m": top["m"],
         "targets": top["targets"],
         "roi_m": [float(v) for v in top["roi_m"]],
@@ -432,8 +468,28 @@ def _resolve_range_config(
         "snr_db": snr_grid,
         "runs": sweep["runs"],
         "seed": top["seed"],
-        "estimate": estimate,
-        "profile_snr_db": float(max(snr_grid) if profile_snr is None else profile_snr),
+        "estimate": top["estimate"],
+        "profile_snr_db": profile_snr,
+    }
+    if top["estimate"] is None:
+        tracked = min(targets, key=lambda t: abs(t.amplitude))
+    else:
+        tracked = next(t for t in targets if t.label == top["estimate"])
+    scene = {key: echo[key] for key in ("l", "bandwidth_hz", "snr_db", "runs", "seed",
+                                        "profile_snr_db")}
+    return echo, scene | {
+        "targets": tuple(targets),
+        "roi": tuple(roi),
+        "tracked": tracked,
+        "amplitude_ref": max(abs(t.amplitude) for t in targets),
+        "methods": methods,
+        "geometry": {  # the snapped scene, as the manifests record it
+            "true_range_m": ranging.range_for_lag(tracked.delay, bw, l),
+            "roi_lags": roi,
+            "roi_snapped_m": [ranging.range_for_lag(lag, bw, l) for lag in roi],
+            "target_lags": [t.delay for t in targets],
+            "range_per_lag_m": step,
+        },
     }
 
 
@@ -441,80 +497,28 @@ def _resolve_range_config(
 # range-sim pipeline, shared with the ranging recipes
 
 
-def _scene_geometry(resolved: dict) -> dict:
-    """Snap targets and roi onto the lag grid; report the mapping."""
-    bw, l = resolved["bandwidth_hz"], resolved["l"]
-    step = ranging.range_per_lag_m(bw, l)
-    targets = []
-    for i, t in enumerate(resolved["targets"]):
-        lag = ranging.lag_for_range(t["range_m"], bw, l)
-        gain_db = float(t.get("gain_db", 0.0))
-        targets.append(
-            ranging.Target(
-                lag, 10.0 ** (gain_db / 20.0), t.get("label", f"target{i}")
-            )
-        )
-    roi = (
-        ranging.lag_for_range(resolved["roi_m"][0], bw, l),
-        ranging.lag_for_range(resolved["roi_m"][1], bw, l),
-    )
-    if resolved["estimate"] is None:
-        tracked = min(targets, key=lambda t: abs(t.amplitude))
-    else:
-        tracked = next(t for t in targets if t.label == resolved["estimate"])
-    return {
-        "targets": tuple(targets),
-        "roi": roi,
-        "tracked": tracked,
-        "true_range_m": ranging.range_for_lag(tracked.delay, bw, l),
-        "amplitude_ref": max(abs(t.amplitude) for t in targets),
-        "range_per_lag_m": step,
-        "roi_snapped_m": [ranging.range_for_lag(roi[0], bw, l),
-                          ranging.range_for_lag(roi[1], bw, l)],
-        "target_lags": [t.delay for t in targets],
-    }
+def _build_scenarios(scene: dict) -> list[tuple[str, ranging.RangingScenario]]:
+    """One scenario per method, designing the pending pulses in method order."""
+    return [
+        (name, ranging.RangingScenario(
+            const, basis,
+            _design_or_fail(pul).pulse if isinstance(pul, shaping.ShapingSpec) else pul,
+            scene["targets"], scene["roi"], m=m, bandwidth_hz=scene["bandwidth_hz"],
+        ))
+        for name, const, basis, m, pul in scene["methods"]
+    ]
 
 
-def _method_pulse(spec: dict, n: int, l: int, alpha: float) -> pulse.NyquistPulse:
-    if spec["pulse"] == "file":
-        return pulse.from_text_file(spec["pulse_file"], n, l)
-    if spec["pulse"] == "designed":
-        lo, hi = spec["region"]
-        lags = _region_lags(n, l, lo, hi, spec["region_units"])
-        return _design_or_fail(shaping.ShapingSpec(n, l, alpha, lags, spec["objective"])).pulse
-    return pulse.rrc_spectrum(n, l, alpha)
-
-
-def _build_scenarios(resolved: dict, geometry: dict) -> list[tuple[str, ranging.RangingScenario]]:
-    n, l = resolved["n"], resolved["l"]
-    out = []
-    for method in resolved["methods"]:
-        spec = _method_fields(method, "", [])  # validated already; fills defaults
-        scenario = ranging.RangingScenario(
-            constellation.from_name(spec["constellation"]),
-            modulation.make_basis(spec["basis"], n),
-            _method_pulse(spec, n, l, resolved["alpha"]),
-            geometry["targets"],
-            geometry["roi"],
-            m=method.get("m", resolved["m"]),
-            bandwidth_hz=resolved["bandwidth_hz"],
-        )
-        out.append((spec["name"], scenario))
-    return out
-
-
-def _ranging_tables(resolved: dict, rmse_path, profile_path, command: str, started: float) -> dict:
-    """Run the configured sweep and profiles, write both tables; return the geometry."""
-    geometry = _scene_geometry(resolved)
-    scenarios = _build_scenarios(resolved, geometry)
-    snr_grid = resolved["snr_db"]
-    runs, seed = resolved["runs"], resolved["seed"]
-    ref = geometry["amplitude_ref"]
-    true_m = geometry["true_range_m"]
+def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: str,
+                    started: float) -> None:
+    """Run the scene's sweep and profiles and write both tables; echo is for manifests."""
+    scenarios = _build_scenarios(scene)
+    snr_grid, runs, seed = scene["snr_db"], scene["runs"], scene["seed"]
+    geometry, ref = scene["geometry"], scene["amplitude_ref"]
     header = ["snr_db"]
     columns = []
     for name, scenario in scenarios:
-        rows = ranging.rmse_sweep(scenario, true_m, snr_grid, runs, seed, ref)
+        rows = ranging.rmse_sweep(scenario, geometry["true_range_m"], snr_grid, runs, seed, ref)
         header += [f"{name}_rmse_m", f"{name}_rmse_hits_m", f"{name}_success_rate"]
         columns.append(rows)
     table = []
@@ -522,45 +526,26 @@ def _ranging_tables(resolved: dict, rmse_path, profile_path, command: str, start
         row: list = [float(snr)]
         for rows in columns:
             hits = rows[i]["rmse_hits_m"]
-            row += [
-                rows[i]["rmse_m"],
-                None if math.isnan(hits) else hits,
-                rows[i]["success_rate"],
-            ]
+            row += [rows[i]["rmse_m"], None if math.isnan(hits) else hits, rows[i]["success_rate"]]
         table.append(row)
-    params = resolved | {
-        "true_range_m": true_m,
-        "roi_lags": list(geometry["roi"]),
-        "roi_snapped_m": geometry["roi_snapped_m"],
-        "target_lags": geometry["target_lags"],
-        "range_per_lag_m": geometry["range_per_lag_m"],
+    params = echo | geometry | {
         "snr_definition": "strong-path per-sample received power over noise variance",
     }
-    _emit_table(rmse_path, header, table, command,
-                params | {"out": str(rmse_path)}, seed, started)
+    _emit_table(rmse_path, header, table, command, params, seed, started)
 
-    snr = resolved["profile_snr_db"]
-    noise_var = ref**2 / (resolved["l"] * 10.0 ** (snr / 10.0))
+    snr = scene["profile_snr_db"]
+    bw, l = scene["bandwidth_hz"], scene["l"]
+    noise_var = ref**2 / (l * 10.0 ** (snr / 10.0))
     profiles = []
     for idx, (name, scenario) in enumerate(scenarios):
         rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_PROFILE, idx)))
         profiles.append(_rel_db(ranging.run_once(scenario, rng, noise_var)))
-    grid = scenarios[0][1].grid
-    bw, l = resolved["bandwidth_hz"], resolved["l"]
     rows = [
         [ranging.range_for_lag(lag, bw, l)] + [p[lag] for p in profiles]
-        for lag in range(grid)
+        for lag in range(scenarios[0][1].grid)
     ]
-    _emit_table(
-        profile_path,
-        ["range_m"] + [f"{name}_db" for name, _ in scenarios],
-        rows,
-        command,
-        params | {"out": str(profile_path), "profile_snr_db": snr},
-        seed,
-        started,
-    )
-    return geometry
+    _emit_table(profile_path, ["range_m"] + [f"{name}_db" for name, _ in scenarios], rows,
+                command, params | {"profile_snr_db": snr}, seed, started)
 
 
 def _cmd_range_sim(args) -> dict:
@@ -574,14 +559,12 @@ def _cmd_range_sim(args) -> dict:
         raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
-    resolved = _resolve_range_config(cfg, args.runs, args.seed, args.profile_snr_db)
+    echo, scene = _resolve_range_config(cfg, args.runs, args.seed, args.profile_snr_db)
     outputs = [f"{args.out_prefix}_rmse.csv", f"{args.out_prefix}_profile.csv"]
-    geometry = _ranging_tables(resolved, *outputs, "range-sim", started)
-    return resolved | {
-        "true_range_m": geometry["true_range_m"],
-        "roi_lags": list(geometry["roi"]),
-        "outputs": outputs,
-    }
+    _ranging_tables(echo, scene, *outputs, "range-sim", started)
+    geometry = scene["geometry"]
+    return echo | {"true_range_m": geometry["true_range_m"], "roi_lags": geometry["roi_lags"],
+                   "outputs": outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -675,37 +658,22 @@ def _mc_recipe(name: str, recipe: dict, args) -> list[str]:
 def _psl_recipe(name: str, recipe: dict, args) -> list[str]:
     started = time.perf_counter()
     lags = shaping.sidelobe_lags(_FIG_N, _FIG_L, *recipe["window"])
-    result = _design_or_fail(shaping.ShapingSpec(_FIG_N, _FIG_L, _FIG_ALPHA, lags, "psl"))
-    rrc = pulse.rrc_spectrum(_FIG_N, _FIG_L, _FIG_ALPHA)
-    params = {
-        "recipe": name,
-        "objective": "psl",
-        "region_symbols": recipe["window"],
-        "region_lags": [int(lags[0]), int(lags[-1])],
-        "n": _FIG_N,
-        "l": _FIG_L,
-        "alpha": _FIG_ALPHA,
-        "objective_value": result.value,
-        "baseline_value": shaping.region_metrics(rrc, lags)["psl"],
-        "iterations": result.iterations,
-        "gap": result.gap,
-    }
+    result, rrc, params = _design(_FIG_N, _FIG_L, _FIG_ALPHA, lags, "psl")
+    params |= {"recipe": name, "region_symbols": recipe["window"]}
     acf_path = f"{args.out_dir}/{name}_acf.csv"
     _emit_acf_table(acf_path, rrc, result.pulse, "reproduce", params, args.seed, started)
     spectrum_path = f"{args.out_dir}/{name}_spectrum.csv"
     rows = [[i, rrc.g[i], result.pulse.g[i]] for i in range(_FIG_N)]
-    _emit_table(
-        spectrum_path, ["bin", "rrc", "designed"], rows,
-        "reproduce", params | {"out": spectrum_path}, args.seed, started,
-    )
+    _emit_table(spectrum_path, ["bin", "rrc", "designed"], rows, "reproduce", params,
+                args.seed, started)
     return [acf_path, spectrum_path]
 
 
 def _range_recipe(name: str, recipe: dict, args) -> list[str]:
     started = time.perf_counter()
-    resolved = _resolve_range_config(recipe["config"], args.runs, args.seed)
+    echo, scene = _resolve_range_config(recipe["config"], args.runs, args.seed)
     outputs = [f"{args.out_dir}/{name}_rmse.csv", f"{args.out_dir}/{name}_profile.csv"]
-    _ranging_tables(resolved | {"recipe": name}, *outputs, "reproduce", started)
+    _ranging_tables(echo | {"recipe": name}, scene, *outputs, "reproduce", started)
     return outputs
 
 
@@ -716,11 +684,13 @@ def _cmd_reproduce(args) -> dict:
     for flag, lo in (("trials", 2), ("runs", 1), ("seed", 0)):  # before any recipe writes
         if getattr(args, flag) < lo:
             raise ValueError(f"--{flag} must be >= {lo}, got {getattr(args, flag)}")
-    names = list(_RECIPES) if args.figure == "all" else [args.figure]
+    names = list(_RECIPES) if "all" in args.recipes else list(dict.fromkeys(args.recipes))
     files = []
     for name in names:
+        started = time.perf_counter()
         recipe = _RECIPES[name]
         files += _RECIPE_KINDS[recipe["kind"]](name, recipe, args)
+        print(f"{name}: {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return {
         "figures": names,
         "out_dir": str(args.out_dir),
@@ -792,7 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_range_sim)
 
     sp = sub.add_parser("reproduce", help="canned experiment recipes")
-    sp.add_argument("figure", choices=[*_RECIPES, "all"])
+    sp.add_argument("recipes", nargs="+", choices=[*_RECIPES, "all"], metavar="recipe",
+                    help=f"one or more of {', '.join(_RECIPES)}, or all")
     sp.add_argument("--out-dir", default=".")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1000,
@@ -815,16 +786,19 @@ def run(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but a solver breakdown
         failure = exc
     except (ValueError, OSError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, f"invalid configuration: {exc}")
     except Exception as exc:  # NumericalFailure and anything unforeseen
         failure = exc
     else:
         print(json.dumps(resolved, sort_keys=True))
         return EXIT_OK
-    message = str(failure).replace("\n", " ")
-    print(f"numerical failure: {type(failure).__name__}: {message}", file=sys.stderr)
-    return EXIT_NUMERICAL
+    return _fail(EXIT_NUMERICAL, f"numerical failure: {type(failure).__name__}: {failure}")
+
+
+def _fail(code: int, message: str) -> int:
+    """Print message as one stderr line; return the exit code."""
+    print(message.replace("\n", " "), file=sys.stderr)
+    return code
 
 
 def main() -> None:

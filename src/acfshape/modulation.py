@@ -41,7 +41,6 @@ class ModulationBasis:
     kind: str
     n: int
     u: np.ndarray
-    v: np.ndarray = field(init=False, repr=False)
     v_tilde: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -63,7 +62,6 @@ class ModulationBasis:
                 f"col err {col_err:.3e})"
             )
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "v_tilde", vt)
 
 

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acfshape import acfstats, modulation, pulse, shaping, tableio
 from acfshape.cli import _RECIPES, NumericalFailure, _resolve_range_config, run
@@ -273,6 +275,7 @@ def test_range_sim_lists_every_config_issue(tmp_path, capsys):
 
 _DESIGNED = {"name": "designed", "constellation": "psk16", "basis": "ofdm",
              "pulse": "designed", "objective": "isl"}
+_RRC = {"name": "ofdm_rrc", "constellation": "psk16", "basis": "ofdm", "pulse": "rrc"}
 
 
 @pytest.mark.parametrize("override, flags, key", [
@@ -297,11 +300,30 @@ _DESIGNED = {"name": "designed", "constellation": "psk16", "basis": "ofdm",
     ({"n": 10**400}, [], "n"),
     ({"l": 10**400}, [], "l"),
     ({"sweep": {"snr_db": [10.0, 30.0], "runs": 10**400}}, [], "sweep.runs"),
+    ({"targets": [t | {"label": "w"} for t in _targets()], "estimate": "w"}, [],
+     "targets[1].label"),
+    ({"targets": _targets(label=5)}, [], "targets[0].label"),
+    ({"estimate": 1}, [], "estimate"),
+    ({"sweeps": {"runs": 4}}, [], "sweeps"),
+    ({"sweep": {"snr_db": [10.0], "runs": 4, "seeds": 2}}, [], "sweep.seeds"),
+    ({"targets": [_targets()[0], {"range_m": 9.0, "gain_bd": -20.0, "label": "weak"}]}, [],
+     "targets[1].gain_bd"),
+    ({"methods": [_DESIGNED | {"regoin": [5, 15]}]}, [], "methods[0].regoin"),
+    ({"methods": [_RRC | {"region": [5, 15]}]}, [], "methods[0].region"),
+    ({"methods": [_RRC | {"constellation": "qam15"}]}, [], "methods[0].constellation"),
+    ({"methods": [_RRC | {"basis": "custom"}]}, [], "methods[0].basis"),
+    ({"methods": [_RRC | {"pulse": "file", "pulse_file": "no/such/gains.txt"}]}, [],
+     "methods[0].pulse_file"),
+    ({"methods": [_RRC, _RRC]}, [], "methods[1].name"),
+    ({"bad\nkey": 1}, [], "bad key"),
 ], ids=["l-zero", "runs-bool", "n-bool", "alpha-above-one", "snr-huge",
         "snr-tiny", "profile-snr-huge", "region-huge", "lag-region-huge",
         "range-huge", "range-huge-int", "roi-huge", "roi-negative", "bandwidth-huge",
         "bandwidth-tiny", "gain-huge", "gain-tiny", "n-huge-int", "l-huge-int",
-        "runs-huge-int"])
+        "runs-huge-int", "label-duplicate", "label-int", "estimate-int", "unknown-top",
+        "unknown-sweep", "unknown-target", "unknown-method", "region-on-rrc",
+        "constellation-unknown", "basis-unknown", "pulse-file-missing", "name-duplicate",
+        "unknown-key-newline"])
 def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, flags, key):
     cfg = _write_config(tmp_path / "cfg.json", **override)
     code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]
@@ -323,6 +345,89 @@ def test_range_config_rejects_huge_slot_counts(tmp_path, override, key):
     cfg = json.loads(_write_config(tmp_path / "cfg.json", **override).read_text())
     with pytest.raises(ValueError, match=rf" {re.escape(key)}: positive integer required"):
         _resolve_range_config(cfg)
+
+
+_PSL_FIRST = [_DESIGNED | {"objective": "psl", "region": [2, 6]}]
+_SAME_LAG = [{"range_m": 3.0, "label": "strong"},
+             {"range_m": 3.05, "gain_db": -20.0, "label": "weak"}]
+
+
+_QAM15 = "methods[1].constellation: only square QAM orders"
+_LAG16 = "targets[1].range_m: maps to lag 16, same as targets[0]"
+
+
+@pytest.mark.parametrize("override, needles", [
+    ({"methods": _PSL_FIRST + [_RRC | {"constellation": "qam15"}]}, [_QAM15]),
+    ({"methods": _PSL_FIRST, "targets": _SAME_LAG}, [_LAG16]),
+    ({"methods": _PSL_FIRST + [_RRC | {"constellation": "qam15"}], "targets": _SAME_LAG},
+     [_LAG16, _QAM15]),
+], ids=["constellation", "same-lag", "both"])
+def test_range_sim_reports_build_errors_before_any_design(tmp_path, capsys, monkeypatch,
+                                                          override, needles):
+    designs = []
+    monkeypatch.setattr(shaping, "design_pulse", lambda *args, **kwargs: designs.append(args))
+    cfg = _write_config(tmp_path / "cfg.json", **override)
+    code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")])
+    assert code == 2 and designs == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and all(f" {needle}" in err for needle in needles)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("estimate, range_m", [("weak", 9.0), ("strong", 3.0)])
+def test_range_sim_tracks_the_labelled_target(tmp_path, capsys, estimate, range_m):
+    cfg = _write_config(tmp_path / "cfg.json", estimate=estimate)
+    assert run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["true_range_m"] - range_m) < 0.1
+
+
+# wrong types and out-of-range values for any field of the fig6 config
+_BAD_VALUES = [None, True, -1, 0, 1, 1.5, 1e308, -1e308, 10**400, "", "x", "qam15", "psk2",
+               "custom", "cdma", "file", "designed", "lag", [], [1], [2, 1], [1, 1e308],
+               [0.0, 0.0], {}, {"x": 1}]
+
+
+def _dicts(value):
+    """Every object nested in a JSON value, outermost first."""
+    if isinstance(value, dict):
+        yield value
+    for item in value.values() if isinstance(value, dict) else value:
+        if isinstance(item, (dict, list)):
+            yield from _dicts(item)
+
+
+@st.composite
+def _mutated_fig6(draw):
+    cfg = json.loads(json.dumps(_RECIPES["fig6"]["config"]))
+    # n >= 42 keeps the fig6 targets and roi on the grid; n x n bases stay small
+    cfg["n"], cfg["l"] = draw(st.integers(42, 64)), draw(st.integers(2, 64))
+    cfg["sweep"]["runs"] = 1
+    for _ in range(draw(st.integers(1, 3))):
+        obj = draw(st.sampled_from(list(_dicts(cfg))))
+        key = draw(st.sampled_from(sorted(obj) or ["n"]))
+        action = draw(st.sampled_from(["drop", "add", "swap", "duplicate"]))
+        if action == "drop":
+            obj.pop(key, None)
+        elif action == "add":
+            obj[draw(st.sampled_from(["sweeps", "regoin", "gain_bd", "label", "m"]))] = 1
+        elif action == "swap":
+            obj[key] = draw(st.sampled_from(_BAD_VALUES))
+        else:
+            group = draw(st.sampled_from(["targets", "methods"]))
+            items = list(_dicts(cfg.get(group) if isinstance(cfg.get(group), list) else []))
+            if len(items) >= 2:
+                field = "label" if group == "targets" else "name"
+                items[1][field] = items[0].get(field, "x")
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_fig6())
+def test_range_config_fuzz_returns_or_reports(cfg):
+    try:
+        _resolve_range_config(cfg)
+    except ValueError as exc:
+        assert str(exc).startswith("config invalid")
 
 
 def _raise(exc):
@@ -435,13 +540,34 @@ def test_reproduce_recipe_layout(tmp_path, figure):
 @pytest.mark.parametrize("flags", [
     ["all", "--runs", "0", "--trials", "4"], ["all", "--trials", "1"],
     ["fig1", "--runs", "0", "--trials", "4"], ["fig4", "--seed", "-1"],
-], ids=["all-runs", "all-trials", "fig1-runs", "fig4-seed"])
+    ["fig1", "fig6", "--runs", "0", "--trials", "4"],
+], ids=["all-runs", "all-trials", "fig1-runs", "fig4-seed", "fig1-fig6-runs"])
 def test_reproduce_checks_flags_before_writing(tmp_path, capsys, flags):
     # every flag is checked up front, whichever recipes are named
     assert run(["reproduce", *flags, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"{flags[1]} must be" in err
+    flag = next(f for f in flags if f.startswith("--"))
+    assert err.count("\n") == 1 and f"{flag} must be" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduce_runs_several_recipes(tmp_path, capsys):
+    assert run(["reproduce", "fig5", "fig2", "--trials", "16", "--out-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["figures"] == ["fig5", "fig2"]
+    assert re.fullmatch(r"fig5: \d+\.\d\ds\nfig2: \d+\.\d\ds\n", err)
+    for name in ("fig5.csv", "fig2.csv"):
+        assert (tmp_path / name).is_file() and (tmp_path / (name + ".manifest.json")).is_file()
+
+
+def test_range_sim_example_config(tmp_path, capsys):
+    prefix = tmp_path / "example"
+    assert run(["range-sim", "--config", str(ROOT / "scripts" / "range_sim_example.json"),
+                "--runs", "1", "--out-prefix", str(prefix)]) == 0
+    header, rows = tableio.read_csv(f"{prefix}_rmse.csv")
+    assert len(header) == 13 and len(rows) == 5
+    assert (tmp_path / "example_profile.csv.manifest.json").is_file()
+    capsys.readouterr()
 
 
 def test_reproduce_fig6_equals_range_sim_on_its_config(tmp_path):
