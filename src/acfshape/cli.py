@@ -498,12 +498,22 @@ def _resolve_range_config(cfg: dict, runs: int | None = None, seed: int | None =
 
 
 def _build_scenarios(scene: dict) -> list[tuple[str, ranging.RangingScenario]]:
-    """One scenario per method, designing the pending pulses in method order."""
+    """One scenario per method, designing each distinct pending pulse once, in method order."""
+    designed: dict[tuple, pulse.NyquistPulse] = {}
+
+    def ready(pul):
+        if not isinstance(pul, shaping.ShapingSpec):
+            return pul
+        # ShapingSpec holds an array and is unhashable; key on its values
+        key = (pul.n, pul.l, pul.alpha, pul.region.tobytes(), pul.objective)
+        if key not in designed:
+            designed[key] = _design_or_fail(pul).pulse
+        return designed[key]
+
     return [
         (name, ranging.RangingScenario(
-            const, basis,
-            _design_or_fail(pul).pulse if isinstance(pul, shaping.ShapingSpec) else pul,
-            scene["targets"], scene["roi"], m=m, bandwidth_hz=scene["bandwidth_hz"],
+            const, basis, ready(pul), scene["targets"], scene["roi"], m=m,
+            bandwidth_hz=scene["bandwidth_hz"],
         ))
         for name, const, basis, m, pul in scene["methods"]
     ]

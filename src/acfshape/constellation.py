@@ -30,6 +30,10 @@ __all__ = [
 
 _ATOL = 1e-12
 
+# largest named alphabet: an order is a user parameter, and the points,
+# probabilities and sampler table each hold that many entries
+_MAX_ORDER = 1 << 16
+
 
 @dataclass(frozen=True)
 class ConstellationSpec:
@@ -88,10 +92,12 @@ def _validate(points: np.ndarray, probs: np.ndarray) -> None:
 def psk(m: int) -> ConstellationSpec:
     """Uniform m-ary phase-shift keying on the unit circle (m >= 3).
 
-    m = 2 (BPSK) has E(s^2) = 1 and is rejected by validation.
+    m = 2 (BPSK) has E(s^2) = 1 and is rejected by validation; orders
+    above 65,536 are refused before any array is built.
     """
     if m < 3:
         raise ValueError("PSK order must be >= 3 (BPSK has nonzero pseudo-variance)")
+    _check_order(m)
     pts = np.exp(2j * np.pi * np.arange(m) / m)
     return ConstellationSpec("psk", pts, np.full(m, 1.0 / m), name=f"psk{m}")
 
@@ -100,8 +106,10 @@ def qam(m: int) -> ConstellationSpec:
     """Square Gray-ordered m-QAM scaled to unit average power.
 
     Only square grids (m a power of 4) are generated.  Cross shapes
-    (128/512/2048) have no canonical grid here and raise.
+    (128/512/2048) have no canonical grid here and raise, as do orders
+    above 65,536.
     """
+    _check_order(m)
     side = int(round(np.sqrt(m)))
     if side * side != m or m < 4 or (m & (m - 1)) != 0:
         raise ValueError(
@@ -112,6 +120,11 @@ def qam(m: int) -> ConstellationSpec:
     pts = grid.reshape(-1)
     pts = pts / np.sqrt(np.mean(np.abs(pts) ** 2))
     return ConstellationSpec("qam", pts, np.full(m, 1.0 / m), name=f"qam{m}")
+
+
+def _check_order(m: int) -> None:
+    if m > _MAX_ORDER:
+        raise ValueError(f"constellation order {m} exceeds the largest supported, {_MAX_ORDER}")
 
 
 def gaussian() -> ConstellationSpec:
@@ -161,7 +174,11 @@ _NAME_RE = re.compile(r"^(psk|qam)(\d+)$")
 
 
 def from_name(name: str) -> ConstellationSpec:
-    """Parse CLI-style names: 'psk16', 'qam64', 'gaussian'."""
+    """Parse CLI-style names: 'psk16', 'qam64', 'gaussian'.
+
+    psk and qam check the parsed order against their bound before they
+    build anything.
+    """
     low = name.strip().lower()
     if low == "gaussian":
         return gaussian()

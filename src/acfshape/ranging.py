@@ -9,12 +9,16 @@ which lowers both the noise floor and the data-induced sidelobe variance.
 The averaged output depends on the symbols only through their
 slot-summed power spectrum, so a run works on that spectrum and never
 builds the signals or the echoes.  The noise variance belongs to the
-run, not the scene, so one draw scores a whole SNR grid.
+run, not the scene, and the inverse FFT is linear, so a run takes two
+inverse FFTs, one of the target echo and one of its unit noise record,
+and scores every SNR point by adding the scaled noise term on the lags
+it searches.  One kernel serves a single profile and a batch of sweep
+runs alike; each run still draws from its own generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +50,8 @@ _TAG_RANGING = 2
 _SLOT_CHUNK = 512
 # SNR points scored per draw in a sweep; memory only, not results
 _SNR_BLOCK = 64
+# workspace per batch of sweep runs; memory only, not results
+_BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -138,19 +144,46 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0)
     variances = np.asarray(noise_var, dtype=float)
     if variances.ndim > 1 or not np.all(variances >= 0):
         raise ValueError(f"noise variance must be a scalar or 1-D, each >= 0, got {noise_var}")
+    amplitudes = np.array([[t.amplitude for t in scenario.targets]], dtype=complex)
+    grid = scenario.grid
+    profiles = _profiles(scenario, [rng], amplitudes, variances.reshape(-1), (0, grid - 1))
+    return profiles[0].reshape(variances.shape + (grid,))
+
+
+def _profiles(
+    scenario: RangingScenario,
+    rngs: list[np.random.Generator],
+    amplitudes: np.ndarray,
+    variances: np.ndarray,
+    window: tuple[int, int],
+) -> np.ndarray:
+    """run_once for a batch of runs, on the inclusive lag window only.
+
+    Run b draws from rngs[b] (symbols slot chunk by slot chunk, then the
+    unit noise record, real part first) and its targets carry
+    amplitudes[b].  With S = sqrt(l * n * P / 2) and unit noise V,
+    ifft(P * H + sqrt(v) * S * V) = ifft(P * H) + sqrt(v) * ifft(S * V),
+    so two inverse FFTs serve every variance.  Returns shape
+    (runs, variances, hi - lo + 1).
+    """
     n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
-    power = np.zeros(grid)
+    power = np.zeros((len(rngs), grid))
     for start in range(0, m, _SLOT_CHUNK):
         count = min(_SLOT_CHUNK, m - start)
-        symbols = sample_symbols(scenario.constellation, (count, n), rng)
+        symbols = np.stack(
+            [sample_symbols(scenario.constellation, (count, n), rng) for rng in rngs]
+        )
         power += slot_power(scenario.pulse, scenario.basis, symbols)
-    channel = np.zeros(grid, dtype=complex)
-    for t in scenario.targets:
-        channel[t.delay] = t.amplitude
-    noise = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
-    scale = np.sqrt(variances[..., None] * grid * power / 2.0)
-    spectrum = power * np.fft.fft(channel) + scale * noise
-    return np.abs(np.fft.ifft(spectrum) / m) ** 2
+    noise = np.empty((len(rngs), 2, grid))
+    for rng, record in zip(rngs, noise):
+        rng.standard_normal(out=record)
+    channel = np.zeros((len(rngs), grid), dtype=complex)
+    channel[:, [t.delay for t in scenario.targets]] = amplitudes
+    lo, hi = window
+    echo = np.fft.ifft(power * np.fft.fft(channel, axis=-1), axis=-1)[:, None, lo:hi + 1]
+    scale = np.sqrt(grid * power / 2.0)
+    spread = np.fft.ifft(scale * (noise[:, 0] + 1j * noise[:, 1]), axis=-1)[:, None, lo:hi + 1]
+    return np.abs((echo + np.sqrt(variances)[:, None] * spread) / m) ** 2
 
 
 def estimate_range(
@@ -175,15 +208,10 @@ def _run_generator(seed: int, run: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _TAG_RANGING, run)))
 
 
-def _with_phases(
-    scenario: RangingScenario, rng: np.random.Generator
-) -> RangingScenario:
-    """Redraw every target phase uniformly, keeping magnitudes."""
-    targets = tuple(
-        replace(t, amplitude=abs(t.amplitude) * np.exp(2j * np.pi * rng.random()))
-        for t in scenario.targets
-    )
-    return replace(scenario, targets=targets)
+def _drawn_amplitudes(scenario: RangingScenario, rng: np.random.Generator) -> np.ndarray:
+    """Target amplitudes with every phase redrawn uniformly, magnitudes kept."""
+    magnitudes = np.array([abs(t.amplitude) for t in scenario.targets])
+    return magnitudes * np.exp(2j * np.pi * rng.random(magnitudes.size))
 
 
 def rmse_sweep(
@@ -201,30 +229,46 @@ def rmse_sweep(
     noise_var = amplitude_ref^2 / (l * 10^(snr/10)).  Run r draws target
     phases, symbols and noise from its own substream, and every SNR point
     scores that one draw, so rows are independent of execution order.
-    Each block of _SNR_BLOCK points redraws run r from scratch.  Returns
-    one dict per SNR with keys snr_db, rmse_m, rmse_hits_m, success_rate
-    (rmse_hits_m is NaN when no run succeeds; callers serialize it as an
-    empty field).
+    Each block of _SNR_BLOCK points redraws run r from scratch.  Runs are
+    scored in batches sized by _BATCH_BYTES, and the peak pick reads the
+    roi only, with the arithmetic of estimate_range and detection_success.
+    Returns one dict per SNR with keys snr_db, rmse_m, rmse_hits_m,
+    success_rate (rmse_hits_m is NaN when no run succeeds; callers
+    serialize it as an empty field).
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     bw, l = scenario.bandwidth_hz, scenario.pulse.l
+    step, half_cell = range_per_lag_m(bw, l), resolution_cell_m(bw, l) / 2.0
+    lo, hi = scenario.roi
     snr_grid_db = list(snr_grid_db)
     rows = []
     for start in range(0, len(snr_grid_db), _SNR_BLOCK):
         block = snr_grid_db[start:start + _SNR_BLOCK]
-        noise_var = [amplitude_ref**2 / (l * 10.0 ** (snr_db / 10.0)) for snr_db in block]
+        variances = np.array([amplitude_ref**2 / (l * 10.0 ** (snr_db / 10.0)) for snr_db in block])
+        batch = _batch_runs(scenario, len(block) * (hi - lo + 1))
         errors = np.empty((len(block), runs))
-        hits = np.zeros((len(block), runs), dtype=bool)
-        for run in range(runs):
-            rng = _run_generator(seed, run)
-            scene = _with_phases(scenario, rng)
-            for i, profile in enumerate(run_once(scene, rng, noise_var)):
-                est_m = estimate_range(profile, scene.roi, bw, l)
-                errors[i, run] = est_m - true_range_m
-                hits[i, run] = detection_success(est_m, true_range_m, bw, l)
+        for first in range(0, runs, batch):
+            rngs = [_run_generator(seed, run) for run in range(first, min(first + batch, runs))]
+            amplitudes = np.array([_drawn_amplitudes(scenario, rng) for rng in rngs])
+            profiles = _profiles(scenario, rngs, amplitudes, variances, scenario.roi)
+            lags = lo + np.argmax(profiles, axis=-1)
+            errors[:, first:first + len(rngs)] = (lags * step - true_range_m).T
+        hits = np.abs(errors) <= half_cell
         for snr_db, err, hit in zip(block, errors, hits):
             rmse_hits = float(np.sqrt(np.mean(err[hit] ** 2))) if hit.any() else float("nan")
             rows.append({"snr_db": float(snr_db), "rmse_m": float(np.sqrt(np.mean(err**2))),
                          "rmse_hits_m": rmse_hits, "success_rate": float(np.mean(hit))})
     return rows
+
+
+def _batch_runs(scenario: RangingScenario, scored: int) -> int:
+    """Sweep runs per batch, so that the batch's workspace fits _BATCH_BYTES.
+
+    Per run, in complex entries: one slot chunk of symbols and its
+    spectrum, about eight grid-length spectra, and the scored roi points
+    with their squares.
+    """
+    chunk = min(scenario.m, _SLOT_CHUNK) * scenario.pulse.n
+    per_run = 16 * (2 * chunk + 8 * scenario.grid + 2 * scored)
+    return max(1, _BATCH_BYTES // per_run)

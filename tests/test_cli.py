@@ -52,6 +52,15 @@ def test_acf_theory_table(tmp_path, capsys):
     assert manifest["seed"] is None
 
 
+@pytest.mark.parametrize("name", ["psk65537", "qam262144"])
+def test_acf_theory_rejects_huge_constellation_order(tmp_path, capsys, name):
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--constellation", name, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the largest supported" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_acf_theory_rejects_bad_rolloff(tmp_path):
     out = tmp_path / "t.csv"
     code = run(["acf-theory", "--n", "16", "--l", "4", "--alpha", "1.5",
@@ -311,6 +320,7 @@ _RRC = {"name": "ofdm_rrc", "constellation": "psk16", "basis": "ofdm", "pulse": 
     ({"methods": [_DESIGNED | {"regoin": [5, 15]}]}, [], "methods[0].regoin"),
     ({"methods": [_RRC | {"region": [5, 15]}]}, [], "methods[0].region"),
     ({"methods": [_RRC | {"constellation": "qam15"}]}, [], "methods[0].constellation"),
+    ({"methods": [_RRC | {"constellation": "psk65537"}]}, [], "methods[0].constellation"),
     ({"methods": [_RRC | {"basis": "custom"}]}, [], "methods[0].basis"),
     ({"methods": [_RRC | {"pulse": "file", "pulse_file": "no/such/gains.txt"}]}, [],
      "methods[0].pulse_file"),
@@ -322,7 +332,7 @@ _RRC = {"name": "ofdm_rrc", "constellation": "psk16", "basis": "ofdm", "pulse": 
         "bandwidth-tiny", "gain-huge", "gain-tiny", "n-huge-int", "l-huge-int",
         "runs-huge-int", "label-duplicate", "label-int", "estimate-int", "unknown-top",
         "unknown-sweep", "unknown-target", "unknown-method", "region-on-rrc",
-        "constellation-unknown", "basis-unknown", "pulse-file-missing", "name-duplicate",
+        "constellation-unknown", "constellation-order-huge", "basis-unknown", "pulse-file-missing", "name-duplicate",
         "unknown-key-newline"])
 def test_range_sim_rejects_out_of_range_values(tmp_path, capsys, override, flags, key):
     cfg = _write_config(tmp_path / "cfg.json", **override)
@@ -372,6 +382,23 @@ def test_range_sim_reports_build_errors_before_any_design(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and all(f" {needle}" in err for needle in needles)
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_range_sim_designs_each_distinct_pulse_once(tmp_path, monkeypatch):
+    designs = []
+    original = shaping.design_pulse
+
+    def counted(spec, **kwargs):
+        designs.append((spec.objective, spec.region.tolist()))
+        return original(spec, **kwargs)
+
+    monkeypatch.setattr(shaping, "design_pulse", counted)
+    methods = [_DESIGNED | {"name": "a", "region": [2, 6]},
+               _DESIGNED | {"name": "b", "region": [2, 6], "basis": "sc", "m": 3},
+               _DESIGNED | {"name": "c", "region": [3, 6]}]
+    cfg = _write_config(tmp_path / "cfg.json", methods=methods)
+    assert run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]) == 0
+    assert len(designs) == 2 and designs[0] != designs[1]  # a and b share one design
 
 
 @pytest.mark.parametrize("estimate, range_m", [("weak", 9.0), ("strong", 3.0)])

@@ -68,6 +68,16 @@ def test_from_name_parsing():
             con.from_name(bad)
 
 
+def test_orders_above_the_bound_are_refused():
+    # just above the bound, so a regressed check still allocates little
+    assert con.from_name("psk65536").size == con.qam(65536).size == 65536
+    for make, order in ((con.psk, 65537), (con.qam, 262144)):
+        with pytest.raises(ValueError, match="exceeds the largest supported"):
+            make(order)
+        with pytest.raises(ValueError, match="exceeds the largest supported"):
+            con.from_name(f"{make.__name__}{order}")
+
+
 def test_from_text_file_roundtrip(tmp_path):
     spec = con.psk(8)
     path = tmp_path / "alphabet.txt"

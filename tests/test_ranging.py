@@ -7,6 +7,7 @@ import pytest
 
 from acfshape import constellation as con
 from acfshape import modulation as mod
+from acfshape import montecarlo as mc
 from acfshape import pulse as pul
 from acfshape import ranging as rng_mod
 
@@ -192,10 +193,12 @@ def test_target_phase_redraw_keeps_magnitudes():
         n=16, l=2,
         targets=[rng_mod.Target(3, 2.0), rng_mod.Target(7, 0.25 * np.exp(1j))],
     )
-    redrawn = rng_mod._with_phases(scene, np.random.default_rng(8))
-    mags = [abs(t.amplitude) for t in redrawn.targets]
-    assert mags == pytest.approx([2.0, 0.25])
-    assert redrawn.targets[0].amplitude != scene.targets[0].amplitude
+    redrawn = rng_mod._drawn_amplitudes(scene, np.random.default_rng(8))
+    assert np.abs(redrawn) == pytest.approx([2.0, 0.25])
+    assert redrawn[0] != scene.targets[0].amplitude
+    # the same phases, drawn in the same order, as one target at a time
+    oracle = _with_phases(scene, np.random.default_rng(8))
+    assert np.array_equal(redrawn, [t.amplitude for t in oracle.targets])
 
 
 def test_run_once_rows_equal_scalar_calls():
@@ -211,6 +214,15 @@ def test_run_once_rows_equal_scalar_calls():
         assert np.array_equal(row, single)
 
 
+def _with_phases(scenario, rng):
+    """Redraw every target phase uniformly, keeping magnitudes, one target at a time."""
+    targets = tuple(
+        replace(t, amplitude=abs(t.amplitude) * np.exp(2j * np.pi * rng.random()))
+        for t in scenario.targets
+    )
+    return replace(scenario, targets=targets)
+
+
 def _per_snr_reference(scene, truth, snr_grid, runs, seed):
     """rmse_sweep as one fresh draw per (SNR, run), the loop it replaced."""
     bw, l = scene.bandwidth_hz, scene.pulse.l
@@ -220,7 +232,7 @@ def _per_snr_reference(scene, truth, snr_grid, runs, seed):
         errors, hits = np.empty(runs), np.zeros(runs, dtype=bool)
         for run in range(runs):
             rng = rng_mod._run_generator(seed, run)
-            drawn = rng_mod._with_phases(scene, rng)
+            drawn = _with_phases(scene, rng)
             profile = rng_mod.run_once(drawn, rng, noise_var)
             est_m = rng_mod.estimate_range(profile, drawn.roi, bw, l)
             errors[run] = est_m - truth
@@ -255,17 +267,63 @@ def test_rmse_sweep_equals_per_snr_draws(monkeypatch, block):
 
 def test_rmse_sweep_draws_once_per_run_and_block(monkeypatch):
     calls = []
-    original = rng_mod.run_once
+    original = rng_mod._run_generator
 
-    def counted(scenario, rng, noise_var=0.0):
-        calls.append(len(noise_var))
-        return original(scenario, rng, noise_var)
+    def counted(seed, run):
+        calls.append(run)
+        return original(seed, run)
 
-    monkeypatch.setattr(rng_mod, "run_once", counted)
+    monkeypatch.setattr(rng_mod, "_run_generator", counted)
     scene, truth = _sweep_scene()
     rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
-    assert calls == [3] * 4
+    assert calls == list(range(4))
     calls.clear()
     monkeypatch.setattr(rng_mod, "_SNR_BLOCK", 2)
     rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
-    assert calls == [2] * 4 + [1] * 4
+    assert calls == list(range(4)) * 2
+
+
+@pytest.mark.parametrize("case", ["one-run-batch", "ragged-batch", "slot-chunks", "targets"])
+def test_rmse_sweep_batches_equal_per_snr_draws(monkeypatch, case):
+    scene, truth = _sweep_scene()
+    runs, grid = 8, [-10.0, 0.0, 30.0]
+    if case == "one-run-batch":
+        monkeypatch.setattr(rng_mod, "_BATCH_BYTES", 1)
+    elif case == "ragged-batch":
+        monkeypatch.setattr(rng_mod, "_batch_runs", lambda scenario, scored: 3)
+    elif case == "slot-chunks":
+        monkeypatch.setattr(rng_mod, "_SLOT_CHUNK", 2)
+        scene = replace(scene, m=5)
+    else:
+        targets = [rng_mod.Target(4, 1.0), rng_mod.Target(20, 0.5),
+                   rng_mod.Target(9, 0.3j), rng_mod.Target(26, 0.2)]
+        scene = replace(scene, targets=tuple(targets))
+    rows = rng_mod.rmse_sweep(scene, truth, grid, runs=runs, seed=5)
+    assert rows == _per_snr_reference(scene, truth, grid, runs=runs, seed=5)
+    assert 0.0 < rows[0]["success_rate"] < 1.0
+
+
+def _one_fft_profiles(scenario, rng, variances):
+    """run_once as it was before the noise term was split off: one inverse FFT per variance."""
+    n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
+    symbols = con.sample_symbols(scenario.constellation, (m, n), rng)
+    power = mc.slot_power(scenario.pulse, scenario.basis, symbols)
+    channel = np.zeros(grid, dtype=complex)
+    for t in scenario.targets:
+        channel[t.delay] = t.amplitude
+    noise = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+    scale = np.sqrt(np.asarray(variances)[:, None] * grid * power / 2.0)
+    spectrum = power * np.fft.fft(channel) + scale * noise
+    return np.abs(np.fft.ifft(spectrum) / m) ** 2
+
+
+def test_split_noise_matches_one_fft_formula():
+    scene = _scenario(
+        n=16, l=4, targets=[rng_mod.Target(3, 1.0), rng_mod.Target(40, 0.1j)], m=3
+    )
+    variances = [0.0, 0.05, 2.0]
+    split = rng_mod.run_once(scene, np.random.default_rng(9), variances)
+    oracle = _one_fft_profiles(scene, np.random.default_rng(9), variances)
+    assert np.array_equal(split[0], oracle[0])  # noiseless: the echo term alone
+    for got, want in zip(split[1:], oracle[1:]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
