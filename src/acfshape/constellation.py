@@ -30,8 +30,8 @@ __all__ = [
 
 _ATOL = 1e-12
 
-# largest named alphabet: an order is a user parameter, and the points,
-# probabilities and sampler table each hold that many entries
+# largest alphabet, named or custom: an order is a user parameter, and the
+# points, probabilities and sampler table each hold that many entries
 _MAX_ORDER = 1 << 16
 
 
@@ -48,12 +48,21 @@ class ConstellationSpec:
     points: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     probs: np.ndarray = field(default_factory=lambda: np.empty(0, float))
     name: str = ""
+    # sampler table: point i is drawn for u in [_edges[i], _edges[i+1]),
+    # and a u in bucket floor(u * size) lies at or after point _start[bucket]
+    _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _start: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=complex))
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.kind != "gaussian":
             _validate(self.points, self.probs)
+            cum = np.cumsum(self.probs)
+            cum[-1] = 1.0  # guard the last edge against rounding
+            buckets = np.arange(cum.size) / cum.size
+            object.__setattr__(self, "_edges", np.concatenate([[0.0], cum]))
+            object.__setattr__(self, "_start", np.searchsorted(cum, buckets, side="right"))
 
     @property
     def size(self) -> int:
@@ -63,6 +72,7 @@ class ConstellationSpec:
 def _validate(points: np.ndarray, probs: np.ndarray) -> None:
     if points.size == 0:
         raise ValueError("constellation has no points")
+    _check_order(points.size)
     if points.shape != probs.shape:
         raise ValueError(
             f"points and probs shapes differ: {points.shape} vs {probs.shape}"
@@ -216,11 +226,32 @@ def sample_symbols(
     count: int | tuple[int, ...],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw i.i.d. symbols from the alphabet; count may be a shape tuple."""
+    """Draw i.i.d. symbols from the alphabet; count may be a shape tuple.
+
+    Each symbol is the inverse-CDF image of one uniform u from
+    rng.random(count), found through the spec's guide table (Chen & Asau,
+    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4)
+    instead of a binary search: u starts at the first point its bucket
+    floor(u * size) can hit, steps forward past every edge at or below u,
+    and steps back while u is below the point's lower edge, which happens
+    when u * size rounds up across a bucket edge (psk13 has such u).  The
+    index is the one a binary search of the cumulative probabilities,
+    np.searchsorted(_edges[1:], u, side="right"), gives, so streams and
+    output bytes are those of a binary search.
+    """
     if spec.kind == "gaussian":
         z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         return z / np.sqrt(2.0)
-    cum = np.cumsum(spec.probs)
-    cum[-1] = 1.0  # guard the last edge against rounding
-    idx = np.searchsorted(cum, rng.random(count), side="right")
+    lower, upper, start = spec._edges[:-1], spec._edges[1:], spec._start
+    u = rng.random(count)
+    # u < 1 keeps u * size below size, even after rounding
+    idx = start[(u * start.size).astype(np.intp)]
+    ahead = u >= upper[idx]
+    while ahead.any():  # a bucket holding several edges takes several steps
+        idx += ahead
+        ahead = u >= upper[idx]
+    behind = u < lower[idx]
+    while behind.any():
+        idx -= behind
+        behind = u < lower[idx]
     return spec.points[idx]

@@ -25,7 +25,6 @@ __all__ = [
     "rrc_spectrum",
     "from_text_file",
     "assemble_full_spectrum",
-    "spectrum_to_time",
 ]
 
 _GAIN_TOL = 1e-9
@@ -134,15 +133,3 @@ def assemble_full_spectrum(pulse: NyquistPulse) -> np.ndarray:
     full[:pulse.n] = profile
     full[(pulse.l - 1) * pulse.n:] = 1.0 - profile
     return full
-
-
-def spectrum_to_time(pulse: NyquistPulse) -> np.ndarray:
-    """Zero-phase time taps of length l*n with unit energy.
-
-    The bin power gains integrate to n, so taking sqrt(l * gain) as the
-    spectrum amplitude gives ||p||^2 = 1 by Parseval.  The taps are complex
-    in general: the assembled profile sits half a bin off a Hermitian-
-    symmetric layout, which shows up as a slow phase ramp across the taps.
-    """
-    amplitude = np.sqrt(pulse.l * assemble_full_spectrum(pulse))
-    return np.fft.ifft(amplitude)

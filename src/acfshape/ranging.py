@@ -31,14 +31,11 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "Target",
     "RangingScenario",
-    "sample_period_s",
     "range_per_lag_m",
     "lag_for_range",
     "range_for_lag",
     "resolution_cell_m",
     "run_once",
-    "estimate_range",
-    "detection_success",
     "rmse_sweep",
 ]
 
@@ -102,14 +99,10 @@ class RangingScenario:
         return self.pulse.n * self.pulse.l
 
 
-def sample_period_s(bandwidth_hz: float, l: int) -> float:
-    """Sample spacing in seconds: the grid runs l times the signal band."""
-    return 1.0 / (l * bandwidth_hz)
-
-
 def range_per_lag_m(bandwidth_hz: float, l: int) -> float:
-    """Two-way range covered by one lag step."""
-    return SPEED_OF_LIGHT * sample_period_s(bandwidth_hz, l) / 2.0
+    """Two-way range covered by one lag step; the grid runs l times the band."""
+    sample_period_s = 1.0 / (l * bandwidth_hz)
+    return SPEED_OF_LIGHT * sample_period_s / 2.0
 
 
 def lag_for_range(range_m: float, bandwidth_hz: float, l: int) -> int:
@@ -186,24 +179,6 @@ def _profiles(
     return np.abs((echo + np.sqrt(variances)[:, None] * spread) / m) ** 2
 
 
-def estimate_range(
-    profile: np.ndarray, roi: tuple[int, int], bandwidth_hz: float, l: int
-) -> float:
-    """Range in meters of the peak inside the inclusive lag window; ties go low."""
-    lo, hi = roi
-    if not 0 <= lo <= hi < len(profile):
-        raise ValueError(f"roi {roi} outside the profile of length {len(profile)}")
-    lag = lo + int(np.argmax(profile[lo:hi + 1]))
-    return range_for_lag(lag, bandwidth_hz, l)
-
-
-def detection_success(
-    estimate_m: float, true_m: float, bandwidth_hz: float, l: int
-) -> bool:
-    """Hit when the estimate lands within half a resolution cell."""
-    return abs(estimate_m - true_m) <= resolution_cell_m(bandwidth_hz, l) / 2.0
-
-
 def _run_generator(seed: int, run: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, _TAG_RANGING, run)))
 
@@ -230,8 +205,9 @@ def rmse_sweep(
     phases, symbols and noise from its own substream, and every SNR point
     scores that one draw, so rows are independent of execution order.
     Each block of _SNR_BLOCK points redraws run r from scratch.  Runs are
-    scored in batches sized by _BATCH_BYTES, and the peak pick reads the
-    roi only, with the arithmetic of estimate_range and detection_success.
+    scored in batches sized by _BATCH_BYTES.  The estimate is the range of
+    the roi peak, ties going to the lowest lag, and a run hits when it
+    lands within half a resolution cell of the truth.
     Returns one dict per SNR with keys snr_db, rmse_m, rmse_hits_m,
     success_rate (rmse_hits_m is NaN when no run succeeds; callers
     serialize it as an empty field).

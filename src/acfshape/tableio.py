@@ -10,7 +10,6 @@ rejected; a deliberately empty cell is spelled None.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -22,7 +21,6 @@ __all__ = [
     "format_cell",
     "emit_csv",
     "emit_text",
-    "read_csv",
     "manifest_path",
     "write_manifest",
 ]
@@ -80,16 +78,6 @@ def emit_text(path, values) -> None:
     """Write scalar values one per line (the loadable gain-file format)."""
     lines = [format_cell(v) for v in values]
     _atomic_write(str(path), "\n".join(lines) + "\n")
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Parse a table back as raw strings (header, rows)."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        parsed = list(reader)
-    if not parsed:
-        raise ValueError(f"{path}: empty file, expected at least a header")
-    return parsed[0], parsed[1:]
 
 
 def manifest_path(path) -> str:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from acfshape import acfstats, modulation, pulse, shaping, tableio
 from acfshape.cli import _RECIPES, NumericalFailure, _resolve_range_config, run
+from helpers import read_csv
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -39,7 +40,7 @@ def test_acf_theory_table(tmp_path, capsys):
     assert code == 0
     echo = json.loads(capsys.readouterr().out.strip())
     assert echo["basis"] == "ofdm" and echo["kurtosis"] == 1.0
-    header, rows = tableio.read_csv(out)
+    header, rows = read_csv(out)
     assert header == ["lag", "iceberg_db", "sea_db", "total_db"]
     assert len(rows) == 16 * 4
     lag0 = _floats(rows[0])
@@ -59,6 +60,18 @@ def test_acf_theory_rejects_huge_constellation_order(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "exceeds the largest supported" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_acf_theory_rejects_huge_custom_alphabet(tmp_path, capsys):
+    alphabet = tmp_path / "alphabet.txt"
+    points = np.exp(2j * np.pi * np.arange(65537) / 65537)
+    np.savetxt(alphabet, np.column_stack([points.real, points.imag]))
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--constellation", "custom",
+                "--constellation-file", str(alphabet), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the largest supported" in err
+    assert list(tmp_path.iterdir()) == [alphabet]
 
 
 def test_acf_theory_rejects_bad_rolloff(tmp_path):
@@ -87,7 +100,7 @@ def test_acf_mc_matches_theory_roughly(tmp_path):
         "--out", str(out),
     ])
     assert code == 0
-    _, rows = tableio.read_csv(out)
+    _, rows = read_csv(out)
     emp = np.array([_floats(r)[1] for r in rows])
     theo = np.array([_floats(r)[2] for r in rows])
     assert np.max(np.abs(emp - theo)) < 1.5  # dB, 400 trials
@@ -112,7 +125,7 @@ def test_shape_outputs_loadable_gains(tmp_path):
     assert code == 0
     designed = pulse.from_text_file(gains, 32, 4)
     assert np.all(np.diff(designed.g) >= -1e-9)
-    header, rows = tableio.read_csv(acf)
+    header, rows = read_csv(acf)
     assert header == ["lag", "rrc_db", "designed_db"]
     region = [r for r in rows if 8 <= int(r[0]) <= 24]
     worst_rrc = max(float(r[1]) for r in region)
@@ -173,7 +186,7 @@ def test_design_manifests_report_solver_stats(tmp_path, capsys):
     assert run(["reproduce", "fig4", "--out-dir", str(tmp_path)]) == 0
     for name, header, count in [("fig4_acf.csv", ["lag", "rrc_db", "designed_db"], 1280),
                                 ("fig4_spectrum.csv", ["bin", "rrc", "designed"], 128)]:
-        got, rows = tableio.read_csv(tmp_path / name)
+        got, rows = read_csv(tmp_path / name)
         assert got == header and len(rows) == count
         params = json.loads(open(tableio.manifest_path(tmp_path / name)).read())["parameters"]
         assert 1 <= params["iterations"] < 20_000
@@ -220,7 +233,7 @@ def test_range_sim_outputs(tmp_path, capsys):
     assert code == 0
     echo = json.loads(capsys.readouterr().out.strip())
     assert echo["roi_lags"] == [32, 64]
-    header, rows = tableio.read_csv(prefix + "_rmse.csv")
+    header, rows = read_csv(prefix + "_rmse.csv")
     assert header == [
         "snr_db", "ofdm_rrc_rmse_m", "ofdm_rrc_rmse_hits_m",
         "ofdm_rrc_success_rate",
@@ -228,7 +241,7 @@ def test_range_sim_outputs(tmp_path, capsys):
     assert len(rows) == 2
     # a -20 dB target with no averaging and mild noise is an easy catch
     assert float(rows[1][3]) == 1.0
-    header, rows = tableio.read_csv(prefix + "_profile.csv")
+    header, rows = read_csv(prefix + "_profile.csv")
     assert header == ["range_m", "ofdm_rrc_db"]
     assert len(rows) == 32 * 4
     manifest = json.loads(open(prefix + "_rmse.csv.manifest.json").read())
@@ -506,10 +519,10 @@ def test_range_sim_runs_at_the_snr_bounds(tmp_path):
     for bound in ("-300", "300"):
         assert run(["range-sim", "--config", str(cfg), "--out-prefix", prefix,
                     "--profile-snr-db", bound]) == 0
-        _, rows = tableio.read_csv(prefix + "_rmse.csv")
+        _, rows = read_csv(prefix + "_rmse.csv")
         # rmse_hits_m (column 2) is empty when no run hits
         assert np.isfinite(np.delete(np.array([_floats(r) for r in rows]), 2, axis=1)).all()
-        _, rows = tableio.read_csv(prefix + "_profile.csv")
+        _, rows = read_csv(prefix + "_profile.csv")
         assert np.isfinite(np.array([_floats(r) for r in rows])).all()
 
 
@@ -558,7 +571,7 @@ def test_reproduce_recipe_layout(tmp_path, figure):
                 "--out-dir", str(tmp_path)])
     assert code == 0
     for name, (header, count) in _RECIPE_LAYOUTS[figure].items():
-        got, rows = tableio.read_csv(tmp_path / name)
+        got, rows = read_csv(tmp_path / name)
         assert got == header
         assert len(rows) == count
         assert (tmp_path / (name + ".manifest.json")).exists()
@@ -591,7 +604,7 @@ def test_range_sim_example_config(tmp_path, capsys):
     prefix = tmp_path / "example"
     assert run(["range-sim", "--config", str(ROOT / "scripts" / "range_sim_example.json"),
                 "--runs", "1", "--out-prefix", str(prefix)]) == 0
-    header, rows = tableio.read_csv(f"{prefix}_rmse.csv")
+    header, rows = read_csv(f"{prefix}_rmse.csv")
     assert len(header) == 13 and len(rows) == 5
     assert (tmp_path / "example_profile.csv.manifest.json").is_file()
     capsys.readouterr()

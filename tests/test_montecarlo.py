@@ -6,6 +6,7 @@ from acfshape import constellation as con
 from acfshape import modulation as mod
 from acfshape import montecarlo as mc
 from acfshape import pulse as pul
+from helpers import spectrum_to_time
 
 
 def test_slot_power_matches_dense_circulant():
@@ -16,7 +17,7 @@ def test_slot_power_matches_dense_circulant():
     s = con.sample_symbols(con.qam(16), (m, n), rng)
     up = np.zeros((m, l * n), dtype=complex)
     up[:, ::l] = mod.modulate(basis, s)
-    taps = pul.spectrum_to_time(pulse)
+    taps = spectrum_to_time(pulse)
     circulant = np.array([np.roll(taps, k) for k in range(l * n)]).T
     xt = up @ circulant.T  # row s is circulant @ up[s]
     expect = np.sum(np.abs(np.fft.fft(xt, axis=-1)) ** 2, axis=0)

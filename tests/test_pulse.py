@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from acfshape import acfstats
 from acfshape import pulse as pul
+from helpers import spectrum_to_time
 
 
 @pytest.mark.parametrize(
@@ -67,7 +68,7 @@ def test_full_spectrum_layout():
 
 @pytest.mark.parametrize("n, l, alpha", [(16, 2, 0.3), (16, 5, 0.8), (9, 3, 0.5)])
 def test_taps_have_unit_energy(n, l, alpha):
-    taps = pul.spectrum_to_time(pul.rrc_spectrum(n, l, alpha))
+    taps = spectrum_to_time(pul.rrc_spectrum(n, l, alpha))
     assert taps.shape == (l * n,)
     assert np.sum(np.abs(taps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -83,7 +84,7 @@ def test_pulse_acf_matches_time_domain_correlation():
         g = rng.random(n)
         p = pul.NyquistPulse(n, l, g)
         lags = np.arange(l * n)
-        direct = _circular_acf(pul.spectrum_to_time(p), lags)
+        direct = _circular_acf(spectrum_to_time(p), lags)
         formula = acfstats.mean_acf(p, lags) / n
         np.testing.assert_allclose(formula, direct, atol=1e-12)
 
@@ -102,7 +103,7 @@ def test_acf_vanishes_at_block_lags_for_any_gains(n, l, seed):
     lags = np.arange(n) * l
     expect = np.eye(n)[0]
     np.testing.assert_allclose(acfstats.mean_acf(p, lags) / n, expect, atol=1e-12)
-    np.testing.assert_allclose(_circular_acf(pul.spectrum_to_time(p), lags), expect, atol=1e-12)
+    np.testing.assert_allclose(_circular_acf(spectrum_to_time(p), lags), expect, atol=1e-12)
 
 
 def _rrc_impulse(u, a):
@@ -139,7 +140,7 @@ def test_gains_reproduce_closed_form_rrc(n, l, alpha):
     phase ramp.
     """
     p = pul.rrc_spectrum(n, l, alpha)
-    taps = pul.spectrum_to_time(p)
+    taps = spectrum_to_time(p)
     t = np.arange(l * n)
     r = np.arange(-400, 401)
     u = (t[None, :] + r[:, None] * l * n) / l
@@ -181,5 +182,5 @@ def test_from_text_file_roundtrip(tmp_path):
 )
 def test_custom_gains_always_give_unit_energy(g, l):
     p = pul.NyquistPulse(g.size, l, g)
-    taps = pul.spectrum_to_time(p)
+    taps = spectrum_to_time(p)
     assert np.sum(np.abs(taps) ** 2) == pytest.approx(1.0, abs=1e-10)

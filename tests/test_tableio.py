@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acfshape import tableio
+from helpers import read_csv
 
 
 def test_format_cell_rules():
@@ -27,7 +28,7 @@ def test_format_cell_rules():
 def test_emit_and_read_back(tmp_path):
     path = tmp_path / "t.csv"
     tableio.emit_csv(path, ["a", "b"], [[1, 0.5], [2, None]])
-    header, rows = tableio.read_csv(path)
+    header, rows = read_csv(path)
     assert header == ["a", "b"]
     assert rows == [["1", "0.5"], ["2", ""]]
     raw = path.read_bytes()
@@ -43,7 +44,7 @@ def test_header_only_table(tmp_path):
 def test_quoting_of_awkward_strings(tmp_path):
     path = tmp_path / "q.csv"
     tableio.emit_csv(path, ["name"], [['with,comma'], ['say "hi"']])
-    header, rows = tableio.read_csv(path)
+    header, rows = read_csv(path)
     assert rows == [['with,comma'], ['say "hi"']]
     assert b'"with,comma"' in path.read_bytes()
 
