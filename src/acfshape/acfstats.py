@@ -19,6 +19,7 @@ from .pulse import NyquistPulse, assemble_full_spectrum
 __all__ = [
     "AcfStats",
     "all_lags",
+    "fold_lags",
     "mean_acf",
     "expected_sq_acf",
     "fourth_moment_matrix",
@@ -51,6 +52,21 @@ def _as_lags(pulse: NyquistPulse, lags) -> np.ndarray:
     return np.atleast_1d(np.asarray(lags))
 
 
+def fold_lags(ln: int, lags) -> tuple[np.ndarray, np.ndarray]:
+    """Where each lag sits in the half-length ACF over lags 0..ln//2.
+
+    The ACF of a real spectrum is Hermitian, r[ln - k] = conj(r[k]), so
+    np.fft.ihfft gives every lag: lag k (taken modulo ln, so -1 is ln - 1)
+    reads index min(k, ln - k), conjugated where the second array is True.
+    A lag outside [-ln, ln) is refused, as indexing the full ACF would.
+    """
+    lags = np.asarray(lags)
+    if lags.size and (lags.min() < -ln or lags.max() >= ln):
+        raise ValueError(f"lags must lie in [{-ln}, {ln}), got {lags.min()}..{lags.max()}")
+    k = lags % ln
+    return np.minimum(k, ln - k), k > ln // 2
+
+
 def mean_acf(pulse: NyquistPulse, lags=None) -> np.ndarray:
     """Expected ACF value per lag: (n * l * ifft(G))[lags].
 
@@ -76,7 +92,10 @@ def expected_sq_acf(
          + (kurt - 2) * sum_j |ifft(tile(Vt_j, l) * S)[k]|^2) / m.
     The first term is the energy of the lag-combined gains; with kurt = 2
     (Gaussian symbols) the basis term vanishes and every basis gives the
-    same statistics.
+    same statistics.  Each row tile(Vt_j, l) * S is a real spectrum, so its
+    ACF is Hermitian: the basis term takes the half-length ihfft, sums the
+    n rows over lags 0..ln//2 only, and folds the requested lags onto that
+    half (fold_lags) at the end.
     """
     if basis.n != pulse.n:
         raise ValueError(f"basis size {basis.n} != pulse block size {pulse.n}")
@@ -85,9 +104,11 @@ def expected_sq_acf(
     lags = _as_lags(pulse, lags)
     n, l = pulse.n, pulse.l
     energy = n - 2.0 * (1.0 - np.cos(2.0 * np.pi * lags / l)) * np.sum(pulse.g * (1.0 - pulse.g))
-    s = n * l * assemble_full_spectrum(pulse)
-    rows = np.fft.ifft(np.tile(basis.v_tilde, l) * s, axis=-1)[:, lags]
-    variance = (energy + (kurt - 2.0) * np.sum(np.abs(rows) ** 2, axis=0)) / m
+    fold, _ = fold_lags(n * l, lags)
+    s = (n * l * assemble_full_spectrum(pulse)).reshape(l, n)
+    rows = np.fft.ihfft((basis.v_tilde[:, None, :] * s).reshape(n, l * n), axis=-1)
+    spread = np.sum(np.abs(rows) ** 2, axis=0)[fold]
+    variance = (energy + (kurt - 2.0) * spread) / m
     return AcfStats(lags, np.abs(mean_acf(pulse, lags)) ** 2, variance)
 
 

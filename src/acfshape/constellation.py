@@ -206,8 +206,15 @@ def from_text_file(path, name: str = "") -> ConstellationSpec:
 
     Points get uniform probabilities.  The usual validation applies, so the
     file must describe a unit-power, zero-mean, zero-pseudo-variance alphabet.
+    Reading stops one row past the largest supported order, so an
+    oversized file is refused without being read to its end.
     """
-    data = np.loadtxt(path, ndmin=2)
+    data = np.loadtxt(path, ndmin=2, max_rows=_MAX_ORDER + 1)
+    if len(data) > _MAX_ORDER:
+        raise ValueError(
+            f"{path} holds more than {_MAX_ORDER} points, "
+            f"which exceeds the largest supported order"
+        )
     if data.shape[1] != 2:
         raise ValueError(f"expected two columns (re, im) in {path}, got {data.shape[1]}")
     pts = data[:, 0] + 1j * data[:, 1]

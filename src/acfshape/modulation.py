@@ -1,9 +1,10 @@
 """Unitary modulation bases (single carrier, OFDM, CDMA, custom).
 
 A basis maps a block of n symbols s to time samples x = U s with U unitary.
-What the ACF statistics actually consume is the squared-magnitude matrix
-Vt = |V|^2 of V = U^H F^H (F the unitary DFT): Vt is doubly stochastic and
-captures how symbol energy spreads across subcarriers.
+Nothing downstream needs x itself, only its spectrum fft(x) = W s with the
+spectral map W = sqrt(n) F U (F the unitary DFT), and the squared-magnitude
+matrix Vt = |V|^2 of V = U^H F^H = W^H / sqrt(n): Vt is doubly stochastic
+and captures how symbol energy spreads across subcarriers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ __all__ = [
     "dft_matrix",
     "ModulationBasis",
     "make_basis",
-    "modulate",
     "random_unitary",
     "from_text_file",
 ]
@@ -36,12 +36,18 @@ def dft_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModulationBasis:
-    """A validated n x n unitary basis with its derived spectral maps."""
+    """A validated n x n unitary basis with its derived spectral maps.
+
+    spectral_map is W = sqrt(n) F U, so fft(U s) = W s.  It is kept only for
+    the dense kinds; SC (W = sqrt(n) F) and OFDM (W = sqrt(n) I) store None
+    and their users take the FFT or identity shortcut instead.
+    """
 
     kind: str
     n: int
     u: np.ndarray
     v_tilde: np.ndarray = field(init=False, repr=False)
+    spectral_map: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.ascontiguousarray(np.asarray(self.u, dtype=complex))
@@ -52,8 +58,8 @@ class ModulationBasis:
             raise ValueError(
                 f"basis is not unitary: ||U^H U - I||_F = {gram_err:.3e} > {_UNITARY_TOL}"
             )
-        v = u.conj().T @ dft_matrix(self.n).conj().T
-        vt = np.abs(v) ** 2
+        w = np.sqrt(self.n) * (dft_matrix(self.n) @ u)
+        vt = (np.abs(w) ** 2).T / self.n
         row_err = np.max(np.abs(vt.sum(axis=1) - 1.0))
         col_err = np.max(np.abs(vt.sum(axis=0) - 1.0))
         if max(row_err, col_err) > _UNITARY_TOL:
@@ -63,6 +69,8 @@ class ModulationBasis:
             )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v_tilde", vt)
+        dense = self.kind not in ("sc", "ofdm")
+        object.__setattr__(self, "spectral_map", w if dense else None)
 
 
 def _hadamard(n: int) -> np.ndarray:
@@ -97,23 +105,6 @@ def make_basis(kind: str, n: int, matrix: np.ndarray | None = None) -> Modulatio
     return ModulationBasis(kind, n, u)
 
 
-def modulate(basis: ModulationBasis, symbols: np.ndarray) -> np.ndarray:
-    """Map symbol blocks (..., n) to time samples x = U s.
-
-    SC and OFDM take O(n)/O(n log n) shortcuts; they agree with the dense
-    product to working precision (covered by tests).
-    """
-    s = np.asarray(symbols, dtype=complex)
-    if s.shape[-1] != basis.n:
-        raise ValueError(f"symbol block length {s.shape[-1]} != basis size {basis.n}")
-    if basis.kind == "sc":
-        return s.copy()
-    if basis.kind == "ofdm":
-        # U = F^H, and F^H s = sqrt(n) * ifft(s) under numpy's scaling.
-        return np.sqrt(basis.n) * np.fft.ifft(s, axis=-1)
-    return s @ basis.u.T
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> ModulationBasis:
     """Haar-distributed random unitary basis (QR with phase correction)."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
@@ -127,11 +118,13 @@ def from_text_file(path, n: int) -> ModulationBasis:
     """Load a custom unitary from a row-major text file of (re, im) pairs.
 
     The file holds n*n rows of two columns, row-major over the matrix.
+    Reading stops at row n*n + 1, so a longer file is refused unread.
     """
-    data = np.loadtxt(path, ndmin=2)
+    data = np.loadtxt(path, ndmin=2, max_rows=n * n + 1)
     if data.shape != (n * n, 2):
+        got = f"more than {n * n} rows" if len(data) > n * n else f"shape {data.shape}"
         raise ValueError(
-            f"expected {n * n} rows of (re, im) for an {n}x{n} basis, got {data.shape}"
+            f"expected {n * n} rows of (re, im) for an {n}x{n} basis, got {got}"
         )
     u = (data[:, 0] + 1j * data[:, 1]).reshape(n, n)
     return make_basis("custom", n, u)

@@ -4,7 +4,13 @@ Each trial draws m independent symbol blocks and averages their m
 periodic ACFs into one estimate.  A periodic ACF is the inverse DFT of
 the power spectrum, so a trial never builds the shaped signal: it
 averages the slots' power spectra (slot_power) and takes one inverse
-transform.
+transform.  slot_power reads each block's spectrum straight from the
+symbols through the basis spectral map W = sqrt(n) F U (an FFT for single
+carrier, sqrt(n) times the symbols for OFDM, one product otherwise).  The
+power is real, so its ACF is Hermitian, r[ln - k] = conj(r[k]): the inverse
+transform is the half-length ihfft over lags 0..ln//2, the statistics are
+reduced over trials there, and the requested lags are folded onto that half
+at the end (fold_lags).
 
 Trial t uses its own generator seeded from (seed, stream tag, t), so
 results do not depend on chunking or execution order.
@@ -17,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import ConstellationSpec, sample_symbols
-from .modulation import ModulationBasis, modulate
+from .acfstats import fold_lags
+from .modulation import ModulationBasis
 from .pulse import NyquistPulse, assemble_full_spectrum
 
 __all__ = [
@@ -76,16 +83,25 @@ def slot_power(
 ) -> np.ndarray:
     """Slot-summed power spectrum P = sum_s |X_s|^2 over all l*n bins.
 
-    symbols has shape (..., m, n); the slot axis -2 is summed out.
-    Zero-insertion upsampling replicates each block's length-n spectrum l
-    times and the pulse weights bin f by l * G[f] (G from
-    assemble_full_spectrum), so the power is formed at length n and tiled
-    once.  ifft(P) is the sum of the m periodic ACFs.
+    symbols has shape (..., m, n); the slot axis -2 is summed out.  Block
+    s has the length-n spectrum X = W s with W = sqrt(n) F U the basis
+    spectral map: fft(s) for single carrier, sqrt(n) s for OFDM (so its
+    power is n |s|^2 with no transform) and s @ W.T for the dense kinds.
+    Zero-insertion upsampling replicates that spectrum l times and the
+    pulse weights bin f by l * G[f] (G from assemble_full_spectrum), so the
+    power is formed at length n and broadcast against the (l, n) view of
+    l * G.  ifft(P) is the sum of the m periodic ACFs.
     """
-    xf = np.fft.fft(modulate(basis, symbols), axis=-1)
-    power = np.sum(np.abs(xf) ** 2, axis=-2)
-    tiled = np.tile(power, (1,) * (power.ndim - 1) + (pulse.l,))
-    return tiled * (pulse.l * assemble_full_spectrum(pulse))
+    s = np.asarray(symbols, dtype=complex)
+    if s.shape[-1] != basis.n:
+        raise ValueError(f"symbol block length {s.shape[-1]} != basis size {basis.n}")
+    if basis.kind == "ofdm":
+        power = basis.n * np.sum(np.abs(s) ** 2, axis=-2)
+    else:
+        xf = np.fft.fft(s, axis=-1) if basis.kind == "sc" else s @ basis.spectral_map.T
+        power = np.sum(np.abs(xf) ** 2, axis=-2)
+    gain = (pulse.l * assemble_full_spectrum(pulse)).reshape(pulse.l, pulse.n)
+    return (power[..., None, :] * gain).reshape(*power.shape[:-1], pulse.l * pulse.n)
 
 
 def run_trials(config: TrialConfig) -> MonteCarloResult:
@@ -93,7 +109,8 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
     pulse, basis = config.pulse, config.basis
     ln = pulse.l * pulse.n
     lags = np.arange(ln) if config.lags is None else np.atleast_1d(config.lags)
-    acf_rows = np.empty((config.trials, lags.size), dtype=complex)
+    fold, mirrored = fold_lags(ln, lags)
+    acf_rows = np.empty((config.trials, ln // 2 + 1), dtype=complex)
     chunk = min(config.trials, max(1, _BATCH_BYTES // (config.m * ln * 16)))
     for start in range(0, config.trials, chunk):
         stop = min(start + chunk, config.trials)
@@ -106,7 +123,7 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
                 config.constellation, (config.m, pulse.n), rng
             )
         power = slot_power(pulse, basis, blocks) / config.m
-        acf_rows[start:stop] = np.fft.ifft(power, axis=-1)[:, lags]
+        acf_rows[start:stop] = np.fft.ihfft(power, axis=-1)
     sq = np.abs(acf_rows) ** 2
     mean_sq = sq.mean(axis=0)
     resid = sq - mean_sq
@@ -114,4 +131,5 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
     se = np.sqrt(np.sum(resid**2, axis=0) / (t * (t - 1)))
     mean = acf_rows.mean(axis=0)
     var = mean_sq - np.abs(mean) ** 2
-    return MonteCarloResult(lags, mean_sq, se, mean, var, t, config.m)
+    mean = np.where(mirrored, np.conj(mean[fold]), mean[fold])
+    return MonteCarloResult(lags, mean_sq[fold], se[fold], mean, var[fold], t, config.m)

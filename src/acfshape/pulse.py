@@ -106,16 +106,18 @@ def from_text_file(path, n: int, l: int) -> NyquistPulse:
     The file either lists all n gains, or just the transition segment; a
     shorter file is padded symmetrically with the flat zero and one runs,
     so a design tool only needs to store the part it actually chose.
+    Reading stops at line n + 1, so a longer file is refused unread.
     """
-    vals = np.loadtxt(path, ndmin=1)
+    vals = np.loadtxt(path, ndmin=1, max_rows=n + 1)
     if vals.size == n:
         return NyquistPulse(n, l, vals, name="file")
     if vals.size < n and (n - vals.size) % 2 == 0:
         pad = (n - vals.size) // 2
         g = np.concatenate([np.zeros(pad), vals, np.ones(pad)])
         return NyquistPulse(n, l, g, name="file")
+    count = f"more than {n}" if vals.size > n else vals.size
     raise ValueError(
-        f"{path} holds {vals.size} gains; expected {n} or a shorter "
+        f"{path} holds {count} gains; expected {n} or a shorter "
         f"segment with the same parity"
     )
 

@@ -25,6 +25,9 @@ __all__ = [
     "write_manifest",
 ]
 
+# characters that force a cell into quotes (RFC 4180)
+_SPECIAL = (',', '"', '\n', '\r')
+
 
 def format_cell(value) -> str:
     """One CSV cell: shortest round-trip for floats, empty for None."""
@@ -64,10 +67,12 @@ def emit_csv(path, header: list[str], rows) -> None:
             raise ValueError(
                 f"{path}: row of width {len(row)} against header of width {width}"
             )
-        cells = [format_cell(c) for c in row]
         quoted = []
-        for cell in cells:
-            if any(ch in cell for ch in (',', '"', '\n', '\r')):
+        for value in row:
+            cell = format_cell(value)
+            # only a string can hold a separator, quote or line break: the
+            # numbers, booleans and empty cells format_cell writes never do
+            if isinstance(value, str) and any(ch in cell for ch in _SPECIAL):
                 cell = '"' + cell.replace('"', '""') + '"'
             quoted.append(cell)
         lines.append(",".join(quoted))

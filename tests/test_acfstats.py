@@ -8,6 +8,7 @@ from acfshape import constellation as con
 from acfshape import modulation as mod
 from acfshape import montecarlo as mc
 from acfshape import pulse as pul
+from helpers import edge_lags
 
 
 def enumerated_acf_moments(spec, basis, pulse):
@@ -115,6 +116,40 @@ def test_special_cases_match_generic_formula(kind, kurt, m):
     generic = st.expected_sq_acf(pulse, mod.make_basis(kind, n), kurt, m=m)
     np.testing.assert_allclose(generic.variance, variance, atol=1e-12)
     np.testing.assert_allclose(generic.squared_mean, mean_sq, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, n, l, kurt", [
+    ("cdma", 8, 2, 1.32), ("haar", 7, 3, 1.0), ("ofdm", 7, 3, 2.5), ("sc", 6, 3, 1.32),
+])
+def test_expected_sq_acf_half_spectrum_matches_full_ifft_oracle(kind, n, l, kurt):
+    rng = np.random.default_rng(41)
+    basis = mod.random_unitary(n, rng) if kind == "haar" else mod.make_basis(kind, n)
+    pulse = pul.rrc_spectrum(n, l, 0.5)
+    lags = edge_lags(l * n)
+    # spread(W)[k] = sum_j |ifft(tile(W_j, l) * S)[k]|^2 at full length
+    s = n * l * pul.assemble_full_spectrum(pulse)
+
+    def spread(w):
+        return np.sum(np.abs(np.fft.ifft(np.tile(w, l) * s, axis=-1)[:, lags]) ** 2, axis=0)
+
+    variance = (spread(np.eye(n)) + (kurt - 2.0) * spread(basis.v_tilde)) / 3
+    stats = st.expected_sq_acf(pulse, basis, kurt, m=3, lags=lags)
+    np.testing.assert_array_equal(stats.lags, lags)
+    np.testing.assert_allclose(stats.variance, variance, rtol=0, atol=1e-12 * n**2)
+    np.testing.assert_allclose(stats.squared_mean, np.abs(st.mean_acf(pulse)[lags]) ** 2,
+                               rtol=0, atol=1e-12 * n**2)
+
+
+def test_fold_lags_maps_onto_the_half_and_refuses_out_of_range():
+    for ln in (20, 21):
+        fold, mirrored = st.fold_lags(ln, np.arange(-ln, ln))
+        k = np.arange(-ln, ln) % ln
+        np.testing.assert_array_equal(fold, np.minimum(k, ln - k))
+        assert fold.max() == ln // 2
+        np.testing.assert_array_equal(mirrored, k > ln // 2)
+    for bad in ([20], [-21], [0, 25]):
+        with pytest.raises(ValueError, match="lags must lie in"):
+            st.fold_lags(20, bad)
 
 
 def test_zero_lag_identity():

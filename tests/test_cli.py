@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acfshape import acfstats, modulation, pulse, shaping, tableio
+from acfshape import acfstats, constellation, modulation, pulse, shaping, tableio
 from acfshape.cli import _RECIPES, NumericalFailure, _resolve_range_config, run
 from helpers import read_csv
 
@@ -72,6 +72,27 @@ def test_acf_theory_rejects_huge_custom_alphabet(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "exceeds the largest supported" in err
     assert list(tmp_path.iterdir()) == [alphabet]
+
+
+@pytest.mark.parametrize("flag, choice, line, message", [
+    ("constellation", "custom", "1 0", "more than 8 points"),
+    ("basis", "custom", "1 0", "more than 16 rows"),
+    ("pulse", "file", "0.5", "more than 4 gains"),
+])
+def test_text_loaders_stop_one_row_past_their_size(tmp_path, capsys, monkeypatch,
+                                                   flag, choice, line, message):
+    # one row too many, then a line that cannot be parsed: the size message,
+    # not a parse error, shows that the loader stopped before the bad line
+    monkeypatch.setattr(constellation, "_MAX_ORDER", 8)
+    rows = {"constellation": 9, "basis": 17, "pulse": 5}[flag]
+    data = tmp_path / "data.txt"
+    data.write_text(f"{line}\n" * rows + "not a number\n")
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--n", "4", "--l", "2", f"--{flag}", choice,
+                f"--{flag}-file", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_acf_theory_rejects_bad_rolloff(tmp_path):

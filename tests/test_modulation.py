@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acfshape import modulation as mod
+from helpers import modulate
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
@@ -37,6 +38,24 @@ def test_energy_spreading_extremes():
     np.testing.assert_allclose(ofdm.v_tilde, np.eye(n), atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, n", [("sc", 7), ("ofdm", 12), ("cdma", 8), ("haar", 9)])
+def test_v_tilde_and_spectral_map(kind, n):
+    rng = np.random.default_rng(3)
+    basis = mod.random_unitary(n, rng) if kind == "haar" else mod.make_basis(kind, n)
+    f = mod.dft_matrix(n)
+    np.testing.assert_allclose(
+        basis.v_tilde, np.abs(basis.u.conj().T @ f.conj().T) ** 2, rtol=0, atol=1e-14
+    )
+    # W = sqrt(n) F U is kept only where slot_power has no shortcut
+    if kind in ("sc", "ofdm"):
+        assert basis.spectral_map is None
+    else:
+        s = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        np.testing.assert_allclose(
+            s @ basis.spectral_map.T, np.fft.fft(modulate(basis, s), axis=-1), atol=1e-12
+        )
+
+
 def test_fast_modulate_paths_match_dense_product():
     rng = np.random.default_rng(5)
     n = 16
@@ -44,7 +63,7 @@ def test_fast_modulate_paths_match_dense_product():
     for kind in ("sc", "ofdm"):
         basis = mod.make_basis(kind, n)
         np.testing.assert_allclose(
-            mod.modulate(basis, s), s @ basis.u.T, atol=1e-12
+            modulate(basis, s), s @ basis.u.T, atol=1e-12
         )
 
 
@@ -77,7 +96,7 @@ def test_random_unitary_reproducible():
 def test_modulate_shape_check():
     basis = mod.make_basis("sc", 4)
     with pytest.raises(ValueError):
-        mod.modulate(basis, np.zeros(5))
+        modulate(basis, np.zeros(5))
 
 
 def test_from_text_file_roundtrip(tmp_path):
@@ -100,5 +119,5 @@ def test_random_unitary_gives_doubly_stochastic_spreading(n, seed):
     # modulation preserves energy
     rng = np.random.default_rng(seed + 1)
     s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x = mod.modulate(basis, s)
+    x = modulate(basis, s)
     assert np.sum(np.abs(x) ** 2) == pytest.approx(np.sum(np.abs(s) ** 2), rel=1e-10)

@@ -6,7 +6,7 @@ from acfshape import constellation as con
 from acfshape import modulation as mod
 from acfshape import montecarlo as mc
 from acfshape import pulse as pul
-from helpers import spectrum_to_time
+from helpers import edge_lags, modulate, spectrum_to_time
 
 
 def test_slot_power_matches_dense_circulant():
@@ -16,7 +16,7 @@ def test_slot_power_matches_dense_circulant():
     pulse = pul.rrc_spectrum(n, l, 0.5)
     s = con.sample_symbols(con.qam(16), (m, n), rng)
     up = np.zeros((m, l * n), dtype=complex)
-    up[:, ::l] = mod.modulate(basis, s)
+    up[:, ::l] = modulate(basis, s)
     taps = spectrum_to_time(pulse)
     circulant = np.array([np.roll(taps, k) for k in range(l * n)]).T
     xt = up @ circulant.T  # row s is circulant @ up[s]
@@ -41,6 +41,66 @@ def test_slot_power_energy_by_parseval():
         np.sum(np.abs(s) ** 2, axis=(-2, -1)),
         rtol=1e-10,
     )
+
+
+def _modulated_power(pulse, basis, symbols):
+    """Oracle for slot_power: sum |fft(U s)|^2 over the slots, tiled by l * G."""
+    xf = np.fft.fft(modulate(basis, symbols), axis=-1)
+    power = np.sum(np.abs(xf) ** 2, axis=-2)
+    tiled = np.tile(power, (1,) * (power.ndim - 1) + (pulse.l,))
+    return tiled * (pulse.l * pul.assemble_full_spectrum(pulse))
+
+
+def _basis(kind, n, rng):
+    return mod.random_unitary(n, rng) if kind == "haar" else mod.make_basis(kind, n)
+
+
+@pytest.mark.parametrize("kind, n, l", [
+    ("sc", 8, 4), ("ofdm", 8, 4), ("cdma", 8, 4), ("haar", 8, 4),
+    ("sc", 7, 3), ("ofdm", 7, 3), ("haar", 7, 3),
+])
+def test_slot_power_matches_modulate_oracle(kind, n, l):
+    rng = np.random.default_rng(31)
+    basis = _basis(kind, n, rng)
+    pulse = pul.rrc_spectrum(n, l, 0.5)
+    s = con.sample_symbols(con.qam(16), (2, 3, n), rng)
+    expect = _modulated_power(pulse, basis, s)
+    got = mc.slot_power(pulse, basis, s)
+    assert got.shape == expect.shape == (2, l * n)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
+
+
+def _full_ifft_trials(config, lags):
+    """Oracle for run_trials: every trial's full-length ifft, then its lags."""
+    pulse, t = config.pulse, config.trials
+    rows = []
+    for trial in range(t):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, mc._TAG_SYMBOLS, trial)))
+        s = con.sample_symbols(config.constellation, (config.m, pulse.n), rng)
+        power = _modulated_power(pulse, config.basis, s) / config.m
+        rows.append(np.fft.ifft(power)[lags])
+    rows = np.array(rows)
+    sq = np.abs(rows) ** 2
+    mean_sq = sq.mean(axis=0)
+    se = np.sqrt(np.sum((sq - mean_sq) ** 2, axis=0) / (t * (t - 1)))
+    mean = rows.mean(axis=0)
+    return mean_sq, se, mean, mean_sq - np.abs(mean) ** 2
+
+
+@pytest.mark.parametrize("kind, n, l", [("cdma", 8, 2), ("haar", 7, 3), ("ofdm", 7, 3)])
+def test_run_trials_half_spectrum_matches_full_ifft_oracle(kind, n, l):
+    basis = _basis(kind, n, np.random.default_rng(32))
+    lags = edge_lags(l * n)
+    cfg = _base_config(basis=basis, pulse=pul.rrc_spectrum(n, l, 0.5), trials=30, m=3,
+                       lags=lags)
+    res = mc.run_trials(cfg)
+    np.testing.assert_array_equal(res.lags, lags)
+    mean_sq, se, mean, var = _full_ifft_trials(cfg, lags)
+    peak = float(n) ** 2
+    np.testing.assert_allclose(res.mean_sq, mean_sq, rtol=0, atol=1e-12 * peak)
+    np.testing.assert_allclose(res.se, se, rtol=0, atol=1e-12 * peak)
+    np.testing.assert_allclose(res.var, var, rtol=0, atol=1e-12 * peak)
+    np.testing.assert_allclose(res.mean, mean, rtol=0, atol=1e-12 * n)
 
 
 def _base_config(**overrides):

@@ -10,7 +10,7 @@ from acfshape import modulation as mod
 from acfshape import montecarlo as mc
 from acfshape import pulse as pul
 from acfshape import ranging as rng_mod
-from helpers import spectrum_to_time
+from helpers import modulate, spectrum_to_time
 
 
 def _waveform(n=16, l=2, kind="ofdm", const="qam16"):
@@ -64,7 +64,7 @@ def _time_domain_profile(scenario, symbols):
     total = np.zeros(grid, dtype=complex)
     for s in symbols:
         up = np.zeros(grid, dtype=complex)
-        up[::pulse.l] = mod.modulate(scenario.basis, s)
+        up[::pulse.l] = modulate(scenario.basis, s)
         xt = circulant @ up
         y = np.zeros(grid, dtype=complex)
         for t in scenario.targets:

@@ -49,6 +49,15 @@ def test_quoting_of_awkward_strings(tmp_path):
     assert b'"with,comma"' in path.read_bytes()
 
 
+@pytest.mark.parametrize("special", [",", '"', "\n", "\r"])
+def test_string_header_and_cell_with_special_character_quoted(tmp_path, special):
+    path = tmp_path / "q.csv"
+    text = f"a{special}b"
+    tableio.emit_csv(path, [text, "v"], [[text, 0.5]])
+    quoted = '"' + text.replace('"', '""') + '"'
+    assert path.read_bytes().decode() == f"{quoted},v\n{quoted},0.5\n"
+
+
 def test_width_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError, match="width"):
         tableio.emit_csv(tmp_path / "w.csv", ["a", "b"], [[1]])
