@@ -10,7 +10,7 @@ The package is organized by pipeline stage:
     qpsolver       exact active-set least squares and Lawson minimax
     shaping        sidelobe-shaping gain design (isl and psl programs)
     ranging        matched-filter range estimation experiments
-    tableio        deterministic CSV/JSON experiment outputs
+    tableio        text-file inputs and deterministic CSV/JSON outputs
 
 The command-line surface lives in ``acfshape.cli`` and is installed as
 the ``acfshape`` console script.

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import acfstats, constellation, modulation, pulse, ranging, shaping, tableio
-from .montecarlo import TrialConfig, run_trials
+from .montecarlo import _TAG_PROFILE, TrialConfig, run_trials, stream
 
 __all__ = ["run", "main", "NumericalFailure"]
 
@@ -40,10 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-# stream tag for illustrative range profiles; symbol draws use 1 and
-# ranging sweeps use 2 inside their own modules
-_TAG_PROFILE = 3
 
 _METHOD_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -548,7 +544,7 @@ def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: s
     noise_var = ref**2 / (l * 10.0 ** (snr / 10.0))
     profiles = []
     for idx, (name, scenario) in enumerate(scenarios):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_PROFILE, idx)))
+        rng = stream(seed, _TAG_PROFILE, idx)
         profiles.append(_rel_db(ranging.run_once(scenario, rng, noise_var)))
     rows = [
         [ranging.range_for_lag(lag, bw, l)] + [p[lag] for p in profiles]

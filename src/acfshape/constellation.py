@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tableio import load_text
+
 __all__ = [
     "ConstellationSpec",
     "psk",
@@ -209,7 +211,7 @@ def from_text_file(path, name: str = "") -> ConstellationSpec:
     Reading stops one row past the largest supported order, so an
     oversized file is refused without being read to its end.
     """
-    data = np.loadtxt(path, ndmin=2, max_rows=_MAX_ORDER + 1)
+    data = load_text(path, ndmin=2, max_rows=_MAX_ORDER + 1)
     if len(data) > _MAX_ORDER:
         raise ValueError(
             f"{path} holds more than {_MAX_ORDER} points, "

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tableio import load_text
+
 __all__ = [
     "dft_matrix",
     "ModulationBasis",
@@ -120,7 +122,7 @@ def from_text_file(path, n: int) -> ModulationBasis:
     The file holds n*n rows of two columns, row-major over the matrix.
     Reading stops at row n*n + 1, so a longer file is refused unread.
     """
-    data = np.loadtxt(path, ndmin=2, max_rows=n * n + 1)
+    data = load_text(path, ndmin=2, max_rows=n * n + 1)
     if data.shape != (n * n, 2):
         got = f"more than {n * n} rows" if len(data) > n * n else f"shape {data.shape}"
         raise ValueError(

@@ -12,8 +12,10 @@ transform is the half-length ihfft over lags 0..ln//2, the statistics are
 reduced over trials there, and the requested lags are folded onto that half
 at the end (fold_lags).
 
-Trial t uses its own generator seeded from (seed, stream tag, t), so
-results do not depend on chunking or execution order.
+Trial t draws from its own generator, stream(seed, _TAG_SYMBOLS, t), so
+results do not depend on batching or execution order.  stream builds every
+seeded generator in the package, and drawn_power draws the slots of Monte
+Carlo trials and ranging runs alike.
 """
 
 from __future__ import annotations
@@ -31,10 +33,18 @@ __all__ = [
     "TrialConfig",
     "MonteCarloResult",
     "slot_power",
+    "stream",
+    "drawn_power",
     "run_trials",
 ]
 
+# stream tags: Monte Carlo trials, ranging sweep runs, illustrative range profiles
 _TAG_SYMBOLS = 1
+_TAG_RANGING = 2
+_TAG_PROFILE = 3
+
+# slots drawn per chunk of a trial or run; memory only, not results
+_SLOT_CHUNK = 512
 
 # Complex workspace per batch of trials.  Only memory layout depends on
 # the batch size; the per-trial generators make the numbers identical
@@ -74,8 +84,6 @@ class MonteCarloResult:
     se: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-    trials: int
-    m: int
 
 
 def slot_power(
@@ -104,26 +112,55 @@ def slot_power(
     return (power[..., None, :] * gain).reshape(*power.shape[:-1], pulse.l * pulse.n)
 
 
+def stream(seed: int, tag: int, index: int) -> np.random.Generator:
+    """The generator of item index (a trial, run or profile) for one tag."""
+    return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
+
+
+def drawn_power(constellation: ConstellationSpec, basis: ModulationBasis, pulse: NyquistPulse,
+                m: int, rngs: list[np.random.Generator],
+                symbols: np.ndarray | None = None) -> np.ndarray:
+    """Slot-summed power spectrum, (len(rngs), l * n), of m fresh slots per generator.
+
+    Each chunk of up to _SLOT_CHUNK slots takes one sample_symbols call per
+    generator, in rngs order, and adds the chunk's slot_power.  Several
+    generators' draws are gathered into the workspace symbols, a contiguous
+    complex array of at least len(rngs) * min(m, _SLOT_CHUNK) * n entries
+    (None allocates one for this call); a caller that keeps it across calls
+    spares the heap a trim and refault on each.  A single generator's draw
+    is already one contiguous block and is used as it comes, with no copy
+    and no workspace to refault.
+    """
+    n = pulse.n
+    if symbols is None and len(rngs) > 1:
+        symbols = np.empty(len(rngs) * min(m, _SLOT_CHUNK) * n, dtype=complex)
+    power = np.zeros((len(rngs), pulse.l * n))
+    for start in range(0, m, _SLOT_CHUNK):
+        count = min(_SLOT_CHUNK, m - start)
+        if len(rngs) == 1:
+            block = sample_symbols(constellation, (count, n), rngs[0])[None]
+        else:
+            block = symbols.reshape(-1)[:len(rngs) * count * n].reshape(len(rngs), count, n)
+            for rng, slots in zip(rngs, block):
+                slots[...] = sample_symbols(constellation, (count, n), rng)
+        power += slot_power(pulse, basis, block)
+    return power
+
+
 def run_trials(config: TrialConfig) -> MonteCarloResult:
     """Monte Carlo estimate of the ACF mean and squared magnitude per lag."""
-    pulse, basis = config.pulse, config.basis
+    pulse, basis, m = config.pulse, config.basis, config.m
     ln = pulse.l * pulse.n
     lags = np.arange(ln) if config.lags is None else np.atleast_1d(config.lags)
     fold, mirrored = fold_lags(ln, lags)
     acf_rows = np.empty((config.trials, ln // 2 + 1), dtype=complex)
-    chunk = min(config.trials, max(1, _BATCH_BYTES // (config.m * ln * 16)))
+    chunk = min(config.trials, max(1, _BATCH_BYTES // (m * ln * 16)))
+    symbols = np.empty((chunk, min(m, _SLOT_CHUNK), pulse.n), dtype=complex)
     for start in range(0, config.trials, chunk):
-        stop = min(start + chunk, config.trials)
-        blocks = np.empty((stop - start, config.m, pulse.n), dtype=complex)
-        for t in range(start, stop):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((config.seed, _TAG_SYMBOLS, t))
-            )
-            blocks[t - start] = sample_symbols(
-                config.constellation, (config.m, pulse.n), rng
-            )
-        power = slot_power(pulse, basis, blocks) / config.m
-        acf_rows[start:stop] = np.fft.ihfft(power, axis=-1)
+        rngs = [stream(config.seed, _TAG_SYMBOLS, t)
+                for t in range(start, min(start + chunk, config.trials))]
+        power = drawn_power(config.constellation, basis, pulse, m, rngs, symbols) / m
+        acf_rows[start:start + len(rngs)] = np.fft.ihfft(power, axis=-1)
     sq = np.abs(acf_rows) ** 2
     mean_sq = sq.mean(axis=0)
     resid = sq - mean_sq
@@ -132,4 +169,4 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
     mean = acf_rows.mean(axis=0)
     var = mean_sq - np.abs(mean) ** 2
     mean = np.where(mirrored, np.conj(mean[fold]), mean[fold])
-    return MonteCarloResult(lags, mean_sq[fold], se[fold], mean, var[fold], t, config.m)
+    return MonteCarloResult(lags, mean_sq[fold], se[fold], mean, var[fold])

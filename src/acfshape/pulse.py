@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tableio import load_text
+
 __all__ = [
     "NyquistPulse",
     "rolloff_bin_count",
@@ -108,7 +110,7 @@ def from_text_file(path, n: int, l: int) -> NyquistPulse:
     so a design tool only needs to store the part it actually chose.
     Reading stops at line n + 1, so a longer file is refused unread.
     """
-    vals = np.loadtxt(path, ndmin=1, max_rows=n + 1)
+    vals = load_text(path, ndmin=1, max_rows=n + 1)
     if vals.size == n:
         return NyquistPulse(n, l, vals, name="file")
     if vals.size < n and (n - vals.size) % 2 == 0:

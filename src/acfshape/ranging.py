@@ -13,7 +13,8 @@ run, not the scene, and the inverse FFT is linear, so a run takes two
 inverse FFTs, one of the target echo and one of its unit noise record,
 and scores every SNR point by adding the scaled noise term on the lags
 it searches.  One kernel serves a single profile and a batch of sweep
-runs alike; each run still draws from its own generator.
+runs alike; each run still draws from its own generator, and its slots
+come from montecarlo.drawn_power, the draw that Monte Carlo trials use.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import ConstellationSpec, sample_symbols
+from .constellation import ConstellationSpec
 from .modulation import ModulationBasis
-from .montecarlo import slot_power
+from .montecarlo import _SLOT_CHUNK, _TAG_RANGING, drawn_power, stream
 from .pulse import NyquistPulse
 
 __all__ = [
@@ -41,10 +42,6 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-_TAG_RANGING = 2
-
-# slots drawn per batch inside one run; memory only, not results
-_SLOT_CHUNK = 512
 # SNR points scored per draw in a sweep; memory only, not results
 _SNR_BLOCK = 64
 # workspace per batch of sweep runs; memory only, not results
@@ -152,21 +149,15 @@ def _profiles(
 ) -> np.ndarray:
     """run_once for a batch of runs, on the inclusive lag window only.
 
-    Run b draws from rngs[b] (symbols slot chunk by slot chunk, then the
-    unit noise record, real part first) and its targets carry
+    Run b draws from rngs[b] (symbols through drawn_power, then the unit
+    noise record, real part first) and its targets carry
     amplitudes[b].  With S = sqrt(l * n * P / 2) and unit noise V,
     ifft(P * H + sqrt(v) * S * V) = ifft(P * H) + sqrt(v) * ifft(S * V),
     so two inverse FFTs serve every variance.  Returns shape
     (runs, variances, hi - lo + 1).
     """
-    n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
-    power = np.zeros((len(rngs), grid))
-    for start in range(0, m, _SLOT_CHUNK):
-        count = min(_SLOT_CHUNK, m - start)
-        symbols = np.stack(
-            [sample_symbols(scenario.constellation, (count, n), rng) for rng in rngs]
-        )
-        power += slot_power(scenario.pulse, scenario.basis, symbols)
+    m, grid = scenario.m, scenario.grid
+    power = drawn_power(scenario.constellation, scenario.basis, scenario.pulse, m, rngs)
     noise = np.empty((len(rngs), 2, grid))
     for rng, record in zip(rngs, noise):
         rng.standard_normal(out=record)
@@ -177,10 +168,6 @@ def _profiles(
     scale = np.sqrt(grid * power / 2.0)
     spread = np.fft.ifft(scale * (noise[:, 0] + 1j * noise[:, 1]), axis=-1)[:, None, lo:hi + 1]
     return np.abs((echo + np.sqrt(variances)[:, None] * spread) / m) ** 2
-
-
-def _run_generator(seed: int, run: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, _TAG_RANGING, run)))
 
 
 def _drawn_amplitudes(scenario: RangingScenario, rng: np.random.Generator) -> np.ndarray:
@@ -202,7 +189,7 @@ def rmse_sweep(
     SNR is the strong-path per-sample received power over the noise
     variance: each sample carries amplitude_ref^2 / l of signal power, so
     noise_var = amplitude_ref^2 / (l * 10^(snr/10)).  Run r draws target
-    phases, symbols and noise from its own substream, and every SNR point
+    phases, symbols and noise from its own stream, and every SNR point
     scores that one draw, so rows are independent of execution order.
     Each block of _SNR_BLOCK points redraws run r from scratch.  Runs are
     scored in batches sized by _BATCH_BYTES.  The estimate is the range of
@@ -225,7 +212,7 @@ def rmse_sweep(
         batch = _batch_runs(scenario, len(block) * (hi - lo + 1))
         errors = np.empty((len(block), runs))
         for first in range(0, runs, batch):
-            rngs = [_run_generator(seed, run) for run in range(first, min(first + batch, runs))]
+            rngs = [stream(seed, _TAG_RANGING, r) for r in range(first, min(first + batch, runs))]
             amplitudes = np.array([_drawn_amplitudes(scenario, rng) for rng in rngs])
             profiles = _profiles(scenario, rngs, amplitudes, variances, scenario.roi)
             lags = lo + np.argmax(profiles, axis=-1)
@@ -241,9 +228,9 @@ def rmse_sweep(
 def _batch_runs(scenario: RangingScenario, scored: int) -> int:
     """Sweep runs per batch, so that the batch's workspace fits _BATCH_BYTES.
 
-    Per run, in complex entries: one slot chunk of symbols and its
-    spectrum, about eight grid-length spectra, and the scored roi points
-    with their squares.
+    Per run, in complex entries: the drawn_power workspace of one slot
+    chunk of symbols and that chunk's spectrum, about eight grid-length
+    spectra, and the scored roi points with their squares.
     """
     chunk = min(scenario.m, _SLOT_CHUNK) * scenario.pulse.n
     per_run = 16 * (2 * chunk + 8 * scenario.grid + 2 * scored)

@@ -5,7 +5,8 @@ round-trip float formatting, written atomically so a crashed run never
 leaves a half-written table.  Every table gets a JSON sidecar manifest
 carrying the resolved parameters, seed, package version, and wall time.
 NaN or infinite values in a table are treated as upstream bugs and
-rejected; a deliberately empty cell is spelled None.
+rejected; a deliberately empty cell is spelled None.  Text inputs (gain,
+basis and alphabet files) are read through load_text.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import json
 import math
 import os
 import tempfile
+import warnings
+
+import numpy as np
 
 from . import __version__
 
 __all__ = [
+    "load_text",
     "format_cell",
     "emit_csv",
     "emit_text",
@@ -27,6 +32,20 @@ __all__ = [
 
 # characters that force a cell into quotes (RFC 4180)
 _SPECIAL = (',', '"', '\n', '\r')
+
+
+def load_text(path, ndmin: int, max_rows: int) -> np.ndarray:
+    """np.loadtxt of at most max_rows rows, refusing a file with no values.
+
+    numpy's warnings about empty input and about blank or comment lines are
+    silenced, so that a bad file ends in one error line and nothing else.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, ndmin=ndmin, max_rows=max_rows)
+    if data.size == 0:
+        raise ValueError(f"{path} holds no values")
+    return data
 
 
 def format_cell(value) -> str:

@@ -95,6 +95,24 @@ def test_text_loaders_stop_one_row_past_their_size(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == [data]
 
 
+@pytest.mark.parametrize("text", ["", "# a comment, then a blank line\n\n"],
+                         ids=["empty", "comments"])
+@pytest.mark.parametrize("flag, choice", [
+    ("constellation", "custom"), ("basis", "custom"), ("pulse", "file"),
+])
+def test_text_loaders_refuse_a_file_with_no_values(tmp_path, capsys, recwarn, flag, choice, text):
+    # padding no gains would give a brick-wall pulse: a file with no values is refused instead
+    data = tmp_path / "data.txt"
+    data.write_text(text)
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--n", "4", "--l", "2", f"--{flag}", choice,
+                f"--{flag}-file", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{data} holds no values" in err
+    assert [str(w.message) for w in recwarn] == []
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_acf_theory_rejects_bad_rolloff(tmp_path):
     out = tmp_path / "t.csv"
     code = run(["acf-theory", "--n", "16", "--l", "4", "--alpha", "1.5",

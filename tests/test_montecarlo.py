@@ -87,11 +87,21 @@ def _full_ifft_trials(config, lags):
     return mean_sq, se, mean, mean_sq - np.abs(mean) ** 2
 
 
-@pytest.mark.parametrize("kind, n, l", [("cdma", 8, 2), ("haar", 7, 3), ("ofdm", 7, 3)])
-def test_run_trials_half_spectrum_matches_full_ifft_oracle(kind, n, l):
+@pytest.mark.parametrize("kind, n, l, chunk", [
+    pytest.param("cdma", 8, 2, None, id="cdma-8-2"),
+    pytest.param("haar", 7, 3, None, id="haar-7-3"),
+    pytest.param("ofdm", 7, 3, None, id="ofdm-7-3"),
+    # m = 5 in slot chunks of 2, 2 and 1; the oracle draws all 5 slots at once
+    pytest.param("sc", 6, 3, 2, id="sc-6-3-slot-chunks"),
+])
+def test_run_trials_half_spectrum_matches_full_ifft_oracle(monkeypatch, kind, n, l, chunk):
+    m = 3
+    if chunk is not None:
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)
+        m = 5
     basis = _basis(kind, n, np.random.default_rng(32))
     lags = edge_lags(l * n)
-    cfg = _base_config(basis=basis, pulse=pul.rrc_spectrum(n, l, 0.5), trials=30, m=3,
+    cfg = _base_config(basis=basis, pulse=pul.rrc_spectrum(n, l, 0.5), trials=30, m=m,
                        lags=lags)
     res = mc.run_trials(cfg)
     np.testing.assert_array_equal(res.lags, lags)

@@ -100,7 +100,7 @@ def test_run_once_matches_time_domain_oracle(monkeypatch):
     symbols = con.sample_symbols(scene.constellation, (m, n), np.random.default_rng(2))
     oracle = _time_domain_profile(scene, symbols)
     np.testing.assert_allclose(profile, oracle, rtol=0, atol=1e-12 * oracle.max())
-    monkeypatch.setattr(rng_mod, "_SLOT_CHUNK", 2)
+    monkeypatch.setattr(mc, "_SLOT_CHUNK", 2)
     chunked = rng_mod.run_once(scene, np.random.default_rng(2))
     np.testing.assert_allclose(chunked, oracle, rtol=0, atol=1e-12 * oracle.max())
 
@@ -249,7 +249,7 @@ def _per_snr_reference(scene, truth, snr_grid, runs, seed):
         noise_var = 1.0 / (l * 10.0 ** (snr_db / 10.0))
         errors, hits = np.empty(runs), np.zeros(runs, dtype=bool)
         for run in range(runs):
-            rng = rng_mod._run_generator(seed, run)
+            rng = mc.stream(seed, mc._TAG_RANGING, run)
             drawn = _with_phases(scene, rng)
             profile = rng_mod.run_once(drawn, rng, noise_var)
             est_m = _estimate_range(profile, drawn.roi, bw, l)
@@ -285,13 +285,13 @@ def test_rmse_sweep_equals_per_snr_draws(monkeypatch, block):
 
 def test_rmse_sweep_draws_once_per_run_and_block(monkeypatch):
     calls = []
-    original = rng_mod._run_generator
+    original = rng_mod.stream
 
-    def counted(seed, run):
+    def counted(seed, tag, run):
         calls.append(run)
-        return original(seed, run)
+        return original(seed, tag, run)
 
-    monkeypatch.setattr(rng_mod, "_run_generator", counted)
+    monkeypatch.setattr(rng_mod, "stream", counted)
     scene, truth = _sweep_scene()
     rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
     assert calls == list(range(4))
@@ -310,7 +310,7 @@ def test_rmse_sweep_batches_equal_per_snr_draws(monkeypatch, case):
     elif case == "ragged-batch":
         monkeypatch.setattr(rng_mod, "_batch_runs", lambda scenario, scored: 3)
     elif case == "slot-chunks":
-        monkeypatch.setattr(rng_mod, "_SLOT_CHUNK", 2)
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", 2)
         scene = replace(scene, m=5)
     else:
         targets = [rng_mod.Target(4, 1.0), rng_mod.Target(20, 0.5),
