@@ -18,7 +18,6 @@ from .pulse import NyquistPulse, assemble_full_spectrum
 
 __all__ = [
     "AcfStats",
-    "all_lags",
     "fold_lags",
     "mean_acf",
     "expected_sq_acf",
@@ -42,13 +41,9 @@ class AcfStats:
         return self.squared_mean + self.variance
 
 
-def all_lags(pulse: NyquistPulse) -> np.ndarray:
-    return np.arange(pulse.l * pulse.n)
-
-
 def _as_lags(pulse: NyquistPulse, lags) -> np.ndarray:
     if lags is None:
-        return all_lags(pulse)
+        return np.arange(pulse.l * pulse.n)
     return np.atleast_1d(np.asarray(lags))
 
 

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import acfstats, constellation, modulation, pulse, ranging, shaping, tableio
-from .montecarlo import _TAG_PROFILE, TrialConfig, run_trials, stream
+from .montecarlo import TrialConfig, run_trials
 
 __all__ = ["run", "main", "NumericalFailure"]
 
@@ -52,16 +52,16 @@ class NumericalFailure(RuntimeError):
 # output plumbing
 
 
-def _emit_table(path, header, rows, command, params, seed, started) -> None:
-    """Write a CSV, or with header None one value per line, and its manifest."""
+def _emit_table(path, table, command, params, seed, started) -> None:
+    """Write a dict of equal-length columns as CSV or a sequence one per line, then a manifest."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     try:
-        if header is None:
-            tableio.emit_text(path, rows)
+        if isinstance(table, dict):
+            tableio.emit_csv(path, list(table), list(zip(*table.values(), strict=True)))
         else:
-            tableio.emit_csv(path, header, rows)
+            tableio.emit_text(path, table)
     except ValueError as exc:
         raise NumericalFailure(str(exc)) from exc
     tableio.write_manifest(path, command, params | {"out": str(path)}, seed,
@@ -75,22 +75,9 @@ def _floor_db(pul: pulse.NyquistPulse) -> np.ndarray:
 
 def _emit_acf_table(path, rrc, designed, command, params, seed, started) -> None:
     """Per-lag floors of the baseline and the designed pulse."""
-    rrc_db, designed_db = _floor_db(rrc), _floor_db(designed)
-    rows = [
-        [int(k), rrc_db[i], designed_db[i]]
-        for i, k in enumerate(acfstats.all_lags(rrc))
-    ]
-    _emit_table(path, ["lag", "rrc_db", "designed_db"], rows, command, params, seed, started)
-
-
-def _rel_db(profile: np.ndarray) -> np.ndarray:
-    """Profile in dB relative to its own peak, floored like acfstats."""
-    top = float(np.max(profile))
-    if top <= 0.0:
-        return np.full(len(profile), acfstats.DB_FLOOR)
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(profile / top)
-    return np.maximum(db, acfstats.DB_FLOOR)
+    table = {"lag": range(rrc.l * rrc.n), "rrc_db": _floor_db(rrc),
+             "designed_db": _floor_db(designed)}
+    _emit_table(path, table, command, params, seed, started)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +126,14 @@ def _cmd_acf_theory(args) -> dict:
     pul, basis, const = _waveform_from_args(args)
     kurt = constellation.kurtosis(const)
     stats = acfstats.expected_sq_acf(pul, basis, kurt, m=args.m)
-    iceberg = acfstats.to_db_of_peak(stats.squared_mean, args.n)
-    sea = acfstats.to_db_of_peak(stats.variance, args.n)
-    total = acfstats.to_db_of_peak(stats.total, args.n)
-    rows = [
-        [int(k), iceberg[i], sea[i], total[i]]
-        for i, k in enumerate(stats.lags)
-    ]
+    table = {
+        "lag": range(args.l * args.n),
+        "iceberg_db": acfstats.to_db_of_peak(stats.squared_mean, args.n),
+        "sea_db": acfstats.to_db_of_peak(stats.variance, args.n),
+        "total_db": acfstats.to_db_of_peak(stats.total, args.n),
+    }
     params = _waveform_params(args, pul) | {"kurtosis": kurt, "out": str(args.out)}
-    _emit_table(args.out, ["lag", "iceberg_db", "sea_db", "total_db"], rows,
-                "acf-theory", params, None, started)
+    _emit_table(args.out, table, "acf-theory", params, None, started)
     return params
 
 
@@ -163,20 +148,18 @@ def _cmd_acf_mc(args) -> dict:
     started = time.perf_counter()
     pul, basis, const = _waveform_from_args(args)
     theory, result = _theory_and_trials(const, basis, pul, args.m, args.trials, args.seed)
-    ref = float(args.n) ** 2
-    empirical = acfstats.to_db_of_peak(result.mean_sq, args.n)
-    expected = acfstats.to_db_of_peak(theory.total, args.n)
-    rows = [
-        [int(k), empirical[i], expected[i], result.se[i] / ref]
-        for i, k in enumerate(result.lags)
-    ]
+    table = {
+        "lag": range(args.l * args.n),
+        "empirical_db": acfstats.to_db_of_peak(result.mean_sq, args.n),
+        "theory_db": acfstats.to_db_of_peak(theory.total, args.n),
+        "stderr": result.se / float(args.n) ** 2,
+    }
     params = _waveform_params(args, pul) | {
         "kurtosis": constellation.kurtosis(const),
         "trials": args.trials,
         "out": str(args.out),
     }
-    _emit_table(args.out, ["lag", "empirical_db", "theory_db", "stderr"], rows,
-                "acf-mc", params, args.seed, started)
+    _emit_table(args.out, table, "acf-mc", params, args.seed, started)
     return params | {"seed": args.seed}
 
 
@@ -245,7 +228,7 @@ def _cmd_shape(args) -> dict:
                                   args.tol, args.max_iter)
     params |= {"region": args.region, "region_units": args.region_units}
     if args.out_spectrum:
-        _emit_table(args.out_spectrum, None, result.pulse.g, "shape", params, None, started)
+        _emit_table(args.out_spectrum, result.pulse.g, "shape", params, None, started)
     if args.out_acf:
         _emit_acf_table(args.out_acf, rrc, result.pulse, "shape", params, None, started)
     return params
@@ -452,28 +435,19 @@ def _resolve_range_config(cfg: dict, runs: int | None = None, seed: int | None =
 
     snr_grid = [float(v) for v in sweep["snr_db"]]
     profile_snr = float(max(snr_grid) if top["profile_snr_db"] is None else top["profile_snr_db"])
-    echo = {
-        "n": n,
-        "l": l,
+    echo = {key: v for key, v in top.items() if key != "sweep"} | {
         "alpha": alpha,
         "bandwidth_hz": bw,
-        "m": top["m"],
-        "targets": top["targets"],
         "roi_m": [float(v) for v in top["roi_m"]],
-        "methods": top["methods"],
         "snr_db": snr_grid,
         "runs": sweep["runs"],
-        "seed": top["seed"],
-        "estimate": top["estimate"],
         "profile_snr_db": profile_snr,
     }
     if top["estimate"] is None:
         tracked = min(targets, key=lambda t: abs(t.amplitude))
     else:
         tracked = next(t for t in targets if t.label == top["estimate"])
-    scene = {key: echo[key] for key in ("l", "bandwidth_hz", "snr_db", "runs", "seed",
-                                        "profile_snr_db")}
-    return echo, scene | {
+    return echo, {
         "targets": tuple(targets),
         "roi": tuple(roi),
         "tracked": tracked,
@@ -493,7 +467,7 @@ def _resolve_range_config(cfg: dict, runs: int | None = None, seed: int | None =
 # range-sim pipeline, shared with the ranging recipes
 
 
-def _build_scenarios(scene: dict) -> list[tuple[str, ranging.RangingScenario]]:
+def _build_scenarios(echo: dict, scene: dict) -> list[tuple[str, ranging.RangingScenario]]:
     """One scenario per method, designing each distinct pending pulse once, in method order."""
     designed: dict[tuple, pulse.NyquistPulse] = {}
 
@@ -509,7 +483,7 @@ def _build_scenarios(scene: dict) -> list[tuple[str, ranging.RangingScenario]]:
     return [
         (name, ranging.RangingScenario(
             const, basis, ready(pul), scene["targets"], scene["roi"], m=m,
-            bandwidth_hz=scene["bandwidth_hz"],
+            bandwidth_hz=echo["bandwidth_hz"],
         ))
         for name, const, basis, m, pul in scene["methods"]
     ]
@@ -517,41 +491,27 @@ def _build_scenarios(scene: dict) -> list[tuple[str, ranging.RangingScenario]]:
 
 def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: str,
                     started: float) -> None:
-    """Run the scene's sweep and profiles and write both tables; echo is for manifests."""
-    scenarios = _build_scenarios(scene)
-    snr_grid, runs, seed = scene["snr_db"], scene["runs"], scene["seed"]
+    """Run the scene's sweep and profiles at the echo's settings; write both tables."""
+    scenarios = _build_scenarios(echo, scene)
+    n, l, bw, seed = echo["n"], echo["l"], echo["bandwidth_hz"], echo["seed"]
     geometry, ref = scene["geometry"], scene["amplitude_ref"]
-    header = ["snr_db"]
-    columns = []
+    rmse = {"snr_db": echo["snr_db"]}
     for name, scenario in scenarios:
-        rows = ranging.rmse_sweep(scenario, geometry["true_range_m"], snr_grid, runs, seed, ref)
-        header += [f"{name}_rmse_m", f"{name}_rmse_hits_m", f"{name}_success_rate"]
-        columns.append(rows)
-    table = []
-    for i, snr in enumerate(snr_grid):
-        row: list = [float(snr)]
-        for rows in columns:
-            hits = rows[i]["rmse_hits_m"]
-            row += [rows[i]["rmse_m"], None if math.isnan(hits) else hits, rows[i]["success_rate"]]
-        table.append(row)
+        rows = ranging.rmse_sweep(scenario, geometry["true_range_m"], echo["snr_db"],
+                                  echo["runs"], seed, ref)
+        hits = (row["rmse_hits_m"] for row in rows)  # NaN when no run hits: an empty cell
+        rmse[f"{name}_rmse_m"] = [row["rmse_m"] for row in rows]
+        rmse[f"{name}_rmse_hits_m"] = [None if math.isnan(v) else v for v in hits]
+        rmse[f"{name}_success_rate"] = [row["success_rate"] for row in rows]
     params = echo | geometry | {
         "snr_definition": "strong-path per-sample received power over noise variance",
     }
-    _emit_table(rmse_path, header, table, command, params, seed, started)
-
-    snr = scene["profile_snr_db"]
-    bw, l = scene["bandwidth_hz"], scene["l"]
-    noise_var = ref**2 / (l * 10.0 ** (snr / 10.0))
-    profiles = []
-    for idx, (name, scenario) in enumerate(scenarios):
-        rng = stream(seed, _TAG_PROFILE, idx)
-        profiles.append(_rel_db(ranging.run_once(scenario, rng, noise_var)))
-    rows = [
-        [ranging.range_for_lag(lag, bw, l)] + [p[lag] for p in profiles]
-        for lag in range(scenarios[0][1].grid)
-    ]
-    _emit_table(profile_path, ["range_m"] + [f"{name}_db" for name, _ in scenarios], rows,
-                command, params | {"profile_snr_db": snr}, seed, started)
+    _emit_table(rmse_path, rmse, command, params, seed, started)
+    profiles = {"range_m": [ranging.range_for_lag(lag, bw, l) for lag in range(l * n)]} | {
+        f"{name}_db": ranging.profile_db(scenario, echo["profile_snr_db"], seed, index, ref)
+        for index, (name, scenario) in enumerate(scenarios)
+    }
+    _emit_table(profile_path, profiles, command, params, seed, started)
 
 
 def _cmd_range_sim(args) -> dict:
@@ -634,20 +594,17 @@ _RECIPES = {
 def _mc_recipe(name: str, recipe: dict, args) -> list[str]:
     started = time.perf_counter()
     pul = pulse.rrc_spectrum(_FIG_N, _FIG_L, _FIG_ALPHA)
-    header, columns = ["lag"], []
+    table = {"lag": range(_FIG_N * _FIG_L)}
     if recipe.get("pulse_db"):
-        header.append("pulse_db")
-        columns.append(_floor_db(pul))
+        table["pulse_db"] = _floor_db(pul)
     for label, const_name, basis_name, m in recipe["curves"]:
         theory, result = _theory_and_trials(
             constellation.from_name(const_name),
             modulation.make_basis(basis_name, _FIG_N),
             pul, m, args.trials, args.seed,
         )
-        header += [f"theory_{label}_db", f"empirical_{label}_db"]
-        columns += [acfstats.to_db_of_peak(theory.total, _FIG_N),
-                    acfstats.to_db_of_peak(result.mean_sq, _FIG_N)]
-    rows = [[k] + [column[k] for column in columns] for k in range(_FIG_N * _FIG_L)]
+        table[f"theory_{label}_db"] = acfstats.to_db_of_peak(theory.total, _FIG_N)
+        table[f"empirical_{label}_db"] = acfstats.to_db_of_peak(result.mean_sq, _FIG_N)
     path = f"{args.out_dir}/{name}.csv"
     params = {
         "recipe": name,
@@ -657,7 +614,7 @@ def _mc_recipe(name: str, recipe: dict, args) -> list[str]:
         "alpha": _FIG_ALPHA,
         "trials": args.trials,
     }
-    _emit_table(path, header, rows, "reproduce", params, args.seed, started)
+    _emit_table(path, table, "reproduce", params, args.seed, started)
     return [path]
 
 
@@ -669,9 +626,8 @@ def _psl_recipe(name: str, recipe: dict, args) -> list[str]:
     acf_path = f"{args.out_dir}/{name}_acf.csv"
     _emit_acf_table(acf_path, rrc, result.pulse, "reproduce", params, args.seed, started)
     spectrum_path = f"{args.out_dir}/{name}_spectrum.csv"
-    rows = [[i, rrc.g[i], result.pulse.g[i]] for i in range(_FIG_N)]
-    _emit_table(spectrum_path, ["bin", "rrc", "designed"], rows, "reproduce", params,
-                args.seed, started)
+    table = {"bin": range(_FIG_N), "rrc": rrc.g, "designed": result.pulse.g}
+    _emit_table(spectrum_path, table, "reproduce", params, args.seed, started)
     return [acf_path, spectrum_path]
 
 
@@ -712,17 +668,19 @@ def _cmd_reproduce(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    wave = argparse.ArgumentParser(add_help=False)
-    wave.add_argument("--constellation", default="qam16",
-                      help="pskM, qamM, gaussian, or custom (with --constellation-file)")
-    wave.add_argument("--constellation-file", help="two-column re/im alphabet file")
-    wave.add_argument("--basis", default="sc", choices=["sc", "ofdm", "cdma", "custom"])
-    wave.add_argument("--basis-file", help="row-major re/im unitary matrix file")
-    wave.add_argument("--pulse", default="rrc", choices=["rrc", "file"])
-    wave.add_argument("--pulse-file", help="gain file, one value per line")
-    wave.add_argument("--n", type=int, default=128, help="symbols per block")
-    wave.add_argument("--l", type=int, default=10, help="oversampling factor")
-    wave.add_argument("--alpha", type=float, default=0.35, help="roll-off factor")
+    grid = argparse.ArgumentParser(add_help=False)  # shared by shape and the waveform flags
+    grid.add_argument("--n", type=int, default=_FIG_N, help="symbols per block")
+    grid.add_argument("--l", type=int, default=_FIG_L, help="oversampling factor")
+    grid.add_argument("--alpha", type=float, default=_FIG_ALPHA, help="roll-off factor")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--constellation", default="qam16",
+                        help="pskM, qamM, gaussian, or custom (with --constellation-file)")
+    inputs.add_argument("--constellation-file", help="two-column re/im alphabet file")
+    inputs.add_argument("--basis", default="sc", choices=["sc", "ofdm", "cdma", "custom"])
+    inputs.add_argument("--basis-file", help="row-major re/im unitary matrix file")
+    inputs.add_argument("--pulse", default="rrc", choices=["rrc", "file"])
+    inputs.add_argument("--pulse-file", help="gain file, one value per line")
+    wave = argparse.ArgumentParser(add_help=False, parents=[inputs, grid])
     wave.add_argument("--m", type=int, default=1, help="slots averaged coherently")
 
     parser = argparse.ArgumentParser(
@@ -744,13 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(handler=_cmd_acf_mc)
 
-    sp = sub.add_parser("shape", help="design in-band gains against a lag window")
+    sp = sub.add_parser("shape", parents=[grid], help="design in-band gains against a lag window")
     sp.add_argument("--objective", default="psl", choices=["isl", "psl"])
     sp.add_argument("--region", required=True, help="window as lo:hi")
     sp.add_argument("--region-units", default="symbol", choices=["symbol", "lag"])
-    sp.add_argument("--alpha", type=float, default=0.35)
-    sp.add_argument("--n", type=int, default=128)
-    sp.add_argument("--l", type=int, default=10)
     sp.add_argument("--tol", type=float, default=None, help="psl relative duality gap")
     sp.add_argument("--max-iter", type=int, default=None, help="Lawson step or active-set cap")
     sp.add_argument("--out-spectrum", help="designed gains, one per line (loadable)")

@@ -124,9 +124,8 @@ def from_text_file(path, n: int) -> ModulationBasis:
     """
     data = load_text(path, ndmin=2, max_rows=n * n + 1)
     if data.shape != (n * n, 2):
-        got = f"more than {n * n} rows" if len(data) > n * n else f"shape {data.shape}"
-        raise ValueError(
-            f"expected {n * n} rows of (re, im) for an {n}x{n} basis, got {got}"
-        )
+        got = f"more than {n * n} rows" if len(data) > n * n else f"values of shape {data.shape}"
+        raise ValueError(f"{path} holds {got}; expected {n * n} rows of (re, im) "
+                         f"for a {n}x{n} basis")
     u = (data[:, 0] + 1j * data[:, 1]).reshape(n, n)
     return make_basis("custom", n, u)

@@ -15,6 +15,8 @@ and scores every SNR point by adding the scaled noise term on the lags
 it searches.  One kernel serves a single profile and a batch of sweep
 runs alike; each run still draws from its own generator, and its slots
 come from montecarlo.drawn_power, the draw that Monte Carlo trials use.
+The SNR rule (noise_variance) serves both the sweep and the illustrative
+profiles in dB of their own peak (profile_db).
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acfstats import DB_FLOOR
 from .constellation import ConstellationSpec
 from .modulation import ModulationBasis
-from .montecarlo import _SLOT_CHUNK, _TAG_RANGING, drawn_power, stream
+from .montecarlo import _SLOT_CHUNK, _TAG_PROFILE, _TAG_RANGING, drawn_power, stream
 from .pulse import NyquistPulse
 
 __all__ = [
@@ -36,7 +39,9 @@ __all__ = [
     "lag_for_range",
     "range_for_lag",
     "resolution_cell_m",
+    "noise_variance",
     "run_once",
+    "profile_db",
     "rmse_sweep",
 ]
 
@@ -117,6 +122,15 @@ def resolution_cell_m(bandwidth_hz: float, l: int) -> float:
     return range_per_lag_m(bandwidth_hz, l) * l
 
 
+def noise_variance(snr_db: float, l: int, amplitude_ref: float = 1.0) -> float:
+    """Noise variance at snr_db, the strong path's per-sample power over that variance.
+
+    Each sample carries amplitude_ref^2 / l of signal power, so
+    noise_var = amplitude_ref^2 / (l * 10^(snr/10)).
+    """
+    return amplitude_ref**2 / (l * 10.0 ** (snr_db / 10.0))
+
+
 def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0) -> np.ndarray:
     """Integrated range profiles |mean of m matched-filter outputs|^2.
 
@@ -138,6 +152,21 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0)
     grid = scenario.grid
     profiles = _profiles(scenario, [rng], amplitudes, variances.reshape(-1), (0, grid - 1))
     return profiles[0].reshape(variances.shape + (grid,))
+
+
+def profile_db(scenario: RangingScenario, snr_db: float, seed: int, index: int,
+               amplitude_ref: float = 1.0) -> np.ndarray:
+    """Illustrative range profile in dB of its own peak, floored at DB_FLOOR.
+
+    One run_once at the SNR's noise_variance, drawn from
+    stream(seed, _TAG_PROFILE, index), apart from every sweep run.
+    """
+    noise_var = noise_variance(snr_db, scenario.pulse.l, amplitude_ref)
+    profile = run_once(scenario, stream(seed, _TAG_PROFILE, index), noise_var)
+    top = float(np.max(profile))
+    with np.errstate(divide="ignore"):  # an all-zero profile sits on the floor
+        db = 10.0 * np.log10(np.zeros_like(profile) if top == 0.0 else profile / top)
+    return np.maximum(db, DB_FLOOR)
 
 
 def _profiles(
@@ -186,9 +215,7 @@ def rmse_sweep(
 ) -> list[dict[str, float]]:
     """Range error statistics of the roi peak across an SNR grid.
 
-    SNR is the strong-path per-sample received power over the noise
-    variance: each sample carries amplitude_ref^2 / l of signal power, so
-    noise_var = amplitude_ref^2 / (l * 10^(snr/10)).  Run r draws target
+    Each SNR point sets its noise_variance.  Run r draws target
     phases, symbols and noise from its own stream, and every SNR point
     scores that one draw, so rows are independent of execution order.
     Each block of _SNR_BLOCK points redraws run r from scratch.  Runs are
@@ -208,7 +235,7 @@ def rmse_sweep(
     rows = []
     for start in range(0, len(snr_grid_db), _SNR_BLOCK):
         block = snr_grid_db[start:start + _SNR_BLOCK]
-        variances = np.array([amplitude_ref**2 / (l * 10.0 ** (snr_db / 10.0)) for snr_db in block])
+        variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
         batch = _batch_runs(scenario, len(block) * (hi - lo + 1))
         errors = np.empty((len(block), runs))
         for first in range(0, runs, batch):

@@ -92,6 +92,7 @@ def test_text_loaders_stop_one_row_past_their_size(tmp_path, capsys, monkeypatch
                 f"--{flag}-file", str(data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+    assert str(data) in err
     assert list(tmp_path.iterdir()) == [data]
 
 
@@ -544,6 +545,21 @@ def test_negative_table_value_exits_numerical(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure: FloatingPointError: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_short_table_column_exits_numerical(tmp_path, capsys, monkeypatch):
+    # a column one value short of the lag column must not truncate the table
+    exact = acfstats.to_db_of_peak
+
+    def short(*args, **kwargs):
+        return exact(*args, **kwargs)[:-1]
+
+    monkeypatch.setattr(acfstats, "to_db_of_peak", short)
+    code = run(["acf-theory", "--n", "8", "--l", "2", "--out", str(tmp_path / "t.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: NumericalFailure: ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from acfshape import acfstats
 from acfshape import constellation as con
 from acfshape import modulation as mod
 from acfshape import montecarlo as mc
@@ -206,6 +207,32 @@ def test_rmse_sweep_reports_nan_when_nothing_hits():
     assert np.isnan(rows[0]["rmse_hits_m"])
 
 
+def test_noise_variance_sets_the_strong_path_snr():
+    # amplitude_ref^2 / l per sample over the noise variance, in dB
+    for snr_db in (-20.0, 0.0, 13.0):
+        var = rng_mod.noise_variance(snr_db, 4, amplitude_ref=2.0)
+        assert 10.0 * np.log10(4.0 / 4 / var) == pytest.approx(snr_db, abs=1e-12)
+    assert rng_mod.noise_variance(10.0, 2) == pytest.approx(0.05, rel=1e-15)
+
+
+def test_profile_db_is_its_own_stream_in_db_of_its_peak():
+    scene = _scenario(n=16, l=2, targets=[rng_mod.Target(4, 1.0), rng_mod.Target(20, 0.1)], m=3)
+    db = rng_mod.profile_db(scene, 20.0, seed=7, index=2, amplitude_ref=2.0)
+    raw = rng_mod.run_once(scene, mc.stream(7, mc._TAG_PROFILE, 2), 4.0 / (2 * 10.0**2))
+    assert db.max() == 0.0 and db.shape == (scene.grid,)
+    assert np.array_equal(db, np.maximum(10.0 * np.log10(raw / raw.max()), acfstats.DB_FLOOR))
+    assert not np.array_equal(db, rng_mod.profile_db(scene, 20.0, seed=7, index=3,
+                                                     amplitude_ref=2.0))
+
+
+def test_profile_db_floors_an_all_zero_profile(recwarn):
+    # no target power and no noise: every lag sits on the floor, with no warning
+    scene = _scenario(targets=[rng_mod.Target(4, 0.0)])
+    db = rng_mod.profile_db(scene, 0.0, seed=0, index=0, amplitude_ref=0.0)
+    assert np.array_equal(db, np.full(scene.grid, acfstats.DB_FLOOR))
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_target_phase_redraw_keeps_magnitudes():
     scene = _scenario(
         n=16, l=2,
@@ -242,7 +269,11 @@ def _with_phases(scenario, rng):
 
 
 def _per_snr_reference(scene, truth, snr_grid, runs, seed):
-    """rmse_sweep as one fresh draw per (SNR, run), the loop it replaced."""
+    """rmse_sweep as one fresh draw per (SNR, run), the loop it replaced.
+
+    Each run is scored by _one_fft_profiles, which draws all m slots in one
+    sample_symbols call, so it shares no slot-draw code with rmse_sweep.
+    """
     bw, l = scene.bandwidth_hz, scene.pulse.l
     rows = []
     for snr_db in snr_grid:
@@ -251,7 +282,7 @@ def _per_snr_reference(scene, truth, snr_grid, runs, seed):
         for run in range(runs):
             rng = mc.stream(seed, mc._TAG_RANGING, run)
             drawn = _with_phases(scene, rng)
-            profile = rng_mod.run_once(drawn, rng, noise_var)
+            profile = _one_fft_profiles(drawn, rng, [noise_var])[0]
             est_m = _estimate_range(profile, drawn.roi, bw, l)
             errors[run] = est_m - truth
             hits[run] = _detection_success(est_m, truth, bw, l)
