@@ -507,11 +507,12 @@ def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: s
         "snr_definition": "strong-path per-sample received power over noise variance",
     }
     _emit_table(rmse_path, rmse, command, params, seed, started)
-    profiles = {"range_m": [ranging.range_for_lag(lag, bw, l) for lag in range(l * n)]} | {
+    profiles = {  # drawn first, so that the range column is not held through the draws
         f"{name}_db": ranging.profile_db(scenario, echo["profile_snr_db"], seed, index, ref)
         for index, (name, scenario) in enumerate(scenarios)
     }
-    _emit_table(profile_path, profiles, command, params, seed, started)
+    table = {"range_m": [ranging.range_for_lag(lag, bw, l) for lag in range(l * n)]} | profiles
+    _emit_table(profile_path, table, command, params, seed, started)
 
 
 def _cmd_range_sim(args) -> dict:
