@@ -673,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--n", type=int, default=_FIG_N, help="symbols per block")
     grid.add_argument("--l", type=int, default=_FIG_L, help="oversampling factor")
     grid.add_argument("--alpha", type=float, default=_FIG_ALPHA, help="roll-off factor")
-    inputs = argparse.ArgumentParser(add_help=False)
+    inputs = argparse.ArgumentParser(add_help=False)  # listed ahead of the grid in --help
     inputs.add_argument("--constellation", default="qam16",
                         help="pskM, qamM, gaussian, or custom (with --constellation-file)")
     inputs.add_argument("--constellation-file", help="two-column re/im alphabet file")
