@@ -59,7 +59,12 @@ def _emit_table(path, table, command, params, seed, started) -> None:
         os.makedirs(parent, exist_ok=True)
     try:
         if isinstance(table, dict):
-            tableio.emit_csv(path, list(table), list(zip(*table.values(), strict=True)))
+            rows = len(next(iter(table.values())))
+            for name, column in table.items():
+                if len(column) != rows:
+                    raise ValueError(f"{path}: column {name!r} holds {len(column)} values, "
+                                     f"the first column {rows}")
+            tableio.emit_csv(path, list(table), list(zip(*table.values())))
         else:
             tableio.emit_text(path, table)
     except ValueError as exc:

@@ -87,20 +87,26 @@ def emit_csv(path, header: list[str], rows) -> None:
                 f"{path}: row of width {len(row)} against header of width {width}"
             )
         quoted = []
-        for value in row:
-            cell = format_cell(value)
-            # only a string can hold a separator, quote or line break: the
-            # numbers, booleans and empty cells format_cell writes never do
-            if isinstance(value, str) and any(ch in cell for ch in _SPECIAL):
-                cell = '"' + cell.replace('"', '""') + '"'
-            quoted.append(cell)
+        try:
+            for value in row:
+                cell = format_cell(value)
+                # only a string can hold a separator, quote or line break: the
+                # numbers, booleans and empty cells format_cell writes never do
+                if isinstance(value, str) and any(ch in cell for ch in _SPECIAL):
+                    cell = '"' + cell.replace('"', '""') + '"'
+                quoted.append(cell)
+        except ValueError as exc:  # the cell that failed is the next one to quote
+            raise ValueError(f"{path}: column {header[len(quoted)]!r}: {exc}") from None
         lines.append(",".join(quoted))
     _atomic_write(str(path), "\n".join(lines) + "\n")
 
 
 def emit_text(path, values) -> None:
     """Write scalar values one per line (the loadable gain-file format)."""
-    lines = [format_cell(v) for v in values]
+    try:
+        lines = [format_cell(v) for v in values]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     _atomic_write(str(path), "\n".join(lines) + "\n")
 
 

@@ -556,10 +556,33 @@ def test_short_table_column_exits_numerical(tmp_path, capsys, monkeypatch):
         return exact(*args, **kwargs)[:-1]
 
     monkeypatch.setattr(acfstats, "to_db_of_peak", short)
-    code = run(["acf-theory", "--n", "8", "--l", "2", "--out", str(tmp_path / "t.csv")])
+    out = tmp_path / "t.csv"
+    code = run(["acf-theory", "--n", "8", "--l", "2", "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure: NumericalFailure: ")
+    assert str(out) in err and "'iceberg_db'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_table_cell_exits_numerical(tmp_path, capsys, monkeypatch):
+    # a NaN in the second dB column (sea_db) names the file and that column
+    exact, calls = acfstats.to_db_of_peak, []
+
+    def nan_in_second(*args, **kwargs):
+        values = exact(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            values[3] = np.nan
+        return values
+
+    monkeypatch.setattr(acfstats, "to_db_of_peak", nan_in_second)
+    out = tmp_path / "t.csv"
+    code = run(["acf-theory", "--n", "8", "--l", "2", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numerical failure: NumericalFailure: ")
+    assert str(out) in err and "'sea_db'" in err and "nan" in err
     assert list(tmp_path.iterdir()) == []
 
 

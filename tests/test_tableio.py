@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ def test_nan_rejected_and_no_partial_file(tmp_path):
         tableio.emit_csv(path, ["v"], [[float("nan")]])
     assert not path.exists()
     assert [p for p in os.listdir(tmp_path) if p.endswith(".part")] == []
+
+
+def test_gain_file_nan_names_the_file(tmp_path):
+    path = tmp_path / "gains.txt"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: non-finite")):
+        tableio.emit_text(path, [0.5, float("nan")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_sidecar(tmp_path):
