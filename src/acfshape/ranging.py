@@ -12,11 +12,13 @@ builds the signals or the echoes.  The noise variance belongs to the
 run, not the scene, and the inverse FFT is linear, so a run takes two
 inverse FFTs, one of the target echo and one of its unit noise record,
 and scores every SNR point by adding the scaled noise term on the lags
-it searches.  One kernel serves a single profile and a batch of sweep
-runs alike; each run still draws from its own generator, and its slots
-come from montecarlo.drawn_power, the draw that Monte Carlo trials use.
-The SNR rule (noise_variance) serves both the sweep and the illustrative
-profiles in dB of their own peak (profile_db).
+it searches.  The power spectrum is zero outside the pulse's band, the
+n bins from 0 and the n bins up to l*n - 1, so the noise record is drawn
+on those 2n bins only.  One kernel serves a single profile and a batch
+of sweep runs alike; each run still draws from its own generator, and
+its slots come from montecarlo.drawn_power, the draw that Monte Carlo
+trials use.  The SNR rule (noise_variance) serves both the sweep and the
+illustrative profiles in dB of their own peak (profile_db).
 """
 
 from __future__ import annotations
@@ -142,8 +144,10 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0)
     The DFT of white circular noise is white, so given the symbols W is
     circular Gaussian, independent per bin, with variance
     noise_var * l * n * P: one draw replaces the m per-slot noise records.
-    A 1-D noise_var gives one row per variance, all from the same draw;
-    the unit noise record is always drawn, after the symbols.
+    P is zero outside the pulse's band, so W is drawn on its 2n bins only.
+    A 1-D noise_var gives one row per variance, all from the same draw.
+    The generator gives the symbols, then the unit noise record of 4n
+    normals, always drawn, even at zero variance.
     """
     variances = np.asarray(noise_var, dtype=float)
     if variances.ndim > 1 or not np.all(variances >= 0):
@@ -179,23 +183,30 @@ def _profiles(
     """run_once for a batch of runs, on the inclusive lag window only.
 
     Run b draws from rngs[b] (symbols through drawn_power, then the unit
-    noise record, real part first) and its targets carry
-    amplitudes[b].  With S = sqrt(l * n * P / 2) and unit noise V,
+    noise record) and its targets carry amplitudes[b].  The pulse puts
+    P on the band's 2n bins, 0..n-1 and (l-1)*n..l*n-1, and nowhere else,
+    so the record is 2n real parts, then 2n imaginary parts, on those bins
+    in that order, and V is zero elsewhere; at l = 2 the band is the whole
+    grid.  With S = sqrt(l * n * P / 2),
     ifft(P * H + sqrt(v) * S * V) = ifft(P * H) + sqrt(v) * ifft(S * V),
     so two inverse FFTs serve every variance.  Returns shape
     (runs, variances, hi - lo + 1).
     """
-    m, grid = scenario.m, scenario.grid
+    m, grid, l, n = scenario.m, scenario.grid, scenario.pulse.l, scenario.pulse.n
     power = drawn_power(scenario.constellation, scenario.basis, scenario.pulse, m, rngs)
-    noise = np.empty((len(rngs), 2, grid))
+    noise = np.empty((len(rngs), 2, 2, n))
     for rng, record in zip(rngs, noise):
         rng.standard_normal(out=record)
     channel = np.zeros((len(rngs), grid), dtype=complex)
     channel[:, [t.delay for t in scenario.targets]] = amplitudes
     lo, hi = window
     echo = np.fft.ifft(power * np.fft.fft(channel, axis=-1), axis=-1)[:, None, lo:hi + 1]
-    scale = np.sqrt(grid * power / 2.0)
-    spread = np.fft.ifft(scale * (noise[:, 0] + 1j * noise[:, 1]), axis=-1)[:, None, lo:hi + 1]
+    # the band is blocks 0 and l - 1 of the (l, n) view; P is zero on the rest
+    band = np.zeros((len(rngs), l, n), dtype=complex)
+    occupied = band[:, ::l - 1]
+    occupied.real, occupied.imag = noise[:, 0], noise[:, 1]
+    occupied *= np.sqrt(grid * power.reshape(-1, l, n)[:, ::l - 1] / 2.0)
+    spread = np.fft.ifft(band.reshape(-1, grid), axis=-1)[:, None, lo:hi + 1]
     return np.abs((echo + np.sqrt(variances)[:, None] * spread) / m) ** 2
 
 
@@ -253,12 +264,15 @@ def rmse_sweep(
 
 
 def _batch_runs(scenario: RangingScenario, scored: int) -> int:
-    """Sweep runs per batch, so that the batch's workspace fits _BATCH_BYTES.
+    """Sweep runs per batch, so that the arrays a batch allocates fit _BATCH_BYTES.
 
-    Per run, in complex entries: the drawn_power workspace of one slot
-    chunk of symbols and that chunk's spectrum, about eight grid-length
-    spectra, and the scored roi points with their squares.
+    Per run, in complex entries: one slot chunk of symbols and its
+    spectrum (drawn_power), the power spectrum and its accumulator (one
+    grid together, being real), the channel, its FFT, the echo spectrum
+    and its inverse, the band noise spectrum and its inverse, the band
+    record and its scale (4n together, being real), and the scored roi
+    points with their sum and squares.
     """
     chunk = min(scenario.m, _SLOT_CHUNK) * scenario.pulse.n
-    per_run = 16 * (2 * chunk + 8 * scenario.grid + 2 * scored)
+    per_run = 16 * (2 * chunk + 7 * scenario.grid + 4 * scenario.pulse.n + 3 * scored)
     return max(1, _BATCH_BYTES // per_run)

@@ -295,18 +295,19 @@ def _per_snr_reference(scene, truth, snr_grid, runs, seed):
     return rows
 
 
-def _sweep_scene():
+def _sweep_scene(l=2):
     # a weak target beside a strong one: low SNR misses some runs, high SNR hits all
     targets = [rng_mod.Target(4, 1.0), rng_mod.Target(20, 0.5)]
-    scene = _scenario(n=16, l=2, targets=targets, roi=(12, 28), m=2)
-    return scene, rng_mod.range_for_lag(20, scene.bandwidth_hz, 2)
+    scene = _scenario(n=16, l=l, targets=targets, roi=(12, 28), m=2)
+    return scene, rng_mod.range_for_lag(20, scene.bandwidth_hz, l)
 
 
-@pytest.mark.parametrize("block", [None, 2])
-def test_rmse_sweep_equals_per_snr_draws(monkeypatch, block):
+# at l = 2 the pulse's band is the whole grid; l = 3 leaves a block of bins empty
+@pytest.mark.parametrize("block, l", [(None, 2), (2, 2), (None, 3)], ids=["None", "2", "l3"])
+def test_rmse_sweep_equals_per_snr_draws(monkeypatch, block, l):
     if block is not None:
         monkeypatch.setattr(rng_mod, "_SNR_BLOCK", block)
-    scene, truth = _sweep_scene()
+    scene, truth = _sweep_scene(l)
     grid = [-10.0, 0.0, 30.0]
     rows = rng_mod.rmse_sweep(scene, truth, grid, runs=8, seed=3)
     assert rows == _per_snr_reference(scene, truth, grid, runs=8, seed=3)
@@ -353,26 +354,45 @@ def test_rmse_sweep_batches_equal_per_snr_draws(monkeypatch, case):
 
 
 def _one_fft_profiles(scenario, rng, variances):
-    """run_once as it was before the noise term was split off: one inverse FFT per variance."""
+    """run_once as it was before the noise term was split off: one inverse FFT per variance.
+
+    The unit noise record is the band record run_once draws: 2n real parts,
+    then 2n imaginary parts, on bins 0..n-1 and (l-1)*n..l*n-1, zero elsewhere.
+    """
     n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
     symbols = con.sample_symbols(scenario.constellation, (m, n), rng)
     power = mc.slot_power(scenario.pulse, scenario.basis, symbols)
     channel = np.zeros(grid, dtype=complex)
     for t in scenario.targets:
         channel[t.delay] = t.amplitude
-    noise = rng.standard_normal(grid) + 1j * rng.standard_normal(grid)
+    noise = np.zeros(grid, dtype=complex)
+    noise[np.r_[0:n, grid - n:grid]] = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
     scale = np.sqrt(np.asarray(variances)[:, None] * grid * power / 2.0)
     spectrum = power * np.fft.fft(channel) + scale * noise
     return np.abs(np.fft.ifft(spectrum) / m) ** 2
 
 
 def test_split_noise_matches_one_fft_formula():
-    scene = _scenario(
-        n=16, l=4, targets=[rng_mod.Target(3, 1.0), rng_mod.Target(40, 0.1j)], m=3
-    )
-    variances = [0.0, 0.05, 2.0]
-    split = rng_mod.run_once(scene, np.random.default_rng(9), variances)
-    oracle = _one_fft_profiles(scene, np.random.default_rng(9), variances)
-    assert np.array_equal(split[0], oracle[0])  # noiseless: the echo term alone
-    for got, want in zip(split[1:], oracle[1:]):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+    # l = 3 and 5 put the band's two blocks apart on the grid
+    for l in (4, 3, 5):
+        scene = _scenario(
+            n=16, l=l, targets=[rng_mod.Target(3, 1.0), rng_mod.Target(40, 0.1j)], m=3
+        )
+        variances = [0.0, 0.05, 2.0]
+        split = rng_mod.run_once(scene, np.random.default_rng(9), variances)
+        oracle = _one_fft_profiles(scene, np.random.default_rng(9), variances)
+        assert np.array_equal(split[0], oracle[0])  # noiseless: the echo term alone
+        for got, want in zip(split[1:], oracle[1:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+
+
+@pytest.mark.parametrize("l", [2, 3, 10])
+def test_run_once_draws_symbols_then_4n_normals(l):
+    n, m = 16, 3
+    scene = _scenario(n=n, l=l, targets=[rng_mod.Target(5, 1.0)], m=m)
+    rng = np.random.default_rng(11)
+    rng_mod.run_once(scene, rng, [0.0, 0.5])
+    fresh = np.random.default_rng(11)
+    con.sample_symbols(scene.constellation, (m, n), fresh)
+    fresh.standard_normal(4 * n)
+    assert np.array_equal(rng.random(8), fresh.random(8))
