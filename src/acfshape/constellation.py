@@ -1,10 +1,10 @@
 """Constellation alphabets: geometry, validation, moments, and sampling.
 
-A constellation is a finite complex alphabet with point probabilities (or the
-continuous circular Gaussian).  Every alphabet accepted here is normalized to
-unit average power and must have zero mean and zero pseudo-variance E(s^2);
-those properties are what make the ACF statistics depend on the alphabet only
-through its fourth moment E|s|^4.
+A constellation is a finite complex alphabet whose points are equiprobable
+(or the continuous circular Gaussian).  Every alphabet accepted here is
+normalized to unit average power and must have zero mean and zero
+pseudo-variance E(s^2); those properties are what make the ACF statistics
+depend on the alphabet only through its fourth moment E|s|^4.
 """
 
 from __future__ import annotations
@@ -33,67 +33,54 @@ __all__ = [
 _ATOL = 1e-12
 
 # largest alphabet, named or custom: an order is a user parameter, and the
-# points, probabilities and sampler table each hold that many entries
+# points array holds that many entries
 _MAX_ORDER = 1 << 16
 
 
 @dataclass(frozen=True)
 class ConstellationSpec:
-    """A validated symbol alphabet.
+    """A validated alphabet of equiprobable points.
 
-    kind is one of "psk", "qam", "gaussian", "custom".  For "gaussian" the
-    points/probs arrays are empty and sampling draws from the circular
-    complex normal with unit power.
+    kind is one of "psk", "qam", "gaussian", "custom".  Each point is drawn
+    with probability 1/size, so a point listed twice weighs twice.  For
+    "gaussian" the points array is empty and sampling draws from the
+    circular complex normal with unit power.
     """
 
     kind: str
     points: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
-    probs: np.ndarray = field(default_factory=lambda: np.empty(0, float))
     name: str = ""
-    # sampler table: point i is drawn for u in [_edges[i], _edges[i+1]),
-    # and a u in bucket floor(u * size) lies at or after point _start[bucket]
-    _edges: np.ndarray = field(init=False, repr=False, compare=False)
-    _start: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=complex))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.kind != "gaussian":
-            _validate(self.points, self.probs)
-            cum = np.cumsum(self.probs)
-            cum[-1] = 1.0  # guard the last edge against rounding
-            buckets = np.arange(cum.size) / cum.size
-            object.__setattr__(self, "_edges", np.concatenate([[0.0], cum]))
-            object.__setattr__(self, "_start", np.searchsorted(cum, buckets, side="right"))
+            _validate(self.points)
 
     @property
     def size(self) -> int:
         return self.points.size
 
+    @property
+    def probs(self) -> np.ndarray:
+        """Point probabilities, 1/size each (empty for the Gaussian)."""
+        return np.full(self.size, 1.0 / max(self.size, 1))
 
-def _validate(points: np.ndarray, probs: np.ndarray) -> None:
+
+def _validate(points: np.ndarray) -> None:
     if points.size == 0:
         raise ValueError("constellation has no points")
     _check_order(points.size)
-    if points.shape != probs.shape:
-        raise ValueError(
-            f"points and probs shapes differ: {points.shape} vs {probs.shape}"
-        )
-    if not np.all(np.isfinite(points.view(float))) or not np.all(np.isfinite(probs)):
+    if not np.all(np.isfinite(points)):
         raise ValueError("constellation contains non-finite entries")
-    if np.any(probs < 0):
-        idx = int(np.argmin(probs))
-        raise ValueError(f"negative probability {probs[idx]} at index {idx}")
-    total = probs.sum()
-    if abs(total - 1.0) > _ATOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_ATOL}")
-    power = float(np.dot(probs, np.abs(points) ** 2))
+    # huge finite points overflow to an infinite power, which is refused below
+    with np.errstate(over="ignore"):
+        power = float(np.mean(np.abs(points) ** 2))
     if abs(power - 1.0) > _ATOL:
         raise ValueError(f"mean power is {power!r}, expected 1 within {_ATOL}")
-    mean = complex(np.dot(probs, points))
+    mean = complex(np.mean(points))
     if abs(mean) > _ATOL:
         raise ValueError(f"mean is {mean!r}, expected 0 within {_ATOL}")
-    pseudo = complex(np.dot(probs, points**2))
+    pseudo = complex(np.mean(points**2))
     if abs(pseudo) > _ATOL:
         raise ValueError(
             f"pseudo-variance E(s^2) is {pseudo!r}, expected 0 within {_ATOL}; "
@@ -111,7 +98,7 @@ def psk(m: int) -> ConstellationSpec:
         raise ValueError("PSK order must be >= 3 (BPSK has nonzero pseudo-variance)")
     _check_order(m)
     pts = np.exp(2j * np.pi * np.arange(m) / m)
-    return ConstellationSpec("psk", pts, np.full(m, 1.0 / m), name=f"psk{m}")
+    return ConstellationSpec("psk", pts, name=f"psk{m}")
 
 
 def qam(m: int) -> ConstellationSpec:
@@ -131,7 +118,7 @@ def qam(m: int) -> ConstellationSpec:
     grid = levels[None, :] + 1j * levels[:, None]
     pts = grid.reshape(-1)
     pts = pts / np.sqrt(np.mean(np.abs(pts) ** 2))
-    return ConstellationSpec("qam", pts, np.full(m, 1.0 / m), name=f"qam{m}")
+    return ConstellationSpec("qam", pts, name=f"qam{m}")
 
 
 def _check_order(m: int) -> None:
@@ -144,12 +131,9 @@ def gaussian() -> ConstellationSpec:
     return ConstellationSpec("gaussian", name="gaussian")
 
 
-def custom(points, probs=None, name: str = "custom") -> ConstellationSpec:
-    """Validated custom alphabet; probs defaults to uniform."""
-    points = np.asarray(points, dtype=complex)
-    if probs is None:
-        probs = np.full(points.size, 1.0 / max(points.size, 1))
-    return ConstellationSpec("custom", points, np.asarray(probs, float), name=name)
+def custom(points, name: str = "custom") -> ConstellationSpec:
+    """Validated custom alphabet of equiprobable points."""
+    return ConstellationSpec("custom", points, name=name)
 
 
 def ring_points(radius: float, count: int, phase0: float = 0.0) -> np.ndarray:
@@ -206,7 +190,7 @@ def from_name(name: str) -> ConstellationSpec:
 def from_text_file(path, name: str = "") -> ConstellationSpec:
     """Load a custom alphabet from a two-column (re, im) text file.
 
-    Points get uniform probabilities.  The usual validation applies, so the
+    Points are equiprobable.  The usual validation applies, so the
     file must describe a unit-power, zero-mean, zero-pseudo-variance alphabet.
     Reading stops one row past the largest supported order, so an
     oversized file is refused without being read to its end.
@@ -219,7 +203,7 @@ def from_text_file(path, name: str = "") -> ConstellationSpec:
         )
     if data.shape[1] != 2:
         raise ValueError(f"expected two columns (re, im) in {path}, got {data.shape[1]}")
-    pts = data[:, 0] + 1j * data[:, 1]
+    pts = np.ascontiguousarray(data).view(complex)[:, 0]  # 1j * inf would warn
     return custom(pts, name=name or str(path))
 
 
@@ -227,7 +211,7 @@ def kurtosis(spec: ConstellationSpec) -> float:
     """Normalized fourth moment E|s|^4 (unit power makes this the kurtosis)."""
     if spec.kind == "gaussian":
         return 2.0
-    return float(np.dot(spec.probs, np.abs(spec.points) ** 4))
+    return float(np.mean(np.abs(spec.points) ** 4))
 
 
 def sample_symbols(
@@ -237,30 +221,11 @@ def sample_symbols(
 ) -> np.ndarray:
     """Draw i.i.d. symbols from the alphabet; count may be a shape tuple.
 
-    Each symbol is the inverse-CDF image of one uniform u from
-    rng.random(count), found through the spec's guide table (Chen & Asau,
-    1974; Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4)
-    instead of a binary search: u starts at the first point its bucket
-    floor(u * size) can hit, steps forward past every edge at or below u,
-    and steps back while u is below the point's lower edge, which happens
-    when u * size rounds up across a bucket edge (psk13 has such u).  The
-    index is the one a binary search of the cumulative probabilities,
-    np.searchsorted(_edges[1:], u, side="right"), gives, so streams and
-    output bytes are those of a binary search.
+    A finite alphabet takes one draw of uniform point indices,
+    rng.integers(0, size, count), which numpy makes by Lemire's
+    multiply-and-reject method (ACM TOMACS 29(1), 2019).
     """
     if spec.kind == "gaussian":
         z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         return z / np.sqrt(2.0)
-    lower, upper, start = spec._edges[:-1], spec._edges[1:], spec._start
-    u = rng.random(count)
-    # u < 1 keeps u * size below size, even after rounding
-    idx = start[(u * start.size).astype(np.intp)]
-    ahead = u >= upper[idx]
-    while ahead.any():  # a bucket holding several edges takes several steps
-        idx += ahead
-        ahead = u >= upper[idx]
-    behind = u < lower[idx]
-    while behind.any():
-        idx -= behind
-        behind = u < lower[idx]
-    return spec.points[idx]
+    return spec.points[rng.integers(0, spec.size, count)]

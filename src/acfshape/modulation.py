@@ -55,8 +55,11 @@ class ModulationBasis:
         u = np.ascontiguousarray(np.asarray(self.u, dtype=complex))
         if u.shape != (self.n, self.n):
             raise ValueError(f"basis matrix has shape {u.shape}, expected {(self.n, self.n)}")
-        gram_err = np.linalg.norm(u.conj().T @ u - np.eye(self.n))
-        if gram_err > _UNITARY_TOL:
+        if not np.all(np.isfinite(u)):
+            raise ValueError("basis matrix contains non-finite entries")
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or nan error
+            gram_err = np.linalg.norm(u.conj().T @ u - np.eye(self.n))
+        if not gram_err <= _UNITARY_TOL:
             raise ValueError(
                 f"basis is not unitary: ||U^H U - I||_F = {gram_err:.3e} > {_UNITARY_TOL}"
             )
@@ -127,5 +130,5 @@ def from_text_file(path, n: int) -> ModulationBasis:
         got = f"more than {n * n} rows" if len(data) > n * n else f"values of shape {data.shape}"
         raise ValueError(f"{path} holds {got}; expected {n * n} rows of (re, im) "
                          f"for a {n}x{n} basis")
-    u = (data[:, 0] + 1j * data[:, 1]).reshape(n, n)
+    u = np.ascontiguousarray(data).view(complex).reshape(n, n)  # 1j * inf would warn
     return make_basis("custom", n, u)

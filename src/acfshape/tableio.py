@@ -37,12 +37,15 @@ _SPECIAL = (',', '"', '\n', '\r')
 def load_text(path, ndmin: int, max_rows: int) -> np.ndarray:
     """np.loadtxt of at most max_rows rows, refusing a file with no values.
 
-    numpy's warnings about empty input and about blank or comment lines are
-    silenced, so that a bad file ends in one error line and nothing else.
+    numpy's warnings on empty input and on blank or comment lines are
+    silenced and a parse error names the file: one error line per bad file.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, ndmin=ndmin, max_rows=max_rows)
+        try:
+            data = np.loadtxt(path, ndmin=ndmin, max_rows=max_rows)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if data.size == 0:
         raise ValueError(f"{path} holds no values")
     return data

@@ -1,5 +1,7 @@
 """End-to-end CLI checks: exit codes, file contracts, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +116,80 @@ def test_text_loaders_refuse_a_file_with_no_values(tmp_path, capsys, recwarn, fl
     assert err.count("\n") == 1 and f"{data} holds no values" in err
     assert [str(w.message) for w in recwarn] == []
     assert list(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("flag, choice", [
+    ("constellation", "custom"), ("basis", "custom"), ("pulse", "file"),
+])
+def test_text_loaders_name_the_file_of_a_parse_error(tmp_path, capsys, flag, choice):
+    data = tmp_path / "data.txt"
+    data.write_text("not a number\n1 0\n")
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--n", "4", "--l", "2", f"--{flag}", choice,
+                f"--{flag}-file", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "could not convert" in err
+    assert str(data) in err
+    assert list(tmp_path.iterdir()) == [data]
+
+
+@pytest.mark.parametrize("flag, rows, message", [
+    ("basis", ["nan 0", "0 0", "0 0", "1 0"], "non-finite"),
+    ("basis", ["1 0", "0 0", "0 0", "-inf 0"], "non-finite"),
+    ("basis", ["1e308 1e308"] * 4, "not unitary"),
+    ("constellation", ["1e308 1e308", "-1e308 -1e308"], "mean power is inf"),
+    ("constellation", ["1 0", "0 inf", "-1 0", "0 -1"], "non-finite"),
+], ids=["basis-nan", "basis-inf", "basis-huge", "constellation-huge", "constellation-inf"])
+def test_text_loaders_refuse_non_finite_and_huge_entries(tmp_path, capsys, recwarn,
+                                                         flag, rows, message):
+    # nan fails every > comparison, so only an explicit check keeps it out of the tables
+    data = tmp_path / "data.txt"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--n", "2", "--l", "2", f"--{flag}", "custom",
+                f"--{flag}-file", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert [str(w.message) for w in recwarn] == []
+    assert list(tmp_path.iterdir()) == [data]
+
+
+_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5**0.5, -(0.5**0.5), 5e-324, 1e-300,
+                            1e308, -1e308, math.nan, math.inf, -math.inf]) | st.floats()
+_NAMES = st.sampled_from(["qam16", "psk8", "gaussian", "psk2", "qam8", "psk65537"]) | st.text()
+
+
+def _rows(count):
+    return st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=count[0], max_size=count[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 4]), st.data())
+def test_alphabet_and_basis_flags_fuzz(n, data):
+    # valid input writes the table; anything else exits 2 with one line,
+    # no traceback, no warning and no file
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "t.csv")
+        argv = ["acf-theory", "--n", str(n), "--l", "2", "--out", out]
+        for flag, count in (("constellation", (1, 8)), ("basis", (n * n, n * n + 1))):
+            if data.draw(st.booleans(), label=f"{flag} file"):
+                path = os.path.join(tmp, f"{flag}.txt")
+                rows = data.draw(_rows(count), label=f"{flag} rows")
+                with open(path, "w") as handle:
+                    handle.writelines(f"{x!r} {y!r}\n" for x, y in rows)
+                argv += [f"--{flag}", "custom", f"--{flag}-file", path]
+            elif flag == "constellation":
+                argv.append(f"--constellation={data.draw(_NAMES, label='name')}")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run(argv)
+        assert code in (0, 2), err.getvalue()
+        assert err.getvalue().count("\n") == (code == 2)
+        assert "Traceback" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        assert os.path.exists(out) == (code == 0)
 
 
 def test_acf_theory_rejects_bad_rolloff(tmp_path):

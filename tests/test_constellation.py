@@ -54,8 +54,6 @@ def test_moment_validation_rejections():
     with pytest.raises(ValueError):
         con.custom([2.0, -2.0, 2.0j, -2.0j])  # power 4, not 1
     with pytest.raises(ValueError):
-        con.custom([1.0, -1.0, 1.0j], probs=[0.5, 0.5, 0.5])
-    with pytest.raises(ValueError):
         con.custom([np.nan, 1.0])
 
 
@@ -119,13 +117,12 @@ def test_sample_symbols_gaussian_and_shapes():
 
 
 def test_nonuniform_probabilities_respected():
-    # 8-PSK split into two interleaved 4-point subsets with different
-    # weights; each subset alone has zero mean and zero pseudo-variance,
-    # so any weighting between them validates
+    # 8-PSK split into two interleaved 4-point subsets, the axis points
+    # listed four times each: every listed point weighs 1/20, so the axis
+    # subset draws 0.8 and each subset alone has zero mean and pseudo-variance
     rng = np.random.default_rng(13)
     points = np.exp(1j * np.pi * np.arange(8) / 4)
-    probs = np.where(np.arange(8) % 2 == 0, 0.2, 0.05)
-    spec = con.custom(points, probs=probs)
+    spec = con.custom(np.concatenate([points] + 3 * [points[::2]]))
     draws = con.sample_symbols(spec, 100_000, rng)
     axis_aligned = np.abs(draws.real * draws.imag) < 1e-9
     assert np.mean(axis_aligned) == pytest.approx(0.8, abs=0.01)
@@ -146,85 +143,52 @@ def test_psk_property(m):
     assert np.abs(np.sum(spec.probs * spec.points)) < 1e-12
 
 
-def _searchsorted_oracle(spec, u):
-    """The binary-search sampler the guide table replaces."""
-    cum = np.cumsum(spec.probs)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right")
-
-
-class _FixedUniforms:
-    """Stands in for a generator whose random(count) returns chosen values."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, count):
-        assert count == self.u.shape
-        return self.u.copy()
-
-
-def _zero_probability_alphabet():
-    # axis points weigh 0.15 and diagonal points 0.1 (each subset has zero
-    # mean and pseudo-variance); zero-weight points sit first, in runs and
-    # last, so a draw past 0.15 in the bucket [1/12, 2/12) steps three times
-    axis = [1, 1j, -1, -1j]
+def _repeated_point_alphabet():
+    # the axis points listed twice and the diagonal points once: each subset
+    # has zero mean and pseudo-variance, and each axis point weighs 2/12
+    axis = np.array([1, 1j, -1, -1j])
     diag = np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4)
-    zero = np.exp(1j * np.pi * np.array([1, 2, 3, 4]) / 6)
-    points = [axis[0], zero[0], zero[1], diag[0], axis[1], zero[2], diag[1],
-              axis[2], diag[2], axis[3], diag[3], zero[3]]
-    probs = [0.15, 0, 0, 0.1, 0.15, 0, 0.1, 0.15, 0.1, 0.15, 0.1, 0]
-    return con.custom(points, probs=probs, name="weighted+zeros")
+    return con.custom(np.concatenate([axis, diag, axis]), name="axis-twice")
 
 
 def _oracle_alphabets():
-    nonuniform = con.custom(
-        np.exp(1j * np.pi * np.arange(8) / 4),
-        probs=np.where(np.arange(8) % 2 == 0, 0.2, 0.05),
-        name="psk8-weighted",
-    )
-    # psk13 has uniforms a few ulps below a cum entry whose u * 13 rounds
-    # up into the next bucket, which only the step back corrects
     named = [con.psk(3), con.psk(5), con.psk(13), con.psk(16), con.qam(16), con.qam(1024),
              con.qam(65536)]
-    return named + [con.two_ring_mix(), nonuniform, _zero_probability_alphabet()]
-
-
-def _edge_uniforms(spec, rng):
-    """Random u, every cum entry and j/K with four floats either side, 0 and 1-."""
-    cum = np.cumsum(spec.probs)
-    cum[-1] = 1.0
-    edges = np.concatenate([cum, np.arange(spec.size + 1) / spec.size])
-    below, above = [edges], [edges]
-    for _ in range(4):
-        below.append(np.nextafter(below[-1], 0.0))
-        above.append(np.nextafter(above[-1], 2.0))
-    u = np.concatenate([rng.random(10_000), *below, *above[1:], [0.0, np.nextafter(1.0, 0.0)]])
-    return u[(u >= 0.0) & (u < 1.0)]
+    return named + [con.two_ring_mix(), _repeated_point_alphabet()]
 
 
 @pytest.mark.parametrize("spec", _oracle_alphabets(), ids=lambda spec: spec.name)
-def test_sampler_picks_the_binary_search_index(spec):
-    u = _edge_uniforms(spec, np.random.default_rng(21))
-    oracle = spec.points[_searchsorted_oracle(spec, u)]
-    np.testing.assert_array_equal(con.sample_symbols(spec, u.shape, _FixedUniforms(u)), oracle)
-    # a shape tuple reads the same uniforms in the same order
-    square = u[: u.size // 4 * 4].reshape(-1, 4)
-    drawn = con.sample_symbols(spec, square.shape, _FixedUniforms(square))
-    np.testing.assert_array_equal(drawn, oracle[: square.size].reshape(square.shape))
-
-
-def test_sampler_skips_zero_probability_points():
-    spec = _zero_probability_alphabet()
-    u = _edge_uniforms(spec, np.random.default_rng(22))
-    drawn = con.sample_symbols(spec, u.shape, _FixedUniforms(u))
-    assert set(drawn.tolist()) == set(spec.points[spec.probs > 0].tolist())
+def test_sampler_picks_the_integer_index(spec):
+    for count in (10_000, (250, 4)):
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        drawn = con.sample_symbols(spec, count, rng)
+        np.testing.assert_array_equal(drawn, spec.points[twin.integers(0, spec.size, count)])
 
 
 @pytest.mark.parametrize("spec", [con.qam(16), con.psk(5), con.two_ring_mix(),
-                                  _zero_probability_alphabet()], ids=lambda spec: spec.name)
-def test_sampler_consumes_one_uniform_per_symbol(spec):
+                                  _repeated_point_alphabet()], ids=lambda spec: spec.name)
+def test_sampler_consumes_one_integer_per_symbol(spec):
     rng, twin = np.random.default_rng(23), np.random.default_rng(23)
     con.sample_symbols(spec, (7, 9), rng)
-    twin.random((7, 9))
+    twin.integers(0, spec.size, (7, 9))
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_sampler_draws_every_point_of_a_custom_alphabet():
+    spec = con.custom(con.ring_points(1.0, 7), name="ring7")
+    drawn = con.sample_symbols(spec, 500, np.random.default_rng(24))
+    assert set(drawn.tolist()) == set(spec.points.tolist())
+
+
+@pytest.mark.parametrize("spec", [con.psk(5), con.qam(16), con.two_ring_mix(),
+                                  _repeated_point_alphabet()], ids=lambda spec: spec.name)
+def test_sampler_frequencies_match_the_point_counts(spec):
+    # every listed point weighs 1/size, so a distinct value weighs its
+    # multiplicity over size; counts lie within 5 standard deviations
+    draws = 120_000
+    values, index = np.unique(spec.points, return_inverse=True)
+    expect = draws * np.bincount(index) / spec.size
+    drawn = con.sample_symbols(spec, draws, np.random.default_rng(25))
+    counts = np.array([np.sum(drawn == v) for v in values])
+    assert counts.sum() == draws
+    np.testing.assert_array_less(np.abs(counts - expect), 5 * np.sqrt(expect))
