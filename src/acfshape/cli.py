@@ -16,7 +16,7 @@ non-finite or negative value reaching an output table, or any other
 unexpected error).  A fixed seed at a fixed BLAS thread count gives
 byte-identical output files; the closed forms, Monte Carlo and RRC
 ranging give the same bytes at one and two threads (tested), designed
-pulses do not yet.
+pulses did in a one-off check that no test repeats.
 """
 
 from __future__ import annotations
@@ -472,32 +472,35 @@ def _resolve_range_config(cfg: dict, runs: int | None = None, seed: int | None =
 # range-sim pipeline, shared with the ranging recipes
 
 
-def _build_scenarios(echo: dict, scene: dict) -> list[tuple[str, ranging.RangingScenario]]:
-    """One scenario per method, designing each distinct pending pulse once, in method order."""
-    designed: dict[tuple, pulse.NyquistPulse] = {}
+def _build_scenarios(echo: dict, scene: dict) -> tuple[list, dict]:
+    """One scenario per method, designing each distinct pending pulse once, in method order.
 
-    def ready(pul):
-        if not isinstance(pul, shaping.ShapingSpec):
-            return pul
-        # ShapingSpec holds an array and is unhashable; key on its values
-        key = (pul.n, pul.l, pul.alpha, pul.region.tobytes(), pul.objective)
-        if key not in designed:
-            designed[key] = _design_or_fail(pul).pulse
-        return designed[key]
-
-    return [
-        (name, ranging.RangingScenario(
-            const, basis, ready(pul), scene["targets"], scene["roi"], m=m,
+    Also returns the solver statistics of each designed method, by name.
+    """
+    designed: dict[tuple, shaping.ShapingResult] = {}
+    stats = {}
+    scenarios = []
+    for name, const, basis, m, pul in scene["methods"]:
+        if isinstance(pul, shaping.ShapingSpec):
+            # ShapingSpec holds an array and is unhashable; key on its values
+            key = (pul.n, pul.l, pul.alpha, pul.region.tobytes(), pul.objective)
+            if key not in designed:
+                designed[key] = _design_or_fail(pul)
+            result = designed[key]
+            stats[name] = {"iterations": result.iterations, "value": result.value,
+                           "gap": result.gap}
+            pul = result.pulse
+        scenarios.append((name, ranging.RangingScenario(
+            const, basis, pul, scene["targets"], scene["roi"], m=m,
             bandwidth_hz=echo["bandwidth_hz"],
-        ))
-        for name, const, basis, m, pul in scene["methods"]
-    ]
+        )))
+    return scenarios, stats
 
 
 def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: str,
                     started: float) -> None:
     """Run the scene's sweep and profiles at the echo's settings; write both tables."""
-    scenarios = _build_scenarios(echo, scene)
+    scenarios, designs = _build_scenarios(echo, scene)
     n, l, bw, seed = echo["n"], echo["l"], echo["bandwidth_hz"], echo["seed"]
     geometry, ref = scene["geometry"], scene["amplitude_ref"]
     rmse = {"snr_db": echo["snr_db"]}
@@ -510,6 +513,7 @@ def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: s
         rmse[f"{name}_success_rate"] = [row["success_rate"] for row in rows]
     params = echo | geometry | {
         "snr_definition": "strong-path per-sample received power over noise variance",
+        "designs": designs,
     }
     _emit_table(rmse_path, rmse, command, params, seed, started)
     profiles = {  # drawn first, so that the range column is not held through the draws

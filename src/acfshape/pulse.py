@@ -108,9 +108,14 @@ def from_text_file(path, n: int, l: int) -> NyquistPulse:
     The file either lists all n gains, or just the transition segment; a
     shorter file is padded symmetrically with the flat zero and one runs,
     so a design tool only needs to store the part it actually chose.
-    Reading stops at line n + 1, so a longer file is refused unread.
+    Reading stops at line n + 1, so a longer file is refused unread, and a
+    line holding more than one value is refused.
     """
-    vals = load_text(path, ndmin=1, max_rows=n + 1)
+    rows = load_text(path, ndmin=2, max_rows=n + 1)
+    if rows.shape[1] != 1:
+        raise ValueError(f"{path} holds {rows.shape[1]} values on a line; "
+                         "expected one gain per line")
+    vals = rows[:, 0]
     if vals.size == n:
         return NyquistPulse(n, l, vals, name="file")
     if vals.size < n and (n - vals.size) % 2 == 0:

@@ -88,17 +88,26 @@ def sidelobe_maps(n: int, l: int, lags: np.ndarray) -> tuple[np.ndarray, np.ndar
     spectrum reads from.
     """
     lags = np.asarray(lags)
-    f = np.exp(-2j * np.pi * np.outer(np.arange(n), lags) / (l * n)) / np.sqrt(n)
-    lam = np.exp(-2j * np.pi * lags / l)
-    a_mat = np.sqrt(n) * (f.conj() * (1.0 - lam)[None, :]).T[:, ::-1]
-    c = np.sqrt(n) * lam * f.conj().sum(axis=0)
-    return a_mat, c
+    # phases reduced to one turn in integers, so that block lags give exact
+    # zero rows; the table is built in place, one array of its size at a time
+    turns = np.outer(lags, np.arange(n - 1, -1, -1))
+    turns %= l * n
+    table = turns * (2j * np.pi / (l * n))
+    np.exp(table, out=table)
+    lam = np.exp(-2j * np.pi * (lags % l) / l)
+    c = lam * table.sum(axis=1)
+    table *= (1.0 - lam)[:, None]
+    return table, c
 
 
 def region_metrics(pulse: NyquistPulse, lags: np.ndarray) -> dict[str, float]:
     """Summed and peak squared-mean ACF over a lag window."""
-    a_mat, c = sidelobe_maps(pulse.n, pulse.l, lags)
-    floor = np.abs(a_mat @ pulse.g + c) ** 2
+    return _metrics(*sidelobe_maps(pulse.n, pulse.l, lags), pulse.g)
+
+
+def _metrics(a_mat, c, g) -> dict[str, float]:
+    """Sum and peak of |A g + c|^2, from maps already built."""
+    floor = np.abs(a_mat @ g + c) ** 2
     return {"isl": float(np.sum(floor)), "psl": float(np.max(floor))}
 
 
@@ -114,19 +123,21 @@ def design_pulse(
     h = cumsum(z) with z >= 0, nondecreasing and nonnegative by
     construction, under sum(h) = w/2 and h_last + s = 1 with a slack
     s >= 0.  isl is one exact active-set solve, psl Lawson's reweighting
-    around it, both from the raised-cosine gains; with w <= 1 those gains
-    come back as they are.  tol (psl only) is the relative duality gap and
-    max_iter caps the Lawson steps (psl) or active-set iterations (isl).
+    around it with an exchange-Newton finish, both from the brick-wall
+    gains (a vertex of the feasible set); with w <= 1 the raised-cosine
+    gains come back as they are.  tol (psl only) is the relative duality
+    gap and max_iter caps the Lawson and Newton steps together (psl) or the
+    active-set iterations (isl).
     """
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if tol is not None and (spec.objective == "isl" or not 0 < tol < 1):
         raise ValueError(f"tol must be a psl relative gap in (0, 1) (isl is exact), got {tol}")
     n, l = spec.n, spec.l
-    rrc = rrc_spectrum(n, l, spec.alpha)
     w = rolloff_bin_count(n, spec.alpha)
     zeros = (n - w) // 2
     if w <= 1:
+        rrc = rrc_spectrum(n, l, spec.alpha)
         value = region_metrics(rrc, spec.region)[spec.objective]
         return ShapingResult(rrc, spec, value, 0, 0.0, 0.0, True)
 
@@ -141,7 +152,10 @@ def design_pulse(
     b = -(c_full + a_full @ template)
     e = np.vstack([np.append(np.arange(w, 0, -1), 0.0), np.ones(w + 1)])
     f = np.array([w / 2, 1.0])
-    x0 = np.append(np.diff(rrc.g[seg], prepend=0.0), 1.0 - rrc.g[seg][-1])
+    # the brick-wall gains: a vertex of {x >= 0, E x = f}, so that the first
+    # faces are small and of full rank
+    x0 = np.zeros(w + 1)
+    x0[w // 2:(w + 1) // 2 + 1] = 1.0 if w % 2 == 0 else 0.5
 
     opts = {k: v for k, v in (("tol", tol), ("max_iter", max_iter)) if v is not None}
     if spec.objective == "isl":
@@ -157,5 +171,5 @@ def design_pulse(
     g = template.copy()
     g[seg] = np.clip(h, 0.0, 1.0)
     pulse = NyquistPulse(n, l, g, name=f"designed-{spec.objective}", alpha=w / n)
-    value = region_metrics(pulse, spec.region)[spec.objective]
+    value = _metrics(a_full, c_full, pulse.g)[spec.objective]
     return ShapingResult(pulse, spec, value, res.iterations, gap, violation, res.converged)

@@ -133,6 +133,19 @@ def test_text_loaders_name_the_file_of_a_parse_error(tmp_path, capsys, flag, cho
     assert list(tmp_path.iterdir()) == [data]
 
 
+def test_pulse_file_refuses_a_line_of_several_gains(tmp_path, capsys):
+    # the README documents one gain per line; a single row of four would
+    # otherwise flatten into four gains
+    data = tmp_path / "data.txt"
+    data.write_text("1 1 0.5 0.5\n")
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--n", "4", "--l", "2", "--pulse", "file",
+                "--pulse-file", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{data} holds 4 values on a line" in err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 @pytest.mark.parametrize("flag, rows, message", [
     ("basis", ["nan 0", "0 0", "0 0", "1 0"], "non-finite"),
     ("basis", ["1 0", "0 0", "0 0", "-inf 0"], "non-finite"),
@@ -314,6 +327,33 @@ def test_design_manifests_report_solver_stats(tmp_path, capsys):
                 "--objective", "isl", "--out-spectrum", str(gains)]) == 0
     params = json.loads(open(tableio.manifest_path(gains)).read())["parameters"]
     assert params["gap"] == 0.0 and params["iterations"] >= 1
+    capsys.readouterr()
+
+
+def _manifest_parameters(path) -> dict:
+    return json.loads(pathlib.Path(tableio.manifest_path(path)).read_text())["parameters"]
+
+
+@pytest.mark.parametrize("objective", ["isl", "psl"])
+@pytest.mark.parametrize("region", ["389:390", "389:391"])
+def test_shape_converges_on_exact_fits(tmp_path, capsys, objective, region):
+    # the gains can match these windows exactly: the optimum is round-off
+    gains = tmp_path / "g.txt"
+    assert run(["shape", "--n", "128", "--l", "10", "--region", region,
+                "--region-units", "lag", "--objective", objective,
+                "--out-spectrum", str(gains)]) == 0
+    params = _manifest_parameters(gains)
+    assert params["baseline_value"] > 1e-8 and params["objective_value"] < 1e-24
+    assert params["gap"] == 0.0
+    capsys.readouterr()
+
+
+def test_shape_psl_reaches_a_tight_gap(tmp_path, capsys):
+    gains = tmp_path / "g.txt"
+    assert run(["shape", "--n", "128", "--l", "10", "--region", "10:30", "--objective", "psl",
+                "--tol", "1e-8", "--out-spectrum", str(gains)]) == 0
+    params = _manifest_parameters(gains)
+    assert 0.0 <= params["gap"] <= 1e-8 and params["iterations"] < 1_000
     capsys.readouterr()
 
 
@@ -530,6 +570,22 @@ def test_range_sim_designs_each_distinct_pulse_once(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json", methods=methods)
     assert run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")]) == 0
     assert len(designs) == 2 and designs[0] != designs[1]  # a and b share one design
+
+
+def test_range_sim_manifests_record_each_design(tmp_path, capsys):
+    methods = [_RRC, _DESIGNED | {"name": "a", "region": [2, 6]},
+               _DESIGNED | {"name": "b", "region": [2, 6], "objective": "psl"}]
+    cfg = _write_config(tmp_path / "cfg.json", methods=methods)
+    prefix = str(tmp_path / "rs")
+    assert run(["range-sim", "--config", str(cfg), "--out-prefix", prefix]) == 0
+    for table in ("_rmse.csv", "_profile.csv"):
+        designs = _manifest_parameters(prefix + table)["designs"]
+        assert sorted(designs) == ["a", "b"]
+        for name, stats in designs.items():
+            assert sorted(stats) == ["gap", "iterations", "value"]
+            assert stats["iterations"] >= 1 and stats["value"] > 0
+        assert designs["a"]["gap"] == 0.0 and 0.0 <= designs["b"]["gap"] <= 1e-4
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("estimate, range_m", [("weak", 9.0), ("strong", 3.0)])

@@ -255,3 +255,72 @@ def test_minimax_face_changes_after_the_first_step(seed, monkeypatch):
     # both values are attained maxima; each must sit above the other's bound
     assert ref.value >= res.value * (1 - res.gap)
     assert res.value >= ref.value * (1 - ref.gap)
+
+
+@pytest.mark.parametrize("w, seed", [(5, 3032128458), (6, 3934870575)])
+def test_exact_fits_converge(w, seed):
+    # two rows over a w-dimensional box: the optimum fits both exactly, so
+    # the multipliers at the answer are round-off and must test as zero
+    rng = np.random.default_rng(seed)
+    a0, b0 = rng.standard_normal((2, w)), rng.standard_normal(2)
+    lo = rng.uniform(-2.0, 0.0, w)
+    a, b, e, f, x0 = _boxed(a0, b0, lo, lo + rng.uniform(0.1, 2.0, w))
+    qp = solve_box_qp(a, b, e, f, x0)
+    assert qp.converged and qp.value <= 1e-28 * float(b @ b)
+    assert _kkt_violation(a, b, e, f, qp) <= 1e-12
+    mm = solve_minimax(a, b, e, f, x0)
+    assert mm.converged and mm.gap == 0.0 and mm.value <= 1e-28 * float(b @ b)
+
+
+def _complex_instance(rng, w, rows, boxed):
+    """A complex minimax instance: rows over a w-dimensional box, or over the
+    design's two equality rows with w + 1 coordinates."""
+    if boxed:
+        a0 = rng.standard_normal((rows, w)) + 1j * rng.standard_normal((rows, w))
+        b0 = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        lo = rng.uniform(-2.0, 0.0, w)
+        return _boxed(a0, b0, lo, lo + rng.uniform(0.1, 2.0, w))
+    e, f, x0 = _design_rows(w)
+    a = rng.standard_normal((rows, w + 1)) + 1j * rng.standard_normal((rows, w + 1))
+    return a, rng.standard_normal(rows) + 1j * rng.standard_normal(rows), e, f, x0
+
+
+def _agrees_with_minimax_oracle(problem):
+    """solve_minimax converges wherever the Lawson oracle does, and each
+    value sits above the other's certified lower bound value (1 - gap).
+
+    Both values are attained maxima of |r_k|^2, so the comparison allows
+    round-off only: 1e-12 relative, or 1e-20 |b|^2 at an exact fit.
+    """
+    res, ref = solve_minimax(*problem), oracle_minimax(*problem)
+    assert res.converged or not ref.converged
+    if res.converged and ref.converged:
+        slack = 1e-20 * float(np.sum(np.abs(problem[1]) ** 2))
+        assert ref.value >= res.value * (1 - res.gap - 1e-12) - slack
+        assert res.value >= ref.value * (1 - ref.gap - 1e-12) - slack
+    return res
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1))
+def test_minimax_matches_the_lawson_oracle(w, rows, boxed, seed):
+    _agrees_with_minimax_oracle(_complex_instance(np.random.default_rng(seed), w, rows, boxed))
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_minimax_certifies_the_newton_finish(seed, monkeypatch):
+    # instances on which Newton converges on a face that is not optimal, so
+    # that only the certificate's exact solve sends the solver back to Lawson
+    rng = np.random.default_rng(seed)
+    problem = _complex_instance(rng, 6, 7, False)
+    finishes = []
+    newton = qpsolver._exchange_newton
+
+    def watch(*args):
+        out = newton(*args)
+        finishes.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(qpsolver, "_exchange_newton", watch)
+    res = _agrees_with_minimax_oracle(problem)
+    assert res.converged and finishes[0]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acfshape import acfstats
 from acfshape import pulse as pul
@@ -24,6 +26,13 @@ def test_sidelobe_maps_reproduce_squared_mean_acf():
         from_maps = np.abs(a_mat @ g + c) ** 2
         oracle = np.abs(acfstats.mean_acf(p, lags)) ** 2
         np.testing.assert_allclose(from_maps, oracle, atol=1e-10)
+
+
+def test_sidelobe_maps_give_exact_zero_rows_at_block_lags():
+    # the mean ACF of a Nyquist pulse vanishes at nonzero multiples of l for
+    # any gains, so those rows carry no round-off into a design
+    a_mat, _ = sh.sidelobe_maps(32, 4, np.array([4, 76, 124]))
+    assert np.all(a_mat == 0.0)
 
 
 def test_region_metrics_are_sum_and_peak():
@@ -160,3 +169,35 @@ def test_designed_pulse_keeps_nyquist_zeros():
     np.testing.assert_allclose(
         acfstats.mean_acf(result.pulse, block_lags), 0.0, atol=1e-10
     )
+
+
+@pytest.mark.parametrize("objective", ["isl", "psl"])
+def test_design_builds_the_maps_once_and_reports_region_metrics(objective, monkeypatch):
+    calls = []
+    maps = sh.sidelobe_maps
+
+    def counted(*args):
+        calls.append(args)
+        return maps(*args)
+
+    monkeypatch.setattr(sh, "sidelobe_maps", counted)
+    spec = sh.ShapingSpec(128, 10, 0.35, sh.sidelobe_lags(128, 10, 5, 15), objective)
+    result = sh.design_pulse(spec)
+    assert len(calls) == 1
+    monkeypatch.setattr(sh, "sidelobe_maps", maps)
+    assert result.value == sh.region_metrics(result.pulse, spec.region)[objective]
+
+
+@settings(max_examples=40, deadline=None)  # three in four at n=32, where designs are cheap
+@given(st.sampled_from([(32, 4), (32, 4), (32, 4), (128, 10)]), st.integers(1, 5),
+       st.floats(0.0, 1.0), st.sampled_from(["isl", "psl"]))
+def test_short_windows_converge(grid, width, where, objective):
+    # windows of 1-5 lags anywhere on the grid, exact fits and block lags included
+    n, l = grid
+    start = 1 + int(where * (l * n - 1 - width))
+    spec = sh.ShapingSpec(n, l, 0.35, np.arange(start, start + width), objective)
+    result = sh.design_pulse(spec)
+    assert result.converged
+    _check_feasible(result, spec)
+    baseline = sh.region_metrics(pul.rrc_spectrum(n, l, 0.35), spec.region)[objective]
+    assert result.value <= baseline * (1 + result.gap) * (1 + 1e-8) + 1e-24
