@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 usage error, 2 invalid configuration,
 3 numerical failure (a solver that did not converge or broke down, a
 non-finite or negative value reaching an output table, or any other
 unexpected error).  A fixed seed at a fixed BLAS thread count gives
-byte-identical output files; the closed forms, Monte Carlo and RRC
-ranging give the same bytes at one and two threads (tested), designed
-pulses did in a one-off check that no test repeats.
+byte-identical output files, and the closed forms, Monte Carlo, RRC
+ranging and both design objectives give the same bytes at one and two
+threads (tested).
 """
 
 from __future__ import annotations
@@ -71,6 +71,22 @@ def _emit_table(path, table, command, params, seed, started) -> None:
         raise NumericalFailure(str(exc)) from exc
     tableio.write_manifest(path, command, params | {"out": str(path)}, seed,
                            time.perf_counter() - started)
+
+
+def _check_destinations(*paths) -> None:
+    """Refuse an output or manifest that is a directory, or a parent that cannot be one.
+
+    Called before any work, so that one bad destination leaves no file written.
+    """
+    for path in map(os.fspath, paths):
+        for target in (path, tableio.manifest_path(path)):
+            if os.path.isdir(target):
+                raise ValueError(f"output {target} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise ValueError(f"output {path}: {parent} is not a directory")
 
 
 def _floor_db(pul: pulse.NyquistPulse) -> np.ndarray:
@@ -228,6 +244,7 @@ def _design(n: int, l: int, alpha: float, lags: np.ndarray, objective: str,
 
 def _cmd_shape(args) -> dict:
     started = time.perf_counter()
+    _check_destinations(*filter(None, (args.out_spectrum, args.out_acf)))
     lags = _region_lags(args.n, args.l, *_parse_region(args.region), args.region_units)
     result, rrc, params = _design(args.n, args.l, args.alpha, lags, args.objective,
                                   args.tol, args.max_iter)
@@ -526,6 +543,8 @@ def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: s
 
 def _cmd_range_sim(args) -> dict:
     started = time.perf_counter()
+    outputs = [f"{args.out_prefix}_rmse.csv", f"{args.out_prefix}_profile.csv"]
+    _check_destinations(*outputs)
     try:
         with open(args.config) as handle:
             cfg = json.load(handle)
@@ -536,7 +555,6 @@ def _cmd_range_sim(args) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
     echo, scene = _resolve_range_config(cfg, args.runs, args.seed, args.profile_snr_db)
-    outputs = [f"{args.out_prefix}_rmse.csv", f"{args.out_prefix}_profile.csv"]
     _ranging_tables(echo, scene, *outputs, "range-sim", started)
     geometry = scene["geometry"]
     return echo | {"true_range_m": geometry["true_range_m"], "roi_lags": geometry["roi_lags"],

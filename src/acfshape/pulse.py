@@ -24,6 +24,7 @@ from .tableio import load_text
 __all__ = [
     "NyquistPulse",
     "rolloff_bin_count",
+    "from_segment",
     "rrc_spectrum",
     "from_text_file",
     "assemble_full_spectrum",
@@ -84,6 +85,17 @@ def rolloff_bin_count(n: int, alpha: float) -> int:
     return min(max(k, n % 2), n)
 
 
+def from_segment(n: int, l: int, segment, name: str = "custom",
+                 alpha: float | None = None) -> NyquistPulse:
+    """The pulse whose gains are segment between equal runs of zeros and ones."""
+    segment = np.asarray(segment, dtype=float)
+    pad, odd = divmod(n - segment.size, 2)
+    if pad < 0 or odd:
+        raise ValueError(f"a segment of {segment.size} gains does not center in {n} bins")
+    return NyquistPulse(n, l, np.concatenate([np.zeros(pad), segment, np.ones(pad)]),
+                        name=name, alpha=alpha)
+
+
 def rrc_spectrum(n: int, l: int, alpha: float) -> NyquistPulse:
     """Root-raised-cosine gains sampled at half-bin offsets.
 
@@ -94,39 +106,32 @@ def rrc_spectrum(n: int, l: int, alpha: float) -> NyquistPulse:
     divided by n, recorded in the alpha field.
     """
     width = rolloff_bin_count(n, alpha)
-    zeros = (n - width) // 2
-    g = np.zeros(n)
     j = np.arange(1, width + 1)
-    g[zeros:zeros + width] = 0.5 * (1.0 - np.cos(np.pi * (j - 0.5) / width))
-    g[zeros + width:] = 1.0
-    return NyquistPulse(n, l, g, name=f"rrc{alpha:g}", alpha=width / n)
+    segment = 0.5 * (1.0 - np.cos(np.pi * (j - 0.5) / width))
+    return from_segment(n, l, segment, name=f"rrc{alpha:g}", alpha=width / n)
 
 
 def from_text_file(path, n: int, l: int) -> NyquistPulse:
     """Load gains from a text file holding one value per line.
 
     The file either lists all n gains, or just the transition segment; a
-    shorter file is padded symmetrically with the flat zero and one runs,
-    so a design tool only needs to store the part it actually chose.
-    Reading stops at line n + 1, so a longer file is refused unread, and a
-    line holding more than one value is refused.
+    shorter file is padded symmetrically with the flat zero and one runs
+    (from_segment), so a design tool only needs to store the part it
+    actually chose.  Reading stops at line n + 1, so a longer file is
+    refused unread, and a line holding more than one value is refused.
     """
     rows = load_text(path, ndmin=2, max_rows=n + 1)
     if rows.shape[1] != 1:
         raise ValueError(f"{path} holds {rows.shape[1]} values on a line; "
                          "expected one gain per line")
     vals = rows[:, 0]
-    if vals.size == n:
-        return NyquistPulse(n, l, vals, name="file")
-    if vals.size < n and (n - vals.size) % 2 == 0:
-        pad = (n - vals.size) // 2
-        g = np.concatenate([np.zeros(pad), vals, np.ones(pad)])
-        return NyquistPulse(n, l, g, name="file")
-    count = f"more than {n}" if vals.size > n else vals.size
-    raise ValueError(
-        f"{path} holds {count} gains; expected {n} or a shorter "
-        f"segment with the same parity"
-    )
+    if vals.size > n or (n - vals.size) % 2:
+        count = f"more than {n}" if vals.size > n else vals.size
+        raise ValueError(
+            f"{path} holds {count} gains; expected {n} or a shorter "
+            f"segment with the same parity"
+        )
+    return from_segment(n, l, vals, name="file")
 
 
 def assemble_full_spectrum(pulse: NyquistPulse) -> np.ndarray:

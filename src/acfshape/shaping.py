@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulse import NyquistPulse, rolloff_bin_count, rrc_spectrum
+from .acfstats import mean_acf
+from .pulse import NyquistPulse, from_segment, rolloff_bin_count, rrc_spectrum
 from .qpsolver import solve_box_qp, solve_minimax
 
 __all__ = [
@@ -101,13 +102,8 @@ def sidelobe_maps(n: int, l: int, lags: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def region_metrics(pulse: NyquistPulse, lags: np.ndarray) -> dict[str, float]:
-    """Summed and peak squared-mean ACF over a lag window."""
-    return _metrics(*sidelobe_maps(pulse.n, pulse.l, lags), pulse.g)
-
-
-def _metrics(a_mat, c, g) -> dict[str, float]:
-    """Sum and peak of |A g + c|^2, from maps already built."""
-    floor = np.abs(a_mat @ g + c) ** 2
+    """Summed and peak squared mean ACF (acfstats.mean_acf) over a lag window."""
+    floor = np.abs(mean_acf(pulse, lags)) ** 2
     return {"isl": float(np.sum(floor)), "psl": float(np.max(floor))}
 
 
@@ -135,16 +131,14 @@ def design_pulse(
         raise ValueError(f"tol must be a psl relative gap in (0, 1) (isl is exact), got {tol}")
     n, l = spec.n, spec.l
     w = rolloff_bin_count(n, spec.alpha)
-    zeros = (n - w) // 2
     if w <= 1:
         rrc = rrc_spectrum(n, l, spec.alpha)
         value = region_metrics(rrc, spec.region)[spec.objective]
         return ShapingResult(rrc, spec, value, 0, 0.0, 0.0, True)
 
     a_full, c_full = sidelobe_maps(n, l, spec.region)
-    template = np.zeros(n)
-    template[zeros + w:] = 1.0
-    seg = slice(zeros, zeros + w)
+    template = from_segment(n, l, np.zeros(w)).g
+    seg = slice((n - w) // 2, (n + w) // 2)
     # over x = (z, s) the floor is |a x - b|^2 with h = cumsum(z): column i
     # of a sums the segment columns from i on
     a_z = np.cumsum(a_full[:, seg][:, ::-1], axis=1)[:, ::-1]
@@ -168,8 +162,7 @@ def design_pulse(
 
     h = np.cumsum(res.x[:w])
     violation = max(float(h[-1]) - 1.0, abs(float(np.sum(h)) - w / 2), 0.0)
-    g = template.copy()
-    g[seg] = np.clip(h, 0.0, 1.0)
-    pulse = NyquistPulse(n, l, g, name=f"designed-{spec.objective}", alpha=w / n)
-    value = _metrics(a_full, c_full, pulse.g)[spec.objective]
+    pulse = from_segment(n, l, np.clip(h, 0.0, 1.0), name=f"designed-{spec.objective}",
+                         alpha=w / n)
+    value = region_metrics(pulse, spec.region)[spec.objective]
     return ShapingResult(pulse, spec, value, res.iterations, gap, violation, res.converged)

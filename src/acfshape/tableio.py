@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -68,15 +67,23 @@ def format_cell(value) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    """Write a new file beside path, then rename it onto path.
+
+    The file gets the mode of any new file, 0666 less the umask, and a
+    failure names path, not the file beside it.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

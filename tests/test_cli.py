@@ -176,6 +176,22 @@ def _rows(count):
     return st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=count[0], max_size=count[1])
 
 
+def _assert_clean_run(argv, outputs, codes=(0, 2, 3)) -> int:
+    """Run the CLI in-process: an exit code in codes, and on failure one
+    stderr line, with no traceback, no warning and none of the outputs."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert code in codes, err.getvalue()
+    assert err.getvalue().count("\n") == (code != 0)
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert [os.path.exists(path) for path in outputs] == [code == 0] * len(outputs)
+    return code
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 4]), st.data())
 def test_alphabet_and_basis_flags_fuzz(n, data):
@@ -193,16 +209,69 @@ def test_alphabet_and_basis_flags_fuzz(n, data):
                 argv += [f"--{flag}", "custom", f"--{flag}-file", path]
             elif flag == "constellation":
                 argv.append(f"--constellation={data.draw(_NAMES, label='name')}")
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = run(argv)
-        assert code in (0, 2), err.getvalue()
-        assert err.getvalue().count("\n") == (code == 2)
-        assert "Traceback" not in err.getvalue()
-        assert [str(w.message) for w in caught] == []
-        assert os.path.exists(out) == (code == 0)
+        _assert_clean_run(argv, [out], codes=(0, 2))
+
+
+def _mostly(valid, anything):
+    """valid in about half of the draws, so that runs often reach the computation."""
+    return st.booleans().flatmap(lambda ok: valid if ok else anything)
+
+
+# numbers as a command line spells them; sizes stay small, so that a check
+# that regressed could not make a run allocate much
+_NUMBER_TEXT = (st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0",
+                                 "0", "1", "0.35", "1.5", "-1", "1e-12"])
+                | st.floats().map(repr) | st.integers(-3, 70).map(str))
+_FRACTION_TEXT = _mostly(st.floats(0.0, 1.0).map(repr), _NUMBER_TEXT)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mostly(st.integers(2, 8), st.integers(-2, 1)),
+       _mostly(st.integers(2, 4), st.integers(-2, 1)), st.data())
+def test_pulse_file_and_grid_flags_fuzz(n, l, data):
+    # gain files of 0-3 values a line, of any count, with nan, inf and huge
+    # entries, under any grid; acf-theory only divides by --m
+    m = _mostly(st.integers(1, 6).map(str),
+                st.sampled_from(["0", "-3", "1000000", str(2**63), "1" + "0" * 400]))
+    gains = _ENTRIES | st.sampled_from([0.5, 1.0 + 1e-12, -1e-12, 2.0])
+    rows = _mostly(st.lists(st.floats(0.0, 1.0).map(lambda g: [g]), max_size=10),
+                   st.lists(st.lists(gains, max_size=3), max_size=10))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "t.csv")
+        argv = ["acf-theory", f"--n={n}", f"--l={l}", f"--out={out}",
+                f"--alpha={data.draw(_FRACTION_TEXT, label='alpha')}",
+                f"--m={data.draw(m, label='m')}"]
+        if data.draw(st.booleans(), label="pulse file"):
+            path = os.path.join(tmp, "pulse.txt")
+            with open(path, "w") as handle:
+                handle.writelines(" ".join(map(repr, row)) + "\n"
+                                  for row in data.draw(rows, label="rows"))
+            argv += ["--pulse=file", f"--pulse-file={path}"]
+        _assert_clean_run(argv, [out])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mostly(st.sampled_from([8, 16]), st.sampled_from([-1, 0, 2, 3])),
+       _mostly(st.sampled_from([2, 4]), st.sampled_from([-1, 1, 3])), st.data())
+def test_shape_flags_fuzz(n, l, data):
+    window = st.builds(lambda lo, width: f"{lo}:{lo + width}", st.integers(1, 4),
+                       st.integers(0, 3))
+    endpoint = st.floats(0.0, 20.0).map(repr) | _NUMBER_TEXT
+    region = _mostly(window, st.tuples(endpoint, endpoint).map(":".join) | st.text(max_size=12))
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = [os.path.join(tmp, "g.txt"), os.path.join(tmp, "acf.csv")]
+        argv = ["shape", f"--n={n}", f"--l={l}",
+                f"--alpha={data.draw(_FRACTION_TEXT, label='alpha')}",
+                f"--region={data.draw(region, label='region')}",
+                f"--region-units={data.draw(st.sampled_from(['symbol', 'lag']), label='units')}",
+                f"--objective={data.draw(st.sampled_from(['isl', 'psl']), label='objective')}",
+                f"--out-spectrum={outputs[0]}", f"--out-acf={outputs[1]}"]
+        if data.draw(st.booleans(), label="tol"):
+            tol = _mostly(st.floats(1e-12, 0.5).map(repr), _NUMBER_TEXT)
+            argv.append(f"--tol={data.draw(tol, label='tol value')}")
+        if data.draw(st.booleans(), label="max-iter"):
+            argv.append(f"--max-iter={data.draw(st.integers(-2, 400), label='cap')}")
+        _assert_clean_run(argv, outputs)
 
 
 def test_acf_theory_rejects_bad_rolloff(tmp_path):
@@ -284,6 +353,25 @@ def test_shape_region_validation(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", ["directory", "file-parent"])
+def test_shape_checks_every_destination_before_writing(tmp_path, capsys, bad):
+    # the first output would be valid: neither it nor its manifest is written
+    first = tmp_path / "g.txt"
+    if bad == "directory":
+        second = tmp_path / "acf.csv"
+        second.mkdir()
+    else:
+        (tmp_path / "plain").write_text("")
+        second = tmp_path / "plain" / "sub" / "acf.csv"
+    before = sorted(tmp_path.iterdir())
+    code = run(["shape", "--n", "32", "--l", "4", "--region", "2:6",
+                f"--out-spectrum={first}", f"--out-acf={second}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"output {second}" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_shape_iteration_cap_is_numerical_failure(tmp_path, capsys):
     code = run([
         "shape", "--n", "32", "--l", "4", "--alpha", "0.5", "--region", "2:6",
@@ -345,6 +433,26 @@ def test_shape_converges_on_exact_fits(tmp_path, capsys, objective, region):
     params = _manifest_parameters(gains)
     assert params["baseline_value"] > 1e-8 and params["objective_value"] < 1e-24
     assert params["gap"] == 0.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["shape", "--region", "5:15", "--out-acf", "acf.csv"],
+    ["reproduce", "fig4"],
+], ids=["shape", "fig4"])
+def test_design_commands_build_the_maps_once(tmp_path, capsys, monkeypatch, argv):
+    # the RRC baseline is reported through mean_acf, not a second table
+    calls = []
+    maps = shaping.sidelobe_maps
+
+    def counted(*args):
+        calls.append(args)
+        return maps(*args)
+
+    monkeypatch.setattr(shaping, "sidelobe_maps", counted)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert len(calls) == 1
     capsys.readouterr()
 
 
@@ -416,8 +524,8 @@ def _child_outputs(threads, argv, outputs):
 
 
 def test_range_sim_byte_identical_across_thread_counts(tmp_path):
-    # the closed forms, custom-basis Monte Carlo and RRC ranging; designed
-    # pulses still go through LAPACK and are left out
+    # the closed forms, custom-basis Monte Carlo, RRC ranging and both
+    # design solvers at the paper's 5:15 window
     cfg = _write_config(tmp_path / "cfg.json")
     haar = modulation.random_unitary(128, np.random.default_rng(5)).u.reshape(-1)
     np.savetxt(tmp_path / "haar.txt", np.column_stack([haar.real, haar.imag]))
@@ -432,8 +540,22 @@ def test_range_sim_byte_identical_across_thread_counts(tmp_path):
                              [out / "theory.csv"])
             + _child_outputs(threads, ["acf-mc", *custom, "--trials", 100,
                                        "--out", out / "mc.csv"], [out / "mc.csv"])
+            + _child_outputs(threads, ["shape", "--objective", "isl", "--region", "5:15",
+                                       "--out-spectrum", out / "isl.txt"], [out / "isl.txt"])
+            + _child_outputs(threads, ["shape", "--objective", "psl", "--region", "5:15",
+                                       "--out-spectrum", out / "psl.txt"], [out / "psl.txt"])
         )
     assert by_threads[0] == by_threads[1]
+
+
+def test_range_sim_checks_both_tables_before_writing(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    (tmp_path / "rs_profile.csv").mkdir()
+    code = run(["range-sim", "--config", str(cfg), "--out-prefix", str(tmp_path / "rs")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"output {tmp_path / 'rs_profile.csv'} is a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rs_profile.csv"]
 
 
 def test_range_sim_lists_every_config_issue(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from acfshape import acfstats
+from acfshape import acfstats, tableio
 from acfshape import pulse as pul
 from helpers import spectrum_to_time
 
@@ -169,6 +169,31 @@ def test_from_text_file_roundtrip(tmp_path):
     np.savetxt(path, p.g)
     loaded = pul.from_text_file(path, 16, 2)
     np.testing.assert_allclose(loaded.g, p.g, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, alpha", [(64, 0.35), (33, 0.2), (16, 1.0), (64, 0.0), (9, 0.05)])
+def test_from_segment_lays_out_the_rrc_gains(tmp_path, n, alpha):
+    # the layout written out by hand: zeros, the raised-cosine segment, ones
+    width = pul.rolloff_bin_count(n, alpha)
+    zeros = (n - width) // 2
+    j = np.arange(1, width + 1)
+    g = np.zeros(n)
+    g[zeros:zeros + width] = 0.5 * (1.0 - np.cos(np.pi * (j - 0.5) / width))
+    g[zeros + width:] = 1.0
+    rrc = pul.rrc_spectrum(n, 3, alpha)
+    assert rrc.g.tobytes() == g.tobytes()
+    segment = g[zeros:zeros + width]
+    assert pul.from_segment(n, 3, segment).g.tobytes() == g.tobytes()
+    if width:  # a gain file holding only the segment is padded to the same gains
+        path = tmp_path / "segment.txt"
+        tableio.emit_text(path, segment)
+        assert pul.from_text_file(path, n, 3).g.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("size", [3, 10])
+def test_from_segment_refuses_a_segment_that_does_not_center(size):
+    with pytest.raises(ValueError, match=f"segment of {size} gains does not center in 8 bins"):
+        pul.from_segment(8, 2, np.full(size, 0.5))
 
 
 @settings(max_examples=20, deadline=None)

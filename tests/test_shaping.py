@@ -158,6 +158,7 @@ def test_degenerate_rolloff_returns_rrc():
     assert result.iterations == 0
     rrc = pul.rrc_spectrum(9, 3, 0.05)
     np.testing.assert_allclose(result.pulse.g, rrc.g, atol=1e-14)
+    assert result.value == sh.region_metrics(rrc, spec.region)["isl"]
 
 
 def test_designed_pulse_keeps_nyquist_zeros():

@@ -1,8 +1,10 @@
 """CSV emission: formatting, quoting, atomicity, round trips."""
 
+import errno
 import json
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -77,6 +79,28 @@ def test_gain_file_nan_names_the_file(tmp_path):
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: non-finite")):
         tableio.emit_text(path, [0.5, float("nan")])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_take_the_umask(tmp_path):
+    # the mode any new file would get, not the 0600 of a private temp file
+    path = tmp_path / "data.csv"
+    umask = os.umask(0o027)
+    try:
+        tableio.emit_csv(path, ["v"], [[1]])
+        tableio.write_manifest(path, "acf-theory", {}, seed=None, wall_time_s=0.0)
+    finally:
+        os.umask(umask)
+    for written in (path, tableio.manifest_path(path)):
+        assert stat.S_IMODE(os.stat(written).st_mode) == 0o640
+
+
+def test_failed_write_names_only_the_destination(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as caught:
+        tableio.emit_csv(target, ["v"], [[1]])
+    assert str(caught.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_manifest_sidecar(tmp_path):
