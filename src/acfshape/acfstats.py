@@ -18,6 +18,8 @@ from .pulse import NyquistPulse, assemble_full_spectrum
 
 __all__ = [
     "AcfStats",
+    "MAX_SLOTS",
+    "check_slots",
     "fold_lags",
     "mean_acf",
     "expected_sq_acf",
@@ -26,6 +28,10 @@ __all__ = [
 ]
 
 DB_FLOOR = -400.0
+
+# largest slot count m: the statistics divide by m as a float, which is
+# exact up to here, and the class-count draws take counts below 2**63
+MAX_SLOTS = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,12 @@ def _as_lags(pulse: NyquistPulse, lags) -> np.ndarray:
     if lags is None:
         return np.arange(pulse.l * pulse.n)
     return np.atleast_1d(np.asarray(lags))
+
+
+def check_slots(m: int) -> None:
+    """Refuse a slot count m outside [1, MAX_SLOTS], as every statistic and draw does."""
+    if not 1 <= m <= MAX_SLOTS:
+        raise ValueError(f"integration count m must lie in [1, 2**53], got {m!r:.40}")
 
 
 def fold_lags(ln: int, lags) -> tuple[np.ndarray, np.ndarray]:
@@ -87,23 +99,33 @@ def expected_sq_acf(
          + (kurt - 2) * sum_j |ifft(tile(Vt_j, l) * S)[k]|^2) / m.
     The first term is the energy of the lag-combined gains; with kurt = 2
     (Gaussian symbols) the basis term vanishes and every basis gives the
-    same statistics.  Each row tile(Vt_j, l) * S is a real spectrum, so its
-    ACF is Hermitian: the basis term takes the half-length ihfft, sums the
-    n rows over lags 0..ln//2 only, and folds the requested lags onto that
-    half (fold_lags) at the end.
+    same statistics.  The basis term, the spread, takes the structure of
+    the two named bases:
+      sc    Vt = 1/n everywhere, n equal rows: |ifft(S)[k]|^2 / n;
+      ofdm  Vt = I, row j keeps bins j, n + j, ...: with T = ifft(S.reshape(l, n))
+            along its l rows, sum_j |T[k mod l, j]|^2 / n^2;
+      other kinds sum the n dense rows.
+    Each row tile(Vt_j, l) * S is a real spectrum, so its ACF is Hermitian:
+    the spread is taken over lags 0..ln//2 with the half-length ihfft (or
+    over the l residues for ofdm) and the requested lags are folded onto
+    that half (fold_lags) at the end.
     """
     if basis.n != pulse.n:
         raise ValueError(f"basis size {basis.n} != pulse block size {pulse.n}")
-    if m < 1:
-        raise ValueError(f"averaging count must be >= 1, got {m}")
+    check_slots(m)
     lags = _as_lags(pulse, lags)
     n, l = pulse.n, pulse.l
     energy = n - 2.0 * (1.0 - np.cos(2.0 * np.pi * lags / l)) * np.sum(pulse.g * (1.0 - pulse.g))
     fold, _ = fold_lags(n * l, lags)
     s = (n * l * assemble_full_spectrum(pulse)).reshape(l, n)
-    rows = np.fft.ihfft((basis.v_tilde[:, None, :] * s).reshape(n, l * n), axis=-1)
-    spread = np.sum(np.abs(rows) ** 2, axis=0)[fold]
-    variance = (energy + (kurt - 2.0) * spread) / m
+    if basis.kind == "sc":
+        spread = np.abs(np.fft.ihfft(s.reshape(-1))) ** 2 / n
+    elif basis.kind == "ofdm":
+        spread, fold = np.sum(np.abs(np.fft.ifft(s, axis=0)) ** 2, axis=1) / n**2, fold % l
+    else:
+        rows = np.fft.ihfft((basis.v_tilde[:, None, :] * s).reshape(n, l * n), axis=-1)
+        spread = np.sum(np.abs(rows) ** 2, axis=0)
+    variance = (energy + (kurt - 2.0) * spread[fold]) / m
     return AcfStats(lags, np.abs(mean_acf(pulse, lags)) ** 2, variance)
 
 

@@ -270,6 +270,10 @@ def _int_from(lo: int):
     return lambda v: _is_num(v) and isinstance(v, int) and v >= lo
 
 
+def _is_slot_count(v) -> bool:
+    return _int_from(1)(v) and v <= acfstats.MAX_SLOTS
+
+
 def _one_of(*choices):
     return lambda v: isinstance(v, str) and v in choices
 
@@ -296,7 +300,7 @@ _CONFIG_FIELDS = (
     ("l", _REQUIRED, _int_from(2), "integer >= 2 required"),
     ("alpha", _REQUIRED, lambda v: _is_num(v) and 0 <= v <= 1, "number in [0, 1] required"),
     ("bandwidth_hz", 200e6, lambda v: _is_num(v) and v > 0, "positive number required"),
-    ("m", 1, _int_from(1), "positive integer required"),
+    ("m", 1, _is_slot_count, "positive integer required, at most 2**53"),
     ("targets", _REQUIRED, _is_list, "nonempty list of targets required"),
     ("estimate", None, _is_str, "target label string required"),  # absent: the weakest
     ("roi_m", _REQUIRED, lambda v: _is_pair(v) and v[0] <= v[1],
@@ -321,7 +325,8 @@ _METHOD_FIELDS = (
      "letters, digits, - and _ only"),
     ("constellation", _REQUIRED, _is_str, "name string required"),
     ("basis", _REQUIRED, _is_str, "name string required"),
-    ("m", None, _int_from(1), "positive integer required"),  # absent: top-level m
+    # absent: the top-level m
+    ("m", None, _is_slot_count, "positive integer required, at most 2**53"),
     ("pulse", "rrc", _one_of("rrc", "designed", "file"), "'rrc', 'designed', or 'file' required"),
 )
 _PULSE_FIELDS = {

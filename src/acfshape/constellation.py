@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,21 @@ class ConstellationSpec:
     def probs(self) -> np.ndarray:
         """Point probabilities, 1/size each (empty for the Gaussian)."""
         return np.full(self.size, 1.0 / max(self.size, 1))
+
+    @cached_property
+    def power_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct point powers |p|^2 and the probability of each class.
+
+        Sorted powers within _ATOL of their neighbour form one class, whose
+        level is their mean, so that sum(levels * probs) is the mean power
+        (qam16: 0.2, 1.0, 1.8 with 1/4, 1/2, 1/4; PSK: one class).  Built
+        on first read and kept, since the slot draws consult it on every
+        call.  Both arrays are empty for the Gaussian.
+        """
+        powers = np.sort(np.abs(self.points) ** 2)
+        starts = np.flatnonzero(np.diff(powers, prepend=-np.inf) > _ATOL)
+        counts = np.diff(starts, append=powers.size)
+        return np.add.reduceat(powers, starts) / counts, counts / self.size
 
 
 def _validate(points: np.ndarray) -> None:

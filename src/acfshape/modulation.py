@@ -9,7 +9,8 @@ and captures how symbol energy spreads across subcarriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,9 @@ __all__ = [
 
 _UNITARY_TOL = 1e-10
 
+# kinds whose maps are transforms, built with no matrix
+_STRUCTURED = ("sc", "ofdm")
+
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary forward DFT matrix of size n, in the engineering convention.
@@ -38,21 +42,32 @@ def dft_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModulationBasis:
-    """A validated n x n unitary basis with its derived spectral maps.
+    """An n x n unitary basis with its derived spectral maps.
 
-    spectral_map is W = sqrt(n) F U, so fft(U s) = W s.  It is kept only for
-    the dense kinds; SC (W = sqrt(n) F) and OFDM (W = sqrt(n) I) store None
-    and their users take the FFT or identity shortcut instead.
+    spectral_map is W = sqrt(n) F U, so fft(U s) = W s, and v_tilde is
+    |W|^2 transposed over n.  The dense kinds (cdma, custom) take their
+    matrix as the third argument, which is checked for unitarity and kept
+    with both maps.  SC (U = I, W = sqrt(n) F) and OFDM (U = F^H,
+    W = sqrt(n) I) are unitary by construction and take no matrix: their
+    users take the FFT or identity shortcut, spectral_map is None, and u
+    and v_tilde are built on first read, by the dense derivation.
     """
 
     kind: str
     n: int
-    u: np.ndarray
-    v_tilde: np.ndarray = field(init=False, repr=False)
-    spectral_map: np.ndarray | None = field(init=False, repr=False)
+    matrix: InitVar[np.ndarray | None] = None
+    spectral_map: np.ndarray | None = field(init=False, repr=False, default=None)
 
-    def __post_init__(self):
-        u = np.ascontiguousarray(np.asarray(self.u, dtype=complex))
+    def __post_init__(self, matrix):
+        if self.n < 1:
+            raise ValueError(f"block size must be >= 1, got {self.n}")
+        if self.kind in _STRUCTURED:
+            if matrix is not None:
+                raise ValueError(f"the {self.kind} basis takes no matrix")
+            return
+        if matrix is None:
+            raise ValueError(f"{self.kind} basis requires a matrix")
+        u = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
         if u.shape != (self.n, self.n):
             raise ValueError(f"basis matrix has shape {u.shape}, expected {(self.n, self.n)}")
         if not np.all(np.isfinite(u)):
@@ -63,8 +78,7 @@ class ModulationBasis:
             raise ValueError(
                 f"basis is not unitary: ||U^H U - I||_F = {gram_err:.3e} > {_UNITARY_TOL}"
             )
-        w = np.sqrt(self.n) * (dft_matrix(self.n) @ u)
-        vt = (np.abs(w) ** 2).T / self.n
+        w, vt = _maps(u)
         row_err = np.max(np.abs(vt.sum(axis=1) - 1.0))
         col_err = np.max(np.abs(vt.sum(axis=0) - 1.0))
         if max(row_err, col_err) > _UNITARY_TOL:
@@ -74,8 +88,26 @@ class ModulationBasis:
             )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v_tilde", vt)
-        dense = self.kind not in ("sc", "ofdm")
-        object.__setattr__(self, "spectral_map", w if dense else None)
+        object.__setattr__(self, "spectral_map", w)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The basis matrix U, x = U s."""
+        if self.kind == "sc":
+            return np.eye(self.n, dtype=complex)
+        return np.ascontiguousarray(dft_matrix(self.n).conj().T)
+
+    @cached_property
+    def v_tilde(self) -> np.ndarray:
+        """|V|^2 with V = W^H / sqrt(n): doubly stochastic, 1/n for sc and I for ofdm."""
+        return _maps(self.u)[1]
+
+
+def _maps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral map W = sqrt(n) F U and Vt = |W|^2 transposed over n."""
+    n = u.shape[0]
+    w = np.sqrt(n) * (dft_matrix(n) @ u)
+    return w, (np.abs(w) ** 2).T / n
 
 
 def _hadamard(n: int) -> np.ndarray:
@@ -95,19 +127,13 @@ def make_basis(kind: str, n: int, matrix: np.ndarray | None = None) -> Modulatio
     cdma -> Sylvester Hadamard / sqrt(n), n a power of two
     """
     kind = kind.lower()
-    if kind == "sc":
-        u = np.eye(n, dtype=complex)
-    elif kind == "ofdm":
-        u = dft_matrix(n).conj().T
-    elif kind == "cdma":
-        u = _hadamard(n).astype(complex) / np.sqrt(n)
-    elif kind == "custom":
-        if matrix is None:
-            raise ValueError("custom basis requires a matrix")
-        u = matrix
-    else:
+    if kind in _STRUCTURED:
+        return ModulationBasis(kind, n)
+    if kind == "cdma":
+        matrix = _hadamard(n).astype(complex) / np.sqrt(n)
+    elif kind != "custom":
         raise ValueError(f"unknown basis kind {kind!r}")
-    return ModulationBasis(kind, n, u)
+    return ModulationBasis(kind, n, matrix)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> ModulationBasis:

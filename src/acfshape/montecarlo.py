@@ -15,7 +15,11 @@ at the end (fold_lags).
 Trial t draws from its own generator, stream(seed, _TAG_SYMBOLS, t), so
 results do not depend on batching or execution order.  stream builds every
 seeded generator in the package, and drawn_power draws the slots of Monte
-Carlo trials and ranging runs alike.
+Carlo trials and ranging runs alike.  On OFDM the slot-summed power of
+subcarrier j is n times the sum of the m symbols' |s|^2, which depends only
+on how many of them fall in each power class of the alphabet; for a finite
+alphabet with more slots than classes, drawn_power draws those class counts
+(multinomial, the points being equiprobable) instead of the m * n symbols.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import ConstellationSpec, sample_symbols
-from .acfstats import fold_lags
+from .acfstats import check_slots, fold_lags
 from .modulation import ModulationBasis
 from .pulse import NyquistPulse, assemble_full_spectrum
 
@@ -71,8 +75,7 @@ class TrialConfig:
             )
         if self.trials < 2:
             raise ValueError(f"need at least 2 trials, got {self.trials}")
-        if self.m < 1:
-            raise ValueError(f"averaging count must be >= 1, got {self.m}")
+        check_slots(self.m)
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,11 @@ def slot_power(
     else:
         xf = np.fft.fft(s, axis=-1) if basis.kind == "sc" else s @ basis.spectral_map.T
         power = np.sum(np.abs(xf) ** 2, axis=-2)
+    return _shaped(pulse, power)
+
+
+def _shaped(pulse: NyquistPulse, power: np.ndarray) -> np.ndarray:
+    """Bin power (..., n) weighted by l * G over the l replicas, (..., l * n)."""
     gain = (pulse.l * assemble_full_spectrum(pulse)).reshape(pulse.l, pulse.n)
     return (power[..., None, :] * gain).reshape(*power.shape[:-1], pulse.l * pulse.n)
 
@@ -117,12 +125,30 @@ def stream(seed: int, tag: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
 
 
+def _class_law(constellation: ConstellationSpec, basis: ModulationBasis,
+               m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The alphabet's power classes where drawn_power draws class counts, else None.
+
+    That is OFDM, a finite alphabet and m above its class count; with fewer
+    slots than classes the slot draw is the cheaper one.  Gaussian symbols
+    keep the slot draw: their law would be a Gamma law taken from the very
+    Gaussian statistics that the Monte Carlo columns are meant to check.
+    """
+    if basis.kind != "ofdm" or constellation.kind == "gaussian":
+        return None
+    classes = constellation.power_classes
+    return classes if m > classes[0].size else None
+
+
 def drawn_power(constellation: ConstellationSpec, basis: ModulationBasis, pulse: NyquistPulse,
                 m: int, rngs: list[np.random.Generator],
                 symbols: np.ndarray | None = None) -> np.ndarray:
     """Slot-summed power spectrum, (len(rngs), l * n), of m fresh slots per generator.
 
-    Each chunk of up to _SLOT_CHUNK slots takes one sample_symbols call per
+    Where _class_law applies, each generator in rngs order makes one draw,
+    rng.multinomial(m, probs, size=n), of the class counts N per subcarrier,
+    and P_j = n * sum_c N_jc * level_c (a sum, so no BLAS call).  Otherwise
+    each chunk of up to _SLOT_CHUNK slots takes one sample_symbols call per
     generator, in rngs order, and adds the chunk's slot_power.  Several
     generators' draws are gathered into the workspace symbols, a contiguous
     complex array of at least len(rngs) * min(m, _SLOT_CHUNK) * n entries
@@ -132,6 +158,11 @@ def drawn_power(constellation: ConstellationSpec, basis: ModulationBasis, pulse:
     and no workspace to refault.
     """
     n = pulse.n
+    law = _class_law(constellation, basis, m)
+    if law is not None:
+        levels, probs = law
+        counts = np.array([rng.multinomial(m, probs, size=n) for rng in rngs])
+        return _shaped(pulse, n * np.sum(counts * levels, axis=-1))
     if symbols is None and len(rngs) > 1:
         symbols = np.empty(len(rngs) * min(m, _SLOT_CHUNK) * n, dtype=complex)
     power = np.zeros((len(rngs), pulse.l * n))
@@ -154,8 +185,9 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
     lags = np.arange(ln) if config.lags is None else np.atleast_1d(config.lags)
     fold, mirrored = fold_lags(ln, lags)
     acf_rows = np.empty((config.trials, ln // 2 + 1), dtype=complex)
-    chunk = min(config.trials, max(1, _BATCH_BYTES // (m * ln * 16)))
-    symbols = np.empty((chunk, min(m, _SLOT_CHUNK), pulse.n), dtype=complex)
+    law = _class_law(config.constellation, basis, m) is not None
+    chunk = min(config.trials, max(1, _BATCH_BYTES // ((1 if law else m) * ln * 16)))
+    symbols = None if law else np.empty((chunk, min(m, _SLOT_CHUNK), pulse.n), dtype=complex)
     for start in range(0, config.trials, chunk):
         rngs = [stream(config.seed, _TAG_SYMBOLS, t)
                 for t in range(start, min(start + chunk, config.trials))]

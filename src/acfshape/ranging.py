@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acfstats import DB_FLOOR
+from .acfstats import DB_FLOOR, check_slots
 from .constellation import ConstellationSpec
 from .modulation import ModulationBasis
-from .montecarlo import _SLOT_CHUNK, _TAG_PROFILE, _TAG_RANGING, drawn_power, stream
+from .montecarlo import (_SLOT_CHUNK, _TAG_PROFILE, _TAG_RANGING, _class_law, drawn_power,
+                         stream)
 from .pulse import NyquistPulse
 
 __all__ = [
@@ -95,8 +96,7 @@ class RangingScenario:
         lo, hi = self.roi
         if not (0 <= lo <= hi < grid):
             raise ValueError(f"roi {self.roi} outside the grid [0, {grid - 1}]")
-        if self.m < 1:
-            raise ValueError(f"integration count must be >= 1, got {self.m}")
+        check_slots(self.m)
 
     @property
     def grid(self) -> int:
@@ -266,13 +266,16 @@ def rmse_sweep(
 def _batch_runs(scenario: RangingScenario, scored: int) -> int:
     """Sweep runs per batch, so that the arrays a batch allocates fit _BATCH_BYTES.
 
-    Per run, in complex entries: one slot chunk of symbols and its
-    spectrum (drawn_power), the power spectrum and its accumulator (one
-    grid together, being real), the channel, its FFT, the echo spectrum
-    and its inverse, the band noise spectrum and its inverse, the band
-    record and its scale (4n together, being real), and the scored roi
-    points with their sum and squares.
+    Per run, in complex entries: the slot draw (one slot chunk of symbols
+    and its spectrum, or where drawn_power draws class counts, the counts
+    and their weighted levels, n per class together, being real), the
+    power spectrum and its accumulator (one grid together, being real), the
+    channel, its FFT, the echo spectrum and its inverse, the band noise
+    spectrum and its inverse, the band record and its scale (4n together,
+    being real), and the scored roi points with their sum and squares.
     """
-    chunk = min(scenario.m, _SLOT_CHUNK) * scenario.pulse.n
-    per_run = 16 * (2 * chunk + 7 * scenario.grid + 4 * scenario.pulse.n + 3 * scored)
+    n = scenario.pulse.n
+    law = _class_law(scenario.constellation, scenario.basis, scenario.m)
+    draw = law[0].size * n if law is not None else 2 * min(scenario.m, _SLOT_CHUNK) * n
+    per_run = 16 * (draw + 7 * scenario.grid + 4 * n + 3 * scored)
     return max(1, _BATCH_BYTES // per_run)

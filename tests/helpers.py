@@ -1,5 +1,6 @@
-"""Helpers the tests share: a CSV reader, the time-domain oracles and the
-least-squares oracles of the design solvers."""
+"""Helpers the tests share: a CSV reader, the time-domain oracles, the dense
+spread rows of the closed-form variance and the least-squares oracles of the
+design solvers."""
 
 import csv
 
@@ -46,6 +47,19 @@ def modulate(basis: ModulationBasis, symbols: np.ndarray) -> np.ndarray:
         # U = F^H, and F^H s = sqrt(n) * ifft(s) under numpy's scaling.
         return np.sqrt(basis.n) * np.fft.ifft(s, axis=-1)
     return s @ basis.u.T
+
+
+def dense_spread(pulse: NyquistPulse, v_tilde: np.ndarray) -> np.ndarray:
+    """sum_j |ifft(tile(Vt_j, l) * S)[k]|^2 at every lag k of the full grid.
+
+    S = n * l * G is the expected slot power spectrum and row j of Vt the
+    share of symbol j's energy on each subcarrier.  This is the basis term of
+    the closed-form variance written out with all n rows at full length;
+    with Vt = I it is the gain energy term.
+    """
+    s = pulse.n * pulse.l * assemble_full_spectrum(pulse)
+    rows = np.fft.ifft(np.tile(v_tilde, pulse.l) * s, axis=-1)
+    return np.sum(np.abs(rows) ** 2, axis=0)
 
 
 def edge_lags(ln: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from acfshape import constellation as con
 from acfshape import modulation as mod
 from acfshape import montecarlo as mc
 from acfshape import pulse as pul
-from helpers import edge_lags
+from helpers import dense_spread, edge_lags
 
 
 def enumerated_acf_moments(spec, basis, pulse):
@@ -126,18 +127,51 @@ def test_expected_sq_acf_half_spectrum_matches_full_ifft_oracle(kind, n, l, kurt
     basis = mod.random_unitary(n, rng) if kind == "haar" else mod.make_basis(kind, n)
     pulse = pul.rrc_spectrum(n, l, 0.5)
     lags = edge_lags(l * n)
-    # spread(W)[k] = sum_j |ifft(tile(W_j, l) * S)[k]|^2 at full length
-    s = n * l * pul.assemble_full_spectrum(pulse)
-
-    def spread(w):
-        return np.sum(np.abs(np.fft.ifft(np.tile(w, l) * s, axis=-1)[:, lags]) ** 2, axis=0)
-
-    variance = (spread(np.eye(n)) + (kurt - 2.0) * spread(basis.v_tilde)) / 3
+    spread = dense_spread(pulse, basis.v_tilde)[lags]
+    variance = (dense_spread(pulse, np.eye(n))[lags] + (kurt - 2.0) * spread) / 3
     stats = st.expected_sq_acf(pulse, basis, kurt, m=3, lags=lags)
     np.testing.assert_array_equal(stats.lags, lags)
     np.testing.assert_allclose(stats.variance, variance, rtol=0, atol=1e-12 * n**2)
     np.testing.assert_allclose(stats.squared_mean, np.abs(st.mean_acf(pulse)[lags]) ** 2,
                                rtol=0, atol=1e-12 * n**2)
+
+
+@pytest.mark.parametrize("l", [2, 3, 10])
+@pytest.mark.parametrize("n", [2, 7, 16, 33, 128])
+def test_structured_spread_matches_dense_rows(n, l):
+    # SC spreads every symbol evenly (Vt = 1/n), OFDM keeps it on its own bin (Vt = I)
+    pulse = pul.NyquistPulse(n, l, np.random.default_rng(n * l).random(n))
+    lags = np.arange(-l * n, l * n)
+    energy = dense_spread(pulse, np.eye(n))[lags]
+    for kind, vt in (("sc", np.full((n, n), 1.0 / n)), ("ofdm", np.eye(n))):
+        basis = mod.make_basis(kind, n)
+        spread = dense_spread(pulse, vt)[lags]
+        for kurt, m in ((1.0, 1), (1.32, 3), (2.5, 7)):
+            stats = st.expected_sq_acf(pulse, basis, kurt, m=m, lags=lags)
+            np.testing.assert_allclose(stats.variance, (energy + (kurt - 2.0) * spread) / m,
+                                       rtol=0, atol=1e-12 * n**2, err_msg=kind)
+
+
+def test_structured_closed_forms_build_no_dense_matrix():
+    # one n x n complex matrix at n = 2048 is 64 MiB; the dense rows held ten
+    n = 2048
+    pulse = pul.rrc_spectrum(n, 10, 0.35)
+    for kind in ("sc", "ofdm"):
+        tracemalloc.start()
+        try:
+            st.expected_sq_acf(pulse, mod.make_basis(kind, n), 1.32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, f"{kind}: {peak / 2**20:.1f} MiB"
+
+
+def test_slot_counts_beyond_2_53_are_refused():
+    pulse, basis = pul.rrc_spectrum(4, 2, 0.5), mod.make_basis("ofdm", 4)
+    assert st.expected_sq_acf(pulse, basis, 1.32, m=st.MAX_SLOTS).variance[0] > 0
+    for m in (0, st.MAX_SLOTS + 1, 2**63, 10**400):
+        with pytest.raises(ValueError, match=r"integration count m must lie in \[1, 2\*\*53\]"):
+            st.expected_sq_acf(pulse, basis, 1.32, m=m)
 
 
 def test_fold_lags_maps_onto_the_half_and_refuses_out_of_range():

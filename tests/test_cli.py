@@ -524,8 +524,9 @@ def _child_outputs(threads, argv, outputs):
 
 
 def test_range_sim_byte_identical_across_thread_counts(tmp_path):
-    # the closed forms, custom-basis Monte Carlo, RRC ranging and both
-    # design solvers at the paper's 5:15 window
+    # the closed forms, custom-basis Monte Carlo, OFDM Monte Carlo through
+    # the class-count draw, RRC ranging and both design solvers at the
+    # paper's 5:15 window
     cfg = _write_config(tmp_path / "cfg.json")
     haar = modulation.random_unitary(128, np.random.default_rng(5)).u.reshape(-1)
     np.savetxt(tmp_path / "haar.txt", np.column_stack([haar.real, haar.imag]))
@@ -540,6 +541,8 @@ def test_range_sim_byte_identical_across_thread_counts(tmp_path):
                              [out / "theory.csv"])
             + _child_outputs(threads, ["acf-mc", *custom, "--trials", 100,
                                        "--out", out / "mc.csv"], [out / "mc.csv"])
+            + _child_outputs(threads, ["acf-mc", "--basis", "ofdm", "--m", 50, "--trials", 20,
+                                       "--out", out / "ofdm.csv"], [out / "ofdm.csv"])
             + _child_outputs(threads, ["shape", "--objective", "isl", "--region", "5:15",
                                        "--out-spectrum", out / "isl.txt"], [out / "isl.txt"])
             + _child_outputs(threads, ["shape", "--objective", "psl", "--region", "5:15",
@@ -648,6 +651,28 @@ def test_range_config_rejects_huge_slot_counts(tmp_path, override, key):
     cfg = json.loads(_write_config(tmp_path / "cfg.json", **override).read_text())
     with pytest.raises(ValueError, match=rf" {re.escape(key)}: positive integer required"):
         _resolve_range_config(cfg)
+
+
+@pytest.mark.parametrize("m", [2**53 + 1, 2**63, 10**400])
+def test_slot_counts_beyond_2_53_exit_2(tmp_path, m):
+    # every command that takes m refuses it with one line, before any work
+    out = tmp_path / "t.csv"
+    for command in ("acf-theory", "acf-mc"):
+        argv = [command, "--n=8", "--l=2", "--basis=ofdm", f"--m={m}", f"--out={out}"]
+        assert _assert_clean_run(argv, [out], codes=(2,)) == 2
+    method = {"name": "a", "constellation": "qam16", "basis": "ofdm", "pulse": "rrc"}
+    for override in ({"m": m}, {"methods": [method | {"m": m}]}):
+        cfg = _write_config(tmp_path / "cfg.json", **override)
+        prefix = tmp_path / "rs"
+        argv = ["range-sim", "--config", str(cfg), "--out-prefix", str(prefix)]
+        assert _assert_clean_run(argv, [f"{prefix}_rmse.csv", f"{prefix}_profile.csv"],
+                                 codes=(2,)) == 2
+
+
+def test_acf_theory_takes_2_53_slots(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run(["acf-theory", "--n=8", "--l=2", "--basis=ofdm", f"--m={2**53}",
+                f"--out={out}"]) == 0
 
 
 _PSL_FIRST = [_DESIGNED | {"objective": "psl", "region": [2, 6]}]

@@ -192,3 +192,28 @@ def test_sampler_frequencies_match_the_point_counts(spec):
     counts = np.array([np.sum(drawn == v) for v in values])
     assert counts.sum() == draws
     np.testing.assert_array_less(np.abs(counts - expect), 5 * np.sqrt(expect))
+
+
+@pytest.mark.parametrize("spec, levels, probs", [
+    (con.qam(16), [0.2, 1.0, 1.8], [0.25, 0.5, 0.25]),
+    (con.psk(16), [1.0], [1.0]),
+    (con.two_ring_mix(2.5), [1 - np.sqrt(0.375), 1 + 4 * np.sqrt(0.375)], [0.8, 0.2]),
+    (con.custom(np.concatenate([con.psk(8).points, con.psk(4).points])), [1.0], [1.0]),
+    (con.gaussian(), [], []),
+], ids=["qam16", "psk16", "rings", "repeated-ring", "gaussian"])
+def test_power_classes_group_equal_powers(spec, levels, probs):
+    got_levels, got_probs = spec.power_classes
+    np.testing.assert_allclose(got_levels, levels, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(got_probs, probs)
+    if spec.size:
+        assert np.sum(got_levels * got_probs) == pytest.approx(1.0, abs=1e-15)
+    assert spec.power_classes is spec.power_classes  # built once per alphabet
+
+
+def test_power_classes_count_the_qam_rings():
+    # a square 4^k grid has one class per distinct a^2 + b^2 over its odd levels
+    for order in (4, 64, 1024):
+        side = int(np.sqrt(order))
+        odd = np.arange(1, side, 2)
+        distinct = np.unique(np.add.outer(odd**2, odd**2)).size
+        assert con.qam(order).power_classes[0].size == distinct

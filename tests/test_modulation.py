@@ -121,3 +121,25 @@ def test_random_unitary_gives_doubly_stochastic_spreading(n, seed):
     s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = modulate(basis, s)
     assert np.sum(np.abs(x) ** 2) == pytest.approx(np.sum(np.abs(s) ** 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16])
+def test_structured_bases_build_u_and_v_tilde_on_first_read(n):
+    # the values the dense path gives for the same matrices, bit for bit
+    for kind, u in (("sc", np.eye(n, dtype=complex)), ("ofdm", mod.dft_matrix(n).conj().T)):
+        basis = mod.make_basis(kind, n)
+        assert basis.spectral_map is None
+        assert "u" not in vars(basis) and "v_tilde" not in vars(basis)
+        dense = mod.ModulationBasis("custom", n, u)
+        np.testing.assert_array_equal(basis.v_tilde, dense.v_tilde)
+        np.testing.assert_array_equal(basis.u, dense.u)
+        assert basis.u.flags.c_contiguous
+
+
+def test_structured_bases_take_no_matrix_and_dense_kinds_need_one():
+    with pytest.raises(ValueError, match="takes no matrix"):
+        mod.ModulationBasis("ofdm", 4, np.eye(4))
+    with pytest.raises(ValueError, match="requires a matrix"):
+        mod.ModulationBasis("cdma", 4)
+    with pytest.raises(ValueError, match="block size"):
+        mod.make_basis("sc", 0)

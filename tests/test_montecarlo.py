@@ -190,3 +190,65 @@ def test_config_validation():
         _base_config(m=0)
     with pytest.raises(ValueError):
         _base_config(basis=mod.make_basis("sc", 4))
+
+
+def _subcarrier_power(power, l, n):
+    """P_j from a slot-summed spectrum: the l replicas of bin j carry l * G summing to l."""
+    return power.reshape(-1, l, n).sum(axis=-2) / l
+
+
+@pytest.mark.parametrize("spec", [con.qam(16), con.two_ring_mix(2.5), con.psk(16)],
+                         ids=["qam16", "rings", "psk16"])
+def test_class_count_law_matches_the_slot_draw(spec):
+    # P_j = n sum_s |s_sj|^2: mean n m and variance n^2 m (kurt - 1), from
+    # 2,000 class-count draws and 2,000 slot draws of m = 20 slots
+    n, l, m, draws = 16, 2, 20, 2000
+    pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
+    rngs = [mc.stream(7, 0, d) for d in range(draws)]
+    law = _subcarrier_power(mc.drawn_power(spec, basis, pulse, m, rngs), l, n)
+    symbols = con.sample_symbols(spec, (draws, m, n), np.random.default_rng(8))
+    slot = n * np.sum(np.abs(symbols) ** 2, axis=-2)
+    kurt = con.kurtosis(spec)
+    if kurt == 1.0:  # one class: the constant n m
+        np.testing.assert_allclose(law, n * m, rtol=1e-14)
+        assert np.ptp(law) == 0.0
+        return
+    sd = n * np.sqrt(m * (kurt - 1.0))
+    for power in (law, slot):
+        assert abs(power.mean() - n * m) < 5 * sd / np.sqrt(power.size)
+        assert power.var() == pytest.approx(sd**2, rel=0.05)
+    assert law.var() == pytest.approx(slot.var(), rel=0.07)
+    if spec.name.startswith("rings"):  # two classes: the inner count is binomial
+        (inner, outer), (p, _) = spec.power_classes
+        counts = np.rint((m * outer - law / n) / (outer - inner))
+        assert abs(counts.mean() - m * p) < 5 * np.sqrt(m * p * (1 - p) / counts.size)
+        assert counts.var() == pytest.approx(m * p * (1 - p), rel=0.05)
+        slot_counts = np.sum(np.abs(symbols) ** 2 < (inner + outer) / 2, axis=-2)
+        assert abs(slot_counts.mean() - counts.mean()) < 0.05
+
+
+@pytest.mark.parametrize("spec, m", [(con.qam(16), 3), (con.psk(16), 1), (con.gaussian(), 50)],
+                         ids=["qam16-m3", "psk16-m1", "gaussian-m50"])
+def test_slot_stream_stands_up_to_the_class_count(spec, m):
+    # m at the class count (qam16, PSK) and Gaussian symbols keep the slot draw
+    n, l = 8, 3
+    pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
+    got = mc.drawn_power(spec, basis, pulse, m, [mc.stream(3, 0, 0)])
+    slots = con.sample_symbols(spec, (m, n), mc.stream(3, 0, 0))
+    np.testing.assert_array_equal(got, mc.slot_power(pulse, basis, slots[None]))
+
+
+def test_class_counts_above_the_class_count():
+    # one multinomial draw per generator, in rngs order, weighted by a sum
+    n, l, m = 8, 3, 4
+    spec, pulse, basis = con.qam(16), pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
+    rngs = [mc.stream(3, 0, r) for r in range(3)]
+    got = mc.drawn_power(spec, basis, pulse, m, rngs)
+    levels, probs = spec.power_classes
+    counts = [mc.stream(3, 0, r).multinomial(m, probs, size=n) for r in range(3)]
+    power = n * np.sum(np.array(counts) * levels, axis=-1)
+    np.testing.assert_array_equal(got, np.tile(power, l) * (l * pul.assemble_full_spectrum(pulse)))
+    sc = mod.make_basis("sc", n)  # every other basis keeps the slot draw
+    slots = con.sample_symbols(spec, (1, m, n), mc.stream(3, 0, 0))
+    np.testing.assert_array_equal(mc.drawn_power(spec, sc, pulse, m, [mc.stream(3, 0, 0)]),
+                                  mc.slot_power(pulse, sc, slots))

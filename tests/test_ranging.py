@@ -272,7 +272,8 @@ def _per_snr_reference(scene, truth, snr_grid, runs, seed):
     """rmse_sweep as one fresh draw per (SNR, run), the loop it replaced.
 
     Each run is scored by _one_fft_profiles, which draws all m slots in one
-    sample_symbols call, so it shares no slot-draw code with rmse_sweep.
+    sample_symbols call, or their class counts in its own multinomial draw,
+    so it shares no slot-draw code with rmse_sweep.
     """
     bw, l = scene.bandwidth_hz, scene.pulse.l
     rows = []
@@ -333,7 +334,8 @@ def test_rmse_sweep_draws_once_per_run_and_block(monkeypatch):
     assert calls == list(range(4)) * 2
 
 
-@pytest.mark.parametrize("case", ["one-run-batch", "ragged-batch", "slot-chunks", "targets"])
+@pytest.mark.parametrize("case", ["one-run-batch", "ragged-batch", "slot-chunks", "class-counts",
+                                  "targets"])
 def test_rmse_sweep_batches_equal_per_snr_draws(monkeypatch, case):
     scene, truth = _sweep_scene()
     runs, grid = 8, [-10.0, 0.0, 30.0]
@@ -341,7 +343,10 @@ def test_rmse_sweep_batches_equal_per_snr_draws(monkeypatch, case):
         monkeypatch.setattr(rng_mod, "_BATCH_BYTES", 1)
     elif case == "ragged-batch":
         monkeypatch.setattr(rng_mod, "_batch_runs", lambda scenario, scored: 3)
-    elif case == "slot-chunks":
+    elif case == "slot-chunks":  # on SC, where every m draws its slots
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", 2)
+        scene = replace(scene, basis=mod.make_basis("sc", 16), m=5)
+    elif case == "class-counts":  # qam16 on OFDM: 5 slots, 3 power classes
         monkeypatch.setattr(mc, "_SLOT_CHUNK", 2)
         scene = replace(scene, m=5)
     else:
@@ -353,15 +358,37 @@ def test_rmse_sweep_batches_equal_per_snr_draws(monkeypatch, case):
     assert 0.0 < rows[0]["success_rate"] < 1.0
 
 
+def _class_count_power(scenario, rng):
+    """Slot-summed power of m OFDM slots from the class counts of the symbols' |s|^2.
+
+    The classes are the distinct powers of the alphabet, rounded to 12
+    digits, each as likely as its share of the points; subcarrier j holds
+    n times its count-weighted sum of class powers, tiled by l * G.
+    """
+    pulse, points = scenario.pulse, scenario.constellation.points
+    levels, index = np.unique(np.round(np.abs(points) ** 2, 12), return_inverse=True)
+    counts = rng.multinomial(scenario.m, np.bincount(index) / points.size, size=pulse.n)
+    power = pulse.n * np.array([sum(c * level for c, level in zip(row, levels))
+                                for row in counts])
+    return np.tile(power, pulse.l) * (pulse.l * pul.assemble_full_spectrum(pulse))
+
+
 def _one_fft_profiles(scenario, rng, variances):
     """run_once as it was before the noise term was split off: one inverse FFT per variance.
 
-    The unit noise record is the band record run_once draws: 2n real parts,
-    then 2n imaginary parts, on bins 0..n-1 and (l-1)*n..l*n-1, zero elsewhere.
+    The m slots are drawn at once, as one sample_symbols call, except on
+    OFDM with more slots than the alphabet has power classes, where their
+    power comes from one class-count draw (_class_count_power).  The unit
+    noise record is the band record run_once draws: 2n real parts, then 2n
+    imaginary parts, on bins 0..n-1 and (l-1)*n..l*n-1, zero elsewhere.
     """
     n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
-    symbols = con.sample_symbols(scenario.constellation, (m, n), rng)
-    power = mc.slot_power(scenario.pulse, scenario.basis, symbols)
+    classes = np.unique(np.round(np.abs(scenario.constellation.points) ** 2, 12)).size
+    if scenario.basis.kind == "ofdm" and m > classes:
+        power = _class_count_power(scenario, rng)
+    else:
+        symbols = con.sample_symbols(scenario.constellation, (m, n), rng)
+        power = mc.slot_power(scenario.pulse, scenario.basis, symbols)
     channel = np.zeros(grid, dtype=complex)
     for t in scenario.targets:
         channel[t.delay] = t.amplitude
