@@ -33,6 +33,11 @@ DB_FLOOR = -400.0
 # exact up to here, and the class-count draws take counts below 2**63
 MAX_SLOTS = 1 << 53
 
+# Workspace budget in bytes of the blocked statistics: the dense spread rows
+# here and a batch of Monte Carlo trials (montecarlo.run_trials).  Only
+# memory depends on it; every result has the same bits at any budget.
+_BATCH_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class AcfStats:
@@ -74,6 +79,17 @@ def fold_lags(ln: int, lags) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(k, ln - k), k > ln // 2
 
 
+def _fold_rows(buffer: np.ndarray, count: int) -> None:
+    """Add rows 1..count of a C-contiguous buffer into its row 0, one after another.
+
+    A sum over axis 0 of a C-contiguous array adds its rows in order (over
+    other layouts numpy may add them pairwise), so a running total kept in
+    row 0 and fed rows in batches has the same bits as one sum over all the
+    rows, whatever the batches.
+    """
+    buffer[0] = np.add.reduce(buffer[:count + 1], axis=0)
+
+
 def mean_acf(pulse: NyquistPulse, lags=None) -> np.ndarray:
     """Expected ACF value per lag: (n * l * ifft(G))[lags].
 
@@ -104,7 +120,11 @@ def expected_sq_acf(
       sc    Vt = 1/n everywhere, n equal rows: |ifft(S)[k]|^2 / n;
       ofdm  Vt = I, row j keeps bins j, n + j, ...: with T = ifft(S.reshape(l, n))
             along its l rows, sum_j |T[k mod l, j]|^2 / n^2;
-      other kinds sum the n dense rows.
+      other kinds sum the n dense rows, a block of rows at a time, fitted
+            to _BATCH_BYTES (per row, l n reals of spectrum, then on the
+            l n / 2 + 1 lags the complex ACF, its magnitude, |ACF|^2 and its
+            place in the sums), added in row order (_fold_rows) so that any
+            block size gives the same bits.
     Each row tile(Vt_j, l) * S is a real spectrum, so its ACF is Hermitian:
     the spread is taken over lags 0..ln//2 with the half-length ihfft (or
     over the l residues for ofdm) and the requested lags are folded onto
@@ -123,8 +143,14 @@ def expected_sq_acf(
     elif basis.kind == "ofdm":
         spread, fold = np.sum(np.abs(np.fft.ifft(s, axis=0)) ** 2, axis=1) / n**2, fold % l
     else:
-        rows = np.fft.ihfft((basis.v_tilde[:, None, :] * s).reshape(n, l * n), axis=-1)
-        spread = np.sum(np.abs(rows) ** 2, axis=0)
+        block = max(1, _BATCH_BYTES // (8 * l * n + 40 * (l * n // 2 + 1)))
+        sums = np.zeros((min(block, n) + 1, l * n // 2 + 1))  # row 0: the running spread
+        for start in range(0, n, block):
+            rows = basis.v_tilde[start:start + block, None, :] * s
+            rows = np.fft.ihfft(rows.reshape(-1, l * n), axis=-1)
+            sums[1:len(rows) + 1] = np.abs(rows) ** 2
+            _fold_rows(sums, len(rows))
+        spread = sums[0]
     variance = (energy + (kurt - 2.0) * spread[fold]) / m
     return AcfStats(lags, np.abs(mean_acf(pulse, lags)) ** 2, variance)
 

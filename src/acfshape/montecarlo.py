@@ -20,6 +20,15 @@ subcarrier j is n times the sum of the m symbols' |s|^2, which depends only
 on how many of them fall in each power class of the alphabet; for a finite
 alphabet with more slots than classes, drawn_power draws those class counts
 (multinomial, the points being equiprobable) instead of the m * n symbols.
+
+run_trials keeps no array over trials.  Each batch of trials, sized by the
+byte budget _BATCH_BYTES, adds its ACF rows to a running per-lag sum and
+is dropped; each block of _SE_BLOCK trials does the same with its rows'
+|r|^2.  The sums add the rows one after another in trial order, the order
+a sum over the trial axis of all the rows takes, so the means have the
+same bits at any batch size.  The standard error merges the mean and the
+summed squared deviations of |r|^2 block by block (Chan, Golub & LeVeque
+1979), never batch by batch, so it too is the same at any batch size.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import ConstellationSpec, sample_symbols
-from .acfstats import check_slots, fold_lags
+from .acfstats import _BATCH_BYTES, _fold_rows, check_slots, fold_lags
 from .modulation import ModulationBasis
-from .pulse import NyquistPulse, assemble_full_spectrum
+from .pulse import NyquistPulse
 
 __all__ = [
     "TrialConfig",
@@ -50,10 +59,9 @@ _TAG_PROFILE = 3
 # slots drawn per chunk of a trial or run; memory only, not results
 _SLOT_CHUNK = 512
 
-# Complex workspace per batch of trials.  Only memory layout depends on
-# the batch size; the per-trial generators make the numbers identical
-# for any batching.
-_BATCH_BYTES = 1 << 25
+# trials per block of the standard error's merge: part of how se is
+# computed, so its last bits depend on it; memory and batching do not
+_SE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,8 @@ def slot_power(
     power is n |s|^2 with no transform) and s @ W.T for the dense kinds.
     Zero-insertion upsampling replicates that spectrum l times and the
     pulse weights bin f by l * G[f] (G from assemble_full_spectrum), so the
-    power is formed at length n and broadcast against the (l, n) view of
-    l * G.  ifft(P) is the sum of the m periodic ACFs.
+    power is formed at length n and broadcast against pulse.gain_tile, the
+    (l, n) view of l * G.  ifft(P) is the sum of the m periodic ACFs.
     """
     s = np.asarray(symbols, dtype=complex)
     if s.shape[-1] != basis.n:
@@ -116,8 +124,7 @@ def slot_power(
 
 def _shaped(pulse: NyquistPulse, power: np.ndarray) -> np.ndarray:
     """Bin power (..., n) weighted by l * G over the l replicas, (..., l * n)."""
-    gain = (pulse.l * assemble_full_spectrum(pulse)).reshape(pulse.l, pulse.n)
-    return (power[..., None, :] * gain).reshape(*power.shape[:-1], pulse.l * pulse.n)
+    return (power[..., None, :] * pulse.gain_tile).reshape(*power.shape[:-1], pulse.l * pulse.n)
 
 
 def stream(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -178,27 +185,86 @@ def drawn_power(constellation: ConstellationSpec, basis: ModulationBasis, pulse:
     return power
 
 
+def _batch_trials(config: TrialConfig) -> int:
+    """Trials per batch, so that the arrays a batch allocates fit _BATCH_BYTES.
+
+    Per trial, in complex entries: the slot draw (one slot chunk of symbols,
+    its spectrum, and the spectrum's magnitude and power, two reals
+    together; or where drawn_power draws class counts, the counts and their
+    weighted levels, n per class together, being real), the power spectrum,
+    its shaped product and its share of m (3 l n / 2, being real), and on
+    the l n / 2 + 1 lags the ACF row and its place in the sums, then |r|^2
+    in the block and its deviation from the block mean (one together, being
+    real).
+    """
+    n, ln, m = config.pulse.n, config.pulse.l * config.pulse.n, config.m
+    law = _class_law(config.constellation, config.basis, m)
+    draw = law[0].size * n if law is not None else 3 * min(m, _SLOT_CHUNK) * n
+    per_trial = 16 * draw + 24 * ln + 48 * (ln // 2 + 1)
+    return max(1, _BATCH_BYTES // per_trial)
+
+
+def _merged(count: int, mean: np.ndarray, m2: np.ndarray,
+            rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Merge rows into the count, mean and summed squared deviations of earlier rows.
+
+    The rows' own mean and squared deviations take two passes over them;
+    the merge is Chan, Golub & LeVeque's (1979): with d the difference of
+    the two means, the count-weighted d moves the mean and d^2 times
+    count * len(rows) / total adds to m2.
+    """
+    size = len(rows)
+    total = count + size
+    block_mean = np.add.reduce(rows, axis=0) / size
+    deviation = rows - block_mean
+    deviation **= 2
+    delta = block_mean - mean
+    return (total, mean + delta * (size / total),
+            m2 + np.add.reduce(deviation, axis=0) + delta**2 * (count * size / total))
+
+
 def run_trials(config: TrialConfig) -> MonteCarloResult:
-    """Monte Carlo estimate of the ACF mean and squared magnitude per lag."""
-    pulse, basis, m = config.pulse, config.basis, config.m
+    """Monte Carlo estimate of the ACF mean and squared magnitude per lag.
+
+    Trials run in batches of _batch_trials within blocks of _SE_BLOCK.  A
+    batch takes each trial's ACF row r over lags 0..ln//2 (ihfft of its
+    power spectrum) and adds the rows to their running sum in trial order
+    (_fold_rows); a block keeps its rows' |r|^2 until its end, merges them
+    into the standard error's statistics (_merged) and adds them to their
+    running sum.  mean_sq and mean are those sums over the trial count t,
+    var is mean_sq - |mean|^2, and se = sqrt(sum (|r|^2 - mean_sq)^2 /
+    (t (t - 1))), the standard error of mean_sq, with the sum of squared
+    deviations taken by the block merge.  The workspace is one batch and
+    one block, whatever the trial count.
+    """
+    pulse, basis, m, t = config.pulse, config.basis, config.m, config.trials
     ln = pulse.l * pulse.n
     lags = np.arange(ln) if config.lags is None else np.atleast_1d(config.lags)
     fold, mirrored = fold_lags(ln, lags)
-    acf_rows = np.empty((config.trials, ln // 2 + 1), dtype=complex)
     law = _class_law(config.constellation, basis, m) is not None
-    chunk = min(config.trials, max(1, _BATCH_BYTES // ((1 if law else m) * ln * 16)))
+    block_size = min(t, _SE_BLOCK)
+    chunk = min(block_size, _batch_trials(config))
     symbols = None if law else np.empty((chunk, min(m, _SLOT_CHUNK), pulse.n), dtype=complex)
-    for start in range(0, config.trials, chunk):
-        rngs = [stream(config.seed, _TAG_SYMBOLS, t)
-                for t in range(start, min(start + chunk, config.trials))]
-        power = drawn_power(config.constellation, basis, pulse, m, rngs, symbols) / m
-        acf_rows[start:start + len(rngs)] = np.fft.ihfft(power, axis=-1)
-    sq = np.abs(acf_rows) ** 2
-    mean_sq = sq.mean(axis=0)
-    resid = sq - mean_sq
-    t = config.trials
-    se = np.sqrt(np.sum(resid**2, axis=0) / (t * (t - 1)))
-    mean = acf_rows.mean(axis=0)
+    # row 0 of each holds the running sum over all trials so far
+    rows = np.zeros((chunk + 1, ln // 2 + 1), dtype=complex)
+    sq = np.zeros((block_size + 1, ln // 2 + 1))
+    count, sq_mean, m2 = 0, 0.0, 0.0
+    for first in range(0, t, block_size):
+        size = min(block_size, t - first)
+        for start in range(first, first + size, chunk):
+            rngs = [stream(config.seed, _TAG_SYMBOLS, trial)
+                    for trial in range(start, min(start + chunk, first + size))]
+            power = drawn_power(config.constellation, basis, pulse, m, rngs, symbols) / m
+            batch = rows[1:len(rngs) + 1]
+            batch[...] = np.fft.ihfft(power, axis=-1)
+            place = np.abs(batch, out=sq[1 + start - first:][:len(rngs)])
+            place **= 2
+            _fold_rows(rows, len(rngs))
+        count, sq_mean, m2 = _merged(count, sq_mean, m2, sq[1:size + 1])
+        _fold_rows(sq, size)
+    mean_sq = sq[0] / t
+    se = np.sqrt(m2 / (t * (t - 1)))
+    mean = rows[0] / t
     var = mean_sq - np.abs(mean) ** 2
     mean = np.where(mirrored, np.conj(mean[fold]), mean[fold])
     return MonteCarloResult(lags, mean_sq[fold], se[fold], mean, var[fold])

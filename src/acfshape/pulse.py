@@ -16,6 +16,7 @@ to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,18 @@ class NyquistPulse:
         if self.n < 2:
             raise ValueError(f"block size must be >= 2, got {self.n}")
         object.__setattr__(self, "g", _validate_gains(self.g, self.n))
+
+    @cached_property
+    def gain_tile(self) -> np.ndarray:
+        """l * G as its l replicas of the n bins, shape (l, n), built once and read-only.
+
+        Replica r, bin j carries l * G[r * n + j] (G from assemble_full_spectrum),
+        so a slot's length-n bin power broadcast against this tile is its shaped
+        power spectrum.
+        """
+        tile = (self.l * assemble_full_spectrum(self)).reshape(self.l, self.n)
+        tile.flags.writeable = False
+        return tile
 
 
 def rolloff_bin_count(n: int, alpha: float) -> int:

@@ -166,6 +166,37 @@ def test_structured_closed_forms_build_no_dense_matrix():
         assert peak < 4 << 20, f"{kind}: {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("budget", [1, 20_000], ids=["one-row", "seven-rows"])
+@pytest.mark.parametrize("kind", ["cdma", "haar"])
+def test_dense_spread_rows_taken_in_blocks(monkeypatch, kind, budget):
+    n, l, kurt = 32, 3, 1.32
+    basis = mod.random_unitary(n, np.random.default_rng(43)) if kind == "haar" else \
+        mod.make_basis(kind, n)
+    pulse = pul.rrc_spectrum(n, l, 0.4)
+    lags = np.arange(-l * n, l * n)
+    whole = st.expected_sq_acf(pulse, basis, kurt, m=3, lags=lags)  # one block of n rows
+    monkeypatch.setattr(st, "_BATCH_BYTES", budget)
+    blocked = st.expected_sq_acf(pulse, basis, kurt, m=3, lags=lags)
+    np.testing.assert_array_equal(blocked.variance, whole.variance)
+    spread = dense_spread(pulse, basis.v_tilde)[lags]
+    variance = (dense_spread(pulse, np.eye(n))[lags] + (kurt - 2.0) * spread) / 3
+    np.testing.assert_allclose(blocked.variance, variance, rtol=0, atol=1e-12 * n**2)
+
+
+def test_dense_spread_rows_stay_within_the_budget():
+    # the n dense rows over l n / 2 + 1 lags are 16.8 MB of complex ACF alone
+    n, l = 256, 32
+    basis, pulse = mod.make_basis("cdma", n), pul.rrc_spectrum(n, l, 0.35)
+    assert basis.v_tilde.shape == (n, n)  # built before tracing
+    tracemalloc.start()
+    try:
+        st.expected_sq_acf(pulse, basis, 1.32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * st._BATCH_BYTES < 16 * n * (l * n // 2 + 1) / 2, f"{peak / 2**20:.1f} MiB"
+
+
 def test_slot_counts_beyond_2_53_are_refused():
     pulse, basis = pul.rrc_spectrum(4, 2, 0.5), mod.make_basis("ofdm", 4)
     assert st.expected_sq_acf(pulse, basis, 1.32, m=st.MAX_SLOTS).variance[0] > 0

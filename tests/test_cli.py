@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, file contracts, determinism."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -746,6 +747,7 @@ def test_range_sim_tracks_the_labelled_target(tmp_path, capsys, estimate, range_
 _BAD_VALUES = [None, True, -1, 0, 1, 1.5, 1e308, -1e308, 10**400, "", "x", "qam15", "psk2",
                "custom", "cdma", "file", "designed", "lag", [], [1], [2, 1], [1, 1e308],
                [0.0, 0.0], {}, {"x": 1}]
+_BAD_REPR = repr(_BAD_VALUES)
 
 
 def _dicts(value):
@@ -772,7 +774,8 @@ def _mutated_fig6(draw):
         elif action == "add":
             obj[draw(st.sampled_from(["sweeps", "regoin", "gain_bd", "label", "m"]))] = 1
         elif action == "swap":
-            obj[key] = draw(st.sampled_from(_BAD_VALUES))
+            # a copy: later mutations edit the config, never the shared list
+            obj[key] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
         else:
             group = draw(st.sampled_from(["targets", "methods"]))
             items = list(_dicts(cfg.get(group) if isinstance(cfg.get(group), list) else []))
@@ -789,6 +792,7 @@ def test_range_config_fuzz_returns_or_reports(cfg):
         _resolve_range_config(cfg)
     except ValueError as exc:
         assert str(exc).startswith("config invalid")
+    assert repr(_BAD_VALUES) == _BAD_REPR  # replays draw from the same values
 
 
 def _raise(exc):

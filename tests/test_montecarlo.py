@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,27 @@ def test_run_trials_deterministic_and_chunk_invariant(monkeypatch):
     np.testing.assert_array_equal(first.mean_sq, third.mean_sq)
     np.testing.assert_array_equal(first.mean, second.mean)
     np.testing.assert_array_equal(first.se, second.se)
+
+
+@pytest.mark.parametrize("kind, m", [("sc", 3), ("ofdm", 5)], ids=["sc-m3", "ofdm-class-counts"])
+def test_run_trials_memory_does_not_grow_with_trials(kind, m):
+    # 4,096 trials' ACF rows alone are 2.2 MB; one batch of 64 trials' slot
+    # draws, power spectra and rows is well under the bound below
+    n, l = 16, 4
+
+    def peak(trials):
+        cfg = _base_config(basis=mod.make_basis(kind, n), pulse=pul.rrc_spectrum(n, l, 0.5),
+                           trials=trials, m=m)
+        tracemalloc.start()
+        try:
+            mc.run_trials(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # fills lazy caches
+    grown = peak(4096) - peak(64)
+    assert grown < 64 * 16 * (3 * m * n + 4 * l * n), f"{grown} bytes"
 
 
 def test_run_trials_agrees_with_closed_form():

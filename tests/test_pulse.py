@@ -66,6 +66,15 @@ def test_full_spectrum_layout():
     assert full[7] == 0.0
 
 
+def test_gain_tile_is_built_once_and_read_only():
+    p = pul.rrc_spectrum(8, 4, 0.5)
+    tile = p.gain_tile
+    assert tile is p.gain_tile
+    np.testing.assert_array_equal(tile, (4 * pul.assemble_full_spectrum(p)).reshape(4, 8))
+    with pytest.raises(ValueError):
+        tile[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("n, l, alpha", [(16, 2, 0.3), (16, 5, 0.8), (9, 3, 0.5)])
 def test_taps_have_unit_energy(n, l, alpha):
     taps = spectrum_to_time(pul.rrc_spectrum(n, l, alpha))
