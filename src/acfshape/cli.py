@@ -526,9 +526,9 @@ def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: s
     n, l, bw, seed = echo["n"], echo["l"], echo["bandwidth_hz"], echo["seed"]
     geometry, ref = scene["geometry"], scene["amplitude_ref"]
     rmse = {"snr_db": echo["snr_db"]}
-    for name, scenario in scenarios:
-        rows = ranging.rmse_sweep(scenario, geometry["true_range_m"], echo["snr_db"],
-                                  echo["runs"], seed, ref)
+    sweeps = ranging.rmse_sweeps([scenario for _, scenario in scenarios],
+                                 geometry["true_range_m"], echo["snr_db"], echo["runs"], seed, ref)
+    for (name, _), rows in zip(scenarios, sweeps):
         hits = (row["rmse_hits_m"] for row in rows)  # NaN when no run hits: an empty cell
         rmse[f"{name}_rmse_m"] = [row["rmse_m"] for row in rows]
         rmse[f"{name}_rmse_hits_m"] = [None if math.isnan(v) else v for v in hits]
@@ -624,7 +624,7 @@ _RECIPES = {
 }
 
 
-def _mc_recipe(name: str, recipe: dict, args) -> list[str]:
+def _mc_recipe(name: str, recipe: dict, args, outputs: list[str]) -> None:
     started = time.perf_counter()
     pul = pulse.rrc_spectrum(_FIG_N, _FIG_L, _FIG_ALPHA)
     table = {"lag": range(_FIG_N * _FIG_L)}
@@ -638,7 +638,6 @@ def _mc_recipe(name: str, recipe: dict, args) -> list[str]:
         )
         table[f"theory_{label}_db"] = acfstats.to_db_of_peak(theory.total, _FIG_N)
         table[f"empirical_{label}_db"] = acfstats.to_db_of_peak(result.mean_sq, _FIG_N)
-    path = f"{args.out_dir}/{name}.csv"
     params = {
         "recipe": name,
         "curves": [list(curve) for curve in recipe["curves"]],
@@ -647,32 +646,35 @@ def _mc_recipe(name: str, recipe: dict, args) -> list[str]:
         "alpha": _FIG_ALPHA,
         "trials": args.trials,
     }
-    _emit_table(path, table, "reproduce", params, args.seed, started)
-    return [path]
+    _emit_table(outputs[0], table, "reproduce", params, args.seed, started)
 
 
-def _psl_recipe(name: str, recipe: dict, args) -> list[str]:
+def _psl_recipe(name: str, recipe: dict, args, outputs: list[str]) -> None:
     started = time.perf_counter()
     lags = shaping.sidelobe_lags(_FIG_N, _FIG_L, *recipe["window"])
     result, rrc, params = _design(_FIG_N, _FIG_L, _FIG_ALPHA, lags, "psl")
     params |= {"recipe": name, "region_symbols": recipe["window"]}
-    acf_path = f"{args.out_dir}/{name}_acf.csv"
+    acf_path, spectrum_path = outputs
     _emit_acf_table(acf_path, rrc, result.pulse, "reproduce", params, args.seed, started)
-    spectrum_path = f"{args.out_dir}/{name}_spectrum.csv"
     table = {"bin": range(_FIG_N), "rrc": rrc.g, "designed": result.pulse.g}
     _emit_table(spectrum_path, table, "reproduce", params, args.seed, started)
-    return [acf_path, spectrum_path]
 
 
-def _range_recipe(name: str, recipe: dict, args) -> list[str]:
+def _range_recipe(name: str, recipe: dict, args, outputs: list[str]) -> None:
     started = time.perf_counter()
     echo, scene = _resolve_range_config(recipe["config"], args.runs, args.seed)
-    outputs = [f"{args.out_dir}/{name}_rmse.csv", f"{args.out_dir}/{name}_profile.csv"]
     _ranging_tables(echo | {"recipe": name}, scene, *outputs, "reproduce", started)
-    return outputs
 
 
-_RECIPE_KINDS = {"mc": _mc_recipe, "psl": _psl_recipe, "range": _range_recipe}
+# each kind's recipe and the name suffixes of the tables it writes
+_RECIPE_KINDS = {"mc": (_mc_recipe, ("",)), "psl": (_psl_recipe, ("_acf", "_spectrum")),
+                 "range": (_range_recipe, ("_rmse", "_profile"))}
+
+
+def _recipe_outputs(name: str, out_dir) -> list[str]:
+    """The tables a recipe writes, one per name suffix of its kind."""
+    _, suffixes = _RECIPE_KINDS[_RECIPES[name]["kind"]]
+    return [f"{out_dir}/{name}{suffix}.csv" for suffix in suffixes]
 
 
 def _cmd_reproduce(args) -> dict:
@@ -680,11 +682,14 @@ def _cmd_reproduce(args) -> dict:
         if getattr(args, flag) < lo:
             raise ValueError(f"--{flag} must be >= {lo}, got {getattr(args, flag)}")
     names = list(_RECIPES) if "all" in args.recipes else list(dict.fromkeys(args.recipes))
-    files = []
+    outputs = {name: _recipe_outputs(name, args.out_dir) for name in names}
+    files = [path for name in names for path in outputs[name]]
+    _check_destinations(*files)
     for name in names:
         started = time.perf_counter()
         recipe = _RECIPES[name]
-        files += _RECIPE_KINDS[recipe["kind"]](name, recipe, args)
+        make, _ = _RECIPE_KINDS[recipe["kind"]]
+        make(name, recipe, args, outputs[name])
         print(f"{name}: {time.perf_counter() - started:.2f}s", file=sys.stderr)
     return {
         "figures": names,
@@ -784,9 +789,22 @@ def run(argv=None) -> int:
     except Exception as exc:  # NumericalFailure and anything unforeseen
         failure = exc
     else:
-        print(json.dumps(resolved, sort_keys=True))
+        try:
+            print(json.dumps(resolved, sort_keys=True))
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe or a full device; the outputs stay
+            _discard_stdout()
+            return _fail(EXIT_VALIDATION, f"cannot write the summary to stdout: {exc}")
         return EXIT_OK
     return _fail(EXIT_NUMERICAL, f"numerical failure: {type(failure).__name__}: {failure}")
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that its exit flush cannot fail."""
+    fd = sys.stdout.fileno()
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _fail(code: int, message: str) -> int:

@@ -15,7 +15,8 @@ at the end (fold_lags).
 Trial t draws from its own generator, stream(seed, _TAG_SYMBOLS, t), so
 results do not depend on batching or execution order.  stream builds every
 seeded generator in the package, and drawn_power draws the slots of Monte
-Carlo trials and ranging runs alike.  On OFDM the slot-summed power of
+Carlo trials and ranging runs alike, one draw serving every (basis, pulse)
+pair that a ranging draw group scores on it.  On OFDM the slot-summed power of
 subcarrier j is n times the sum of the m symbols' |s|^2, which depends only
 on how many of them fall in each power class of the alphabet; for a finite
 alphabet with more slots than classes, drawn_power draws those class counts
@@ -114,12 +115,15 @@ def slot_power(
     s = np.asarray(symbols, dtype=complex)
     if s.shape[-1] != basis.n:
         raise ValueError(f"symbol block length {s.shape[-1]} != basis size {basis.n}")
+    return _shaped(pulse, _bin_power(basis, s))
+
+
+def _bin_power(basis: ModulationBasis, s: np.ndarray) -> np.ndarray:
+    """Slot-summed power of the basis spectrum, (..., n), before the pulse weights."""
     if basis.kind == "ofdm":
-        power = basis.n * np.sum(np.abs(s) ** 2, axis=-2)
-    else:
-        xf = np.fft.fft(s, axis=-1) if basis.kind == "sc" else s @ basis.spectral_map.T
-        power = np.sum(np.abs(xf) ** 2, axis=-2)
-    return _shaped(pulse, power)
+        return basis.n * np.sum(np.abs(s) ** 2, axis=-2)
+    xf = np.fft.fft(s, axis=-1) if basis.kind == "sc" else s @ basis.spectral_map.T
+    return np.sum(np.abs(xf) ** 2, axis=-2)
 
 
 def _shaped(pulse: NyquistPulse, power: np.ndarray) -> np.ndarray:
@@ -147,32 +151,43 @@ def _class_law(constellation: ConstellationSpec, basis: ModulationBasis,
     return classes if m > classes[0].size else None
 
 
-def drawn_power(constellation: ConstellationSpec, basis: ModulationBasis, pulse: NyquistPulse,
-                m: int, rngs: list[np.random.Generator],
-                symbols: np.ndarray | None = None) -> np.ndarray:
-    """Slot-summed power spectrum, (len(rngs), l * n), of m fresh slots per generator.
+def drawn_power(constellation: ConstellationSpec,
+                shapes: list[tuple[ModulationBasis, NyquistPulse]], m: int,
+                rngs: list[np.random.Generator],
+                symbols: np.ndarray | None = None) -> list[np.ndarray]:
+    """Slot-summed power spectra of m fresh slots per generator, one per (basis, pulse).
 
-    Where _class_law applies, each generator in rngs order makes one draw,
-    rng.multinomial(m, probs, size=n), of the class counts N per subcarrier,
-    and P_j = n * sum_c N_jc * level_c (a sum, so no BLAS call).  Otherwise
-    each chunk of up to _SLOT_CHUNK slots takes one sample_symbols call per
-    generator, in rngs order, and adds the chunk's slot_power.  Several
-    generators' draws are gathered into the workspace symbols, a contiguous
-    complex array of at least len(rngs) * min(m, _SLOT_CHUNK) * n entries
-    (None allocates one for this call); a caller that keeps it across calls
-    spares the heap a trim and refault on each.  A single generator's draw
-    is already one contiguous block and is used as it comes, with no copy
-    and no workspace to refault.
+    Every pair in shapes sees the same draws: entry k, shape (len(rngs),
+    l * n), is the power of those slots through shapes[k].  The pairs must
+    share n and take the same draw path.  Where _class_law applies, each
+    generator in rngs order makes one draw, rng.multinomial(m, probs,
+    size=n), of the class counts N per subcarrier, and P_j = n * sum_c
+    N_jc * level_c (a sum, so no BLAS call).  Otherwise each chunk of up
+    to _SLOT_CHUNK slots takes one sample_symbols call per generator, in
+    rngs order; its unshaped bin power is formed once per distinct basis
+    and each pair adds that power, shaped by its pulse, to its own sum.
+    Several generators' draws are gathered into the workspace symbols, a
+    contiguous complex array of at least len(rngs) * min(m, _SLOT_CHUNK)
+    * n entries (None allocates one for this call); a caller that keeps it
+    across calls spares the heap a trim and refault on each.  A single
+    generator's draw is already one contiguous block and is used as it
+    comes, with no copy and no workspace to refault.
     """
-    n = pulse.n
-    law = _class_law(constellation, basis, m)
-    if law is not None:
-        levels, probs = law
+    n = shapes[0][1].n
+    laws = [_class_law(constellation, basis, m) for basis, _ in shapes]
+    if any(pulse.n != n for _, pulse in shapes) or len({law is None for law in laws}) > 1:
+        raise ValueError("the (basis, pulse) pairs of one draw must share n and the draw path")
+    if laws[0] is not None:
+        levels, probs = laws[0]
         counts = np.array([rng.multinomial(m, probs, size=n) for rng in rngs])
-        return _shaped(pulse, n * np.sum(counts * levels, axis=-1))
+        power = n * np.sum(counts * levels, axis=-1)
+        return [_shaped(pulse, power) for _, pulse in shapes]
+    # sc and ofdm maps are fixed by n; a dense map is its own
+    keys = [basis.kind if basis.spectral_map is None else id(basis.spectral_map)
+            for basis, _ in shapes]
     if symbols is None and len(rngs) > 1:
         symbols = np.empty(len(rngs) * min(m, _SLOT_CHUNK) * n, dtype=complex)
-    power = np.zeros((len(rngs), pulse.l * n))
+    powers = None
     for start in range(0, m, _SLOT_CHUNK):
         count = min(_SLOT_CHUNK, m - start)
         if len(rngs) == 1:
@@ -181,8 +196,16 @@ def drawn_power(constellation: ConstellationSpec, basis: ModulationBasis, pulse:
             block = symbols.reshape(-1)[:len(rngs) * count * n].reshape(len(rngs), count, n)
             for rng, slots in zip(rngs, block):
                 slots[...] = sample_symbols(constellation, (count, n), rng)
-        power += slot_power(pulse, basis, block)
-    return power
+        bins = {}
+        for key, (basis, _) in zip(keys, shapes):
+            if key not in bins:
+                bins[key] = _bin_power(basis, block)
+        del block  # the sums take only the bin powers
+        if powers is None:
+            powers = [np.zeros((len(rngs), pulse.l * n)) for _, pulse in shapes]
+        for key, (_, pulse), power in zip(keys, shapes, powers):
+            power += _shaped(pulse, bins[key])
+    return powers
 
 
 def _batch_trials(config: TrialConfig) -> int:
@@ -254,7 +277,7 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
         for start in range(first, first + size, chunk):
             rngs = [stream(config.seed, _TAG_SYMBOLS, trial)
                     for trial in range(start, min(start + chunk, first + size))]
-            power = drawn_power(config.constellation, basis, pulse, m, rngs, symbols) / m
+            power = drawn_power(config.constellation, [(basis, pulse)], m, rngs, symbols)[0] / m
             batch = rows[1:len(rngs) + 1]
             batch[...] = np.fft.ihfft(power, axis=-1)
             place = np.abs(batch, out=sq[1 + start - first:][:len(rngs)])

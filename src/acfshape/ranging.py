@@ -17,7 +17,13 @@ n bins from 0 and the n bins up to l*n - 1, so the noise record is drawn
 on those 2n bins only.  One kernel serves a single profile and a batch
 of sweep runs alike; each run still draws from its own generator, and
 its slots come from montecarlo.drawn_power, the draw that Monte Carlo
-trials use.  The SNR rule (noise_variance) serves both the sweep and the
+trials use.  Run r of a sweep draws from the same stream in every
+scenario, so scenarios whose runs make identical draws (one draw group:
+the same targets, roi, grid, constellation, m and draw path) are swept
+together, runs outer and scenarios inner: each batch of runs is drawn
+once, phases, symbols, noise record and channel spectrum, and every
+scenario of the group is scored on it, the common-random-numbers
+arrangement.  The SNR rule (noise_variance) serves both the sweep and the
 illustrative profiles in dB of their own peak (profile_db).
 """
 
@@ -46,6 +52,7 @@ __all__ = [
     "run_once",
     "profile_db",
     "rmse_sweep",
+    "rmse_sweeps",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -154,7 +161,8 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0)
         raise ValueError(f"noise variance must be a scalar or 1-D, each >= 0, got {noise_var}")
     amplitudes = np.array([[t.amplitude for t in scenario.targets]], dtype=complex)
     grid = scenario.grid
-    profiles = _profiles(scenario, [rng], amplitudes, variances.reshape(-1), (0, grid - 1))
+    (power,), noise, spectrum = _drawn([scenario], [rng], amplitudes)
+    profiles = _profiles(scenario, power, noise, spectrum, variances.reshape(-1), (0, grid - 1))
     return profiles[0].reshape(variances.shape + (grid,))
 
 
@@ -173,36 +181,55 @@ def profile_db(scenario: RangingScenario, snr_db: float, seed: int, index: int,
     return np.maximum(db, DB_FLOOR)
 
 
-def _profiles(
-    scenario: RangingScenario,
+def _drawn(
+    group: list[RangingScenario],
     rngs: list[np.random.Generator],
     amplitudes: np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The draws of a batch of runs, shared by every scenario of one draw group.
+
+    Run b draws from rngs[b], its symbols (or class counts) through
+    drawn_power, one power spectrum per scenario, then its unit noise record
+    of 4n normals; its targets carry amplitudes[b].  Returns the powers,
+    the records, shape (runs, 2, 2, n), and the channel spectrum H =
+    fft(channel), where the channel holds each target's amplitude at its
+    delay.
+    """
+    first = group[0]
+    n, grid = first.pulse.n, first.grid
+    shapes = [(s.basis, s.pulse) for s in group]
+    powers = drawn_power(first.constellation, shapes, first.m, rngs)
+    noise = np.empty((len(rngs), 2, 2, n))
+    for rng, record in zip(rngs, noise):
+        rng.standard_normal(out=record)
+    channel = np.zeros((len(rngs), grid), dtype=complex)
+    channel[:, [t.delay for t in first.targets]] = amplitudes
+    return powers, noise, np.fft.fft(channel, axis=-1)
+
+
+def _profiles(
+    scenario: RangingScenario,
+    power: np.ndarray,
+    noise: np.ndarray,
+    spectrum: np.ndarray,
     variances: np.ndarray,
     window: tuple[int, int],
 ) -> np.ndarray:
-    """run_once for a batch of runs, on the inclusive lag window only.
+    """run_once for a batch of drawn runs (_drawn), on the inclusive lag window only.
 
-    Run b draws from rngs[b] (symbols through drawn_power, then the unit
-    noise record) and its targets carry amplitudes[b].  The pulse puts
-    P on the band's 2n bins, 0..n-1 and (l-1)*n..l*n-1, and nowhere else,
-    so the record is 2n real parts, then 2n imaginary parts, on those bins
-    in that order, and V is zero elsewhere; at l = 2 the band is the whole
-    grid.  With S = sqrt(l * n * P / 2),
+    The pulse puts P on the band's 2n bins, 0..n-1 and (l-1)*n..l*n-1, and
+    nowhere else, so the unit record V is 2n real parts, then 2n imaginary
+    parts, on those bins in that order, and zero elsewhere; at l = 2 the
+    band is the whole grid.  With S = sqrt(l * n * P / 2),
     ifft(P * H + sqrt(v) * S * V) = ifft(P * H) + sqrt(v) * ifft(S * V),
     so two inverse FFTs serve every variance.  Returns shape
     (runs, variances, hi - lo + 1).
     """
     m, grid, l, n = scenario.m, scenario.grid, scenario.pulse.l, scenario.pulse.n
-    power = drawn_power(scenario.constellation, scenario.basis, scenario.pulse, m, rngs)
-    noise = np.empty((len(rngs), 2, 2, n))
-    for rng, record in zip(rngs, noise):
-        rng.standard_normal(out=record)
-    channel = np.zeros((len(rngs), grid), dtype=complex)
-    channel[:, [t.delay for t in scenario.targets]] = amplitudes
     lo, hi = window
-    echo = np.fft.ifft(power * np.fft.fft(channel, axis=-1), axis=-1)[:, None, lo:hi + 1]
+    echo = np.fft.ifft(power * spectrum, axis=-1)[:, None, lo:hi + 1]
     # the band is blocks 0 and l - 1 of the (l, n) view; P is zero on the rest
-    band = np.zeros((len(rngs), l, n), dtype=complex)
+    band = np.zeros((len(power), l, n), dtype=complex)
     occupied = band[:, ::l - 1]
     occupied.real, occupied.imag = noise[:, 0], noise[:, 1]
     occupied *= np.sqrt(grid * power.reshape(-1, l, n)[:, ::l - 1] / 2.0)
@@ -224,58 +251,126 @@ def rmse_sweep(
     seed: int,
     amplitude_ref: float = 1.0,
 ) -> list[dict[str, float]]:
-    """Range error statistics of the roi peak across an SNR grid.
+    """Range error statistics of the roi peak across an SNR grid: rmse_sweeps of one scenario."""
+    return rmse_sweeps([scenario], true_range_m, snr_grid_db, runs, seed, amplitude_ref)[0]
 
-    Each SNR point sets its noise_variance.  Run r draws target
-    phases, symbols and noise from its own stream, and every SNR point
-    scores that one draw, so rows are independent of execution order.
+
+def rmse_sweeps(
+    scenarios: list[RangingScenario],
+    true_range_m: float,
+    snr_grid_db,
+    runs: int,
+    seed: int,
+    amplitude_ref: float = 1.0,
+) -> list[list[dict[str, float]]]:
+    """Range error statistics of the roi peak across an SNR grid, per scenario.
+
+    Each SNR point sets its noise_variance.  Run r draws target phases,
+    symbols and noise from its own stream, stream(seed, _TAG_RANGING, r),
+    and every SNR point scores that one draw, so rows are independent of
+    execution order.  Scenarios whose runs make the same draws form one
+    draw group (_draw_groups): each batch of runs is drawn once for the
+    group and every scenario in it is scored on those draws, one after
+    another, so a group costs one draw per run and not one per scenario.
     Each block of _SNR_BLOCK points redraws run r from scratch.  Runs are
     scored in batches sized by _BATCH_BYTES.  The estimate is the range of
     the roi peak, ties going to the lowest lag, and a run hits when it
     lands within half a resolution cell of the truth.
-    Returns one dict per SNR with keys snr_db, rmse_m, rmse_hits_m,
-    success_rate (rmse_hits_m is NaN when no run succeeds; callers
-    serialize it as an empty field).
+    Returns, in scenario order, one list per scenario of one dict per SNR
+    with keys snr_db, rmse_m, rmse_hits_m, success_rate (rmse_hits_m is NaN
+    when no run succeeds; callers serialize it as an empty field).
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
-    bw, l = scenario.bandwidth_hz, scenario.pulse.l
-    step, half_cell = range_per_lag_m(bw, l), resolution_cell_m(bw, l) / 2.0
-    lo, hi = scenario.roi
     snr_grid_db = list(snr_grid_db)
-    rows = []
-    for start in range(0, len(snr_grid_db), _SNR_BLOCK):
-        block = snr_grid_db[start:start + _SNR_BLOCK]
-        variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
-        batch = _batch_runs(scenario, len(block) * (hi - lo + 1))
-        errors = np.empty((len(block), runs))
-        for first in range(0, runs, batch):
-            rngs = [stream(seed, _TAG_RANGING, r) for r in range(first, min(first + batch, runs))]
-            amplitudes = np.array([_drawn_amplitudes(scenario, rng) for rng in rngs])
-            profiles = _profiles(scenario, rngs, amplitudes, variances, scenario.roi)
-            lags = lo + np.argmax(profiles, axis=-1)
-            errors[:, first:first + len(rngs)] = (lags * step - true_range_m).T
-        hits = np.abs(errors) <= half_cell
-        for snr_db, err, hit in zip(block, errors, hits):
-            rmse_hits = float(np.sqrt(np.mean(err[hit] ** 2))) if hit.any() else float("nan")
-            rows.append({"snr_db": float(snr_db), "rmse_m": float(np.sqrt(np.mean(err**2))),
-                         "rmse_hits_m": rmse_hits, "success_rate": float(np.mean(hit))})
+    rows: list = [None] * len(scenarios)
+    for members in _draw_groups(scenarios):
+        group = [scenarios[k] for k in members]
+        for k, group_rows in zip(members, _group_sweep(group, true_range_m, snr_grid_db, runs,
+                                                       seed, amplitude_ref)):
+            rows[k] = group_rows
     return rows
 
 
-def _batch_runs(scenario: RangingScenario, scored: int) -> int:
-    """Sweep runs per batch, so that the arrays a batch allocates fit _BATCH_BYTES.
+def _draw_groups(scenarios: list[RangingScenario]) -> list[list[int]]:
+    """Indices of the scenarios whose runs make identical draws, in first-seen order.
 
-    Per run, in complex entries: the slot draw (one slot chunk of symbols
-    and its spectrum, or where drawn_power draws class counts, the counts
-    and their weighted levels, n per class together, being real), the
-    power spectrum and its accumulator (one grid together, being real), the
-    channel, its FFT, the echo spectrum and its inverse, the band noise
-    spectrum and its inverse, the band record and its scale (4n together,
-    being real), and the scored roi points with their sum and squares.
+    Those share the target delays and magnitudes, the roi, n and l, the
+    constellation, m and the draw path (slots, or OFDM class counts);
+    bases, pulses and bandwidths may differ.
     """
-    n = scenario.pulse.n
-    law = _class_law(scenario.constellation, scenario.basis, scenario.m)
-    draw = law[0].size * n if law is not None else 2 * min(scenario.m, _SLOT_CHUNK) * n
-    per_run = 16 * (draw + 7 * scenario.grid + 4 * n + 3 * scored)
+    groups: dict[tuple, list[int]] = {}
+    for k, s in enumerate(scenarios):
+        key = (tuple((t.delay, abs(t.amplitude)) for t in s.targets), s.roi, s.pulse.n,
+               s.pulse.l, s.constellation.kind, s.constellation.points.tobytes(), s.m,
+               _class_law(s.constellation, s.basis, s.m) is None)
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
+def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db: list,
+                 runs: int, seed: int, amplitude_ref: float) -> list[list[dict[str, float]]]:
+    """rmse_sweeps over one draw group, one row list per scenario."""
+    first = group[0]
+    l = first.pulse.l
+    lo, hi = first.roi
+    rows: list[list] = [[] for _ in group]
+    for start in range(0, len(snr_grid_db), _SNR_BLOCK):
+        block = snr_grid_db[start:start + _SNR_BLOCK]
+        variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
+        batch = _batch_runs(group, len(block) * (hi - lo + 1))
+        lags = np.empty((len(group), len(block), runs), dtype=int)
+        for begin in range(0, runs, batch):
+            rngs = [stream(seed, _TAG_RANGING, r) for r in range(begin, min(begin + batch, runs))]
+            lags[..., begin:begin + len(rngs)] = _peak_lags(group, rngs, variances)
+        for scenario, found, scored in zip(group, lags, rows):
+            bw = scenario.bandwidth_hz
+            step, half_cell = range_per_lag_m(bw, l), resolution_cell_m(bw, l) / 2.0
+            errors = found * step - true_range_m
+            hits = np.abs(errors) <= half_cell
+            for snr_db, err, hit in zip(block, errors, hits):
+                rmse_hits = float(np.sqrt(np.mean(err[hit] ** 2))) if hit.any() else float("nan")
+                scored.append({"snr_db": float(snr_db),
+                               "rmse_m": float(np.sqrt(np.mean(err**2))),
+                               "rmse_hits_m": rmse_hits, "success_rate": float(np.mean(hit))})
+    return rows
+
+
+def _peak_lags(group: list[RangingScenario], rngs: list[np.random.Generator],
+               variances: np.ndarray) -> np.ndarray:
+    """Roi peak lag per scenario, variance and run of one batch, (scenarios, variances, runs).
+
+    The batch is drawn once (_drawn) and its scenarios are scored on it
+    one after another, so one scenario's workspace is alive at a time.
+    """
+    first = group[0]
+    lo, hi = first.roi
+    amplitudes = np.array([_drawn_amplitudes(first, rng) for rng in rngs])
+    powers, noise, spectrum = _drawn(group, rngs, amplitudes)
+    lags = np.empty((len(group), len(variances), len(rngs)), dtype=int)
+    for scenario, power, found in zip(group, powers, lags):
+        profiles = _profiles(scenario, power, noise, spectrum, variances, (lo, hi))
+        found[...] = lo + np.argmax(profiles, axis=-1).T
+    return lags
+
+
+def _batch_runs(group: list[RangingScenario], scored: int) -> int:
+    """Runs per batch of a draw group, so that the arrays a batch allocates fit _BATCH_BYTES.
+
+    Per run, in complex entries: the group's draw, once (one slot chunk of
+    symbols, its spectrum, and the spectrum's magnitude and power, two
+    reals together; or where drawn_power draws class counts, the counts
+    and their weighted levels, n per class together, being real); each
+    scenario's power spectrum and one shaped product being added to it
+    (half a grid each, being real); the channel and its FFT; then one
+    scenario's workspace at a time: the echo spectrum and its inverse, the
+    band noise spectrum and its inverse, the noise record and the band
+    scale (4n together), and its scored roi points with their sum and
+    squares.
+    """
+    first = group[0]
+    n, grid = first.pulse.n, first.grid
+    law = _class_law(first.constellation, first.basis, first.m)
+    draw = law[0].size * n if law is not None else 3 * min(first.m, _SLOT_CHUNK) * n
+    per_run = 16 * (draw + (len(group) + 1) * grid // 2 + 6 * grid + 4 * n + 3 * scored)
     return max(1, _BATCH_BYTES // per_run)

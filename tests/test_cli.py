@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acfshape import acfstats, constellation, modulation, pulse, shaping, tableio
-from acfshape.cli import _RECIPES, NumericalFailure, _resolve_range_config, run
+from acfshape import acfstats, constellation, modulation, pulse, ranging, shaping, tableio
+from acfshape.cli import (_RECIPES, NumericalFailure, _build_scenarios, _resolve_range_config,
+                          run)
 from helpers import read_csv
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -552,6 +553,19 @@ def test_range_sim_byte_identical_across_thread_counts(tmp_path):
     assert by_threads[0] == by_threads[1]
 
 
+def test_reproduce_fig6_byte_identical_across_thread_counts(tmp_path):
+    # the grouped ranging kernel: designed and RRC columns on both bases
+    names = ["fig6_rmse.csv", "fig6_profile.csv"]
+    by_threads = [
+        _child_outputs(threads, ["reproduce", "fig6", "--runs", 2, "--out-dir", out],
+                       [out / name for name in names])
+        for threads, out in ((1, tmp_path / "1"), (2, tmp_path / "2"))
+    ]
+    assert by_threads[0] == by_threads[1]
+    header = read_csv(tmp_path / "1" / "fig6_rmse.csv")[0]
+    assert {"sc_designed_rmse_m", "ofdm_rrc_rmse_m"} <= set(header)
+
+
 def test_range_sim_checks_both_tables_before_writing(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     (tmp_path / "rs_profile.csv").mkdir()
@@ -954,6 +968,55 @@ def test_reproduce_checks_flags_before_writing(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("recipes, taken", [
+    (["fig4"], "fig4_spectrum.csv"),
+    (["fig1", "fig7"], "fig7_profile.csv"),
+    (["fig6", "fig5"], "fig5.csv.manifest.json"),
+], ids=["fig4-second-table", "fig7-after-fig1", "fig5-manifest"])
+def test_reproduce_checks_every_destination_before_writing(tmp_path, capsys, recipes, taken):
+    # a directory in the place of any selected recipe's table or manifest
+    # stops the command before the first recipe writes anything
+    (tmp_path / taken).mkdir()
+    assert run(["reproduce", *recipes, "--trials", "4", "--runs", "1",
+                "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"output {tmp_path / taken} is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+
+def _child_with_stdout(stdout, out):
+    """Run acf-theory in a child process writing its summary to stdout."""
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "acfshape", "acf-theory", "--n", "8", "--l", "2",
+                           "--out", str(out)], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("target", ["full-device", "closed-pipe"])
+def test_unwritable_stdout_ends_with_one_line(tmp_path, target):
+    out = tmp_path / "t.csv"
+    if target == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "w") as full:
+            proc = _child_with_stdout(full, out)
+        reason = "No space left on device"
+    else:  # the reader is gone before the child writes
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _child_with_stdout(write, out)
+        finally:
+            os.close(write)
+        reason = "Broken pipe"
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("cannot write the summary to stdout") and reason in proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert read_csv(out)[0] == ["lag", "iceberg_db", "sea_db", "total_db"]  # written before
+    assert os.path.isfile(tableio.manifest_path(out))
+
+
 def test_reproduce_runs_several_recipes(tmp_path, capsys):
     assert run(["reproduce", "fig5", "fig2", "--trials", "16", "--out-dir", str(tmp_path)]) == 0
     out, err = capsys.readouterr()
@@ -983,3 +1046,13 @@ def test_reproduce_fig6_equals_range_sim_on_its_config(tmp_path):
     for suffix in ("_rmse.csv", "_profile.csv"):
         recipe = (tmp_path / "rep" / f"fig6{suffix}").read_bytes()
         assert recipe == (tmp_path / f"rs{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("recipe, groups", [
+    ("fig6", [[0, 1, 2, 3]]),    # 16-PSK at one slot: SC and OFDM, RRC and designed
+    ("fig7", [[0, 1], [2, 3]]),  # 16-QAM OFDM: the m=1 slot draws, the m=1000 class counts
+])
+def test_ranging_recipes_draw_once_per_group(recipe, groups):
+    echo, scene = _resolve_range_config(_RECIPES[recipe]["config"], 1, 0)
+    scenarios, _ = _build_scenarios(echo, scene)
+    assert ranging._draw_groups([s for _, s in scenarios]) == groups

@@ -228,7 +228,7 @@ def test_class_count_law_matches_the_slot_draw(spec):
     n, l, m, draws = 16, 2, 20, 2000
     pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
     rngs = [mc.stream(7, 0, d) for d in range(draws)]
-    law = _subcarrier_power(mc.drawn_power(spec, basis, pulse, m, rngs), l, n)
+    law = _subcarrier_power(mc.drawn_power(spec, [(basis, pulse)], m, rngs)[0], l, n)
     symbols = con.sample_symbols(spec, (draws, m, n), np.random.default_rng(8))
     slot = n * np.sum(np.abs(symbols) ** 2, axis=-2)
     kurt = con.kurtosis(spec)
@@ -256,7 +256,7 @@ def test_slot_stream_stands_up_to_the_class_count(spec, m):
     # m at the class count (qam16, PSK) and Gaussian symbols keep the slot draw
     n, l = 8, 3
     pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
-    got = mc.drawn_power(spec, basis, pulse, m, [mc.stream(3, 0, 0)])
+    got = mc.drawn_power(spec, [(basis, pulse)], m, [mc.stream(3, 0, 0)])[0]
     slots = con.sample_symbols(spec, (m, n), mc.stream(3, 0, 0))
     np.testing.assert_array_equal(got, mc.slot_power(pulse, basis, slots[None]))
 
@@ -266,12 +266,31 @@ def test_class_counts_above_the_class_count():
     n, l, m = 8, 3, 4
     spec, pulse, basis = con.qam(16), pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
     rngs = [mc.stream(3, 0, r) for r in range(3)]
-    got = mc.drawn_power(spec, basis, pulse, m, rngs)
+    got = mc.drawn_power(spec, [(basis, pulse)], m, rngs)[0]
     levels, probs = spec.power_classes
     counts = [mc.stream(3, 0, r).multinomial(m, probs, size=n) for r in range(3)]
     power = n * np.sum(np.array(counts) * levels, axis=-1)
     np.testing.assert_array_equal(got, np.tile(power, l) * (l * pul.assemble_full_spectrum(pulse)))
     sc = mod.make_basis("sc", n)  # every other basis keeps the slot draw
     slots = con.sample_symbols(spec, (1, m, n), mc.stream(3, 0, 0))
-    np.testing.assert_array_equal(mc.drawn_power(spec, sc, pulse, m, [mc.stream(3, 0, 0)]),
-                                  mc.slot_power(pulse, sc, slots))
+    got = mc.drawn_power(spec, [(sc, pulse)], m, [mc.stream(3, 0, 0)])[0]
+    np.testing.assert_array_equal(got, mc.slot_power(pulse, sc, slots))
+
+
+@pytest.mark.parametrize("spec, m", [(con.qam(16), 5), (con.qam(16), 3)],
+                         ids=["class-counts", "slot-chunks"])
+def test_drawn_power_serves_every_pair_from_one_draw(monkeypatch, spec, m):
+    # entry k equals the pair's own draw from fresh generators, chunk by chunk
+    monkeypatch.setattr(mc, "_SLOT_CHUNK", 2)
+    n, l = 8, 3
+    ofdm, sc = mod.make_basis("ofdm", n), mod.make_basis("sc", n)
+    pulses = [pul.rrc_spectrum(n, l, 0.5), pul.rrc_spectrum(n, l, 0.9)]
+    bases = [ofdm] if m == 5 else [ofdm, sc, mod.make_basis("cdma", n)]
+    shapes = [(basis, pulse) for basis in bases for pulse in pulses]
+    got = mc.drawn_power(spec, shapes, m, [mc.stream(3, 0, r) for r in range(3)])
+    assert len(got) == len(shapes)
+    for power, shape in zip(got, shapes):
+        alone = mc.drawn_power(spec, [shape], m, [mc.stream(3, 0, r) for r in range(3)])[0]
+        assert np.array_equal(power, alone)
+    with pytest.raises(ValueError, match="draw path"):
+        mc.drawn_power(spec, [(ofdm, pulses[0]), (sc, pulses[0])], 5, [mc.stream(3, 0, 0)])

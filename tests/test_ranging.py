@@ -1,5 +1,6 @@
 """Matched-filter ranging against dense-matrix and closed-form oracles."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from acfshape import modulation as mod
 from acfshape import montecarlo as mc
 from acfshape import pulse as pul
 from acfshape import ranging as rng_mod
+from acfshape import shaping
 from helpers import modulate, spectrum_to_time
 
 
@@ -423,3 +425,113 @@ def test_run_once_draws_symbols_then_4n_normals(l):
     con.sample_symbols(scene.constellation, (m, n), fresh)
     fresh.standard_normal(4 * n)
     assert np.array_equal(rng.random(8), fresh.random(8))
+
+
+def _designed(n, l):
+    """An isl-designed pulse at a small window, the other pulse family of the paper."""
+    spec = shaping.ShapingSpec(n, l, 0.5, shaping.sidelobe_lags(n, l, 1, 3), "isl")
+    return shaping.design_pulse(spec).pulse
+
+
+def _methods(scene, m, const, bases):
+    """One scenario per (basis, pulse) of the scene, at m slots of const."""
+    pulses = (scene.pulse, _designed(scene.pulse.n, scene.pulse.l))
+    return [replace(scene, constellation=con.from_name(const), basis=basis, pulse=pulse, m=m)
+            for basis in bases for pulse in pulses]
+
+
+@pytest.mark.parametrize("setting", ["one-run-batch", "ragged-batch", "snr-block"])
+@pytest.mark.parametrize("draw", ["slot-chunks", "class-counts"])
+def test_rmse_sweeps_rows_equal_one_scenario_sweeps(monkeypatch, draw, setting):
+    scene, truth = _sweep_scene()
+    n = scene.pulse.n
+    cdma = mod.make_basis("cdma", n)
+    if draw == "slot-chunks":  # qam16 at its class count keeps the slot draw on OFDM
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", 2)
+        scenarios = _methods(scene, 3, "qam16", [mod.make_basis("sc", n), scene.basis, cdma])
+    else:  # OFDM class counts beside an SC group of the same m, in one call
+        scenarios = (_methods(scene, 5, "qam16", [scene.basis])
+                     + _methods(scene, 5, "qam16", [mod.make_basis("sc", n)]))
+    scenarios.append(replace(scenarios[0], basis=cdma, bandwidth_hz=201e6))
+    if setting == "one-run-batch":
+        monkeypatch.setattr(rng_mod, "_BATCH_BYTES", 1)
+    elif setting == "ragged-batch":
+        monkeypatch.setattr(rng_mod, "_batch_runs", lambda group, scored: 3)
+    else:
+        monkeypatch.setattr(rng_mod, "_SNR_BLOCK", 2)
+    grid = [-10.0, 0.0, 30.0]
+    rows = rng_mod.rmse_sweeps(scenarios, truth, grid, runs=8, seed=5)
+    assert rows == [rng_mod.rmse_sweep(s, truth, grid, runs=8, seed=5) for s in scenarios]
+    assert len({str(r) for r in rows}) > 1  # the methods do score differently
+
+
+def test_rmse_sweeps_draw_once_per_run_and_block_per_group(monkeypatch):
+    calls = []
+    original = rng_mod.stream
+
+    def counted(seed, tag, run):
+        calls.append(run)
+        return original(seed, tag, run)
+
+    monkeypatch.setattr(rng_mod, "stream", counted)
+    scene, truth = _sweep_scene()
+    group = _methods(scene, 2, "qam16", [mod.make_basis("sc", 16), scene.basis])
+    rng_mod.rmse_sweeps(group, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
+    assert calls == list(range(4))
+    calls.clear()
+    monkeypatch.setattr(rng_mod, "_SNR_BLOCK", 2)
+    two = group + [replace(s, m=1) for s in group]
+    rng_mod.rmse_sweeps(two, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
+    assert calls == list(range(4)) * 4  # two groups of two blocks each
+
+
+def test_draw_groups_split_on_m_constellation_scene_and_draw_path():
+    scene, _ = _sweep_scene()
+    sc, ofdm, cdma = (mod.make_basis(kind, 16) for kind in ("sc", "ofdm", "cdma"))
+    qam, psk = con.from_name("qam16"), con.from_name("psk16")
+    other = pul.rrc_spectrum(16, 2, 0.9)
+    scenarios = [
+        replace(scene, basis=sc, constellation=qam, m=1),                 # 0
+        replace(scene, basis=ofdm, constellation=qam, m=1, pulse=other),  # 0: bases and pulses
+        replace(scene, basis=sc, constellation=psk, m=1),                 # 2: constellation
+        replace(scene, basis=sc, constellation=qam, m=2),                 # 3: m
+        replace(scene, basis=cdma, constellation=qam, m=1000),            # 4: slot draw
+        replace(scene, basis=ofdm, constellation=qam, m=1000),            # 5: class counts
+        replace(scene, basis=ofdm, constellation=qam, m=1000, pulse=other),  # 5
+        replace(scene, basis=sc, constellation=qam, m=1, roi=(12, 27)),   # 7: roi
+        replace(scene, basis=sc, constellation=qam, m=1,
+                targets=(scene.targets[0], rng_mod.Target(21, 0.5))),    # 8: delays
+        replace(scene, basis=sc, constellation=qam, m=1,
+                targets=(scene.targets[0], rng_mod.Target(20, 0.5j))),   # 0: phase only
+        replace(scene, basis=sc, constellation=qam, m=1, bandwidth_hz=1e6),  # 0: bandwidth
+    ]
+    assert rng_mod._draw_groups(scenarios) == [[0, 1, 9, 10], [2], [3], [4], [5, 6], [7], [8]]
+
+
+def test_group_sweep_memory_within_one_scenario_sweep():
+    # four SC methods at a full slot chunk: the group's draw is taken once
+    # and its scenarios are scored one at a time, so the group peaks no
+    # higher than its costliest one-method sweep plus one method's profiles
+    n, l, m = 128, 10, 512
+    c, b = con.from_name("psk16"), mod.make_basis("sc", n)
+    targets = (rng_mod.Target(267, 1.0), rng_mod.Target(400, 0.01))
+    group = [rng_mod.RangingScenario(c, b, pul.rrc_spectrum(n, l, alpha), targets, (317, 417),
+                                     m=m) for alpha in (0.2, 0.35, 0.5, 0.9)]
+    truth, grid = rng_mod.range_for_lag(400, 200e6, l), [15.0, 20.0, 25.0, 30.0, 35.0]
+    scored = len(grid) * (417 - 317 + 1)
+    batch = rng_mod._batch_runs(group[:1], scored)
+    assert batch == rng_mod._batch_runs(group, scored) == 1  # one run's draw passes 1 MiB
+
+    # an untraced sweep first builds what outlives it: each pulse's l * G tile, the FFT plans
+    rng_mod.rmse_sweeps(group, truth, grid, runs=1, seed=0)
+
+    def peak(scenarios):
+        tracemalloc.start()
+        try:
+            rng_mod.rmse_sweeps(scenarios, truth, grid, runs=2, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = max(peak([s]) for s in group)
+    assert peak(group) <= single + 16 * batch * scored
