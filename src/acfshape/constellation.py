@@ -234,14 +234,21 @@ def sample_symbols(
     spec: ConstellationSpec,
     count: int | tuple[int, ...],
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw i.i.d. symbols from the alphabet; count may be a shape tuple.
 
     A finite alphabet takes one draw of uniform point indices,
     rng.integers(0, size, count), which numpy makes by Lemire's
-    multiply-and-reject method (ACM TOMACS 29(1), 2019).
+    multiply-and-reject method (ACM TOMACS 29(1), 2019); Gaussian symbols
+    one draw of interleaved (re, im) normals, times sqrt(1/2).  One call
+    over (c, ...) gives the bits of c calls over (...) in turn.  out, a
+    C-contiguous complex array of shape count, takes the symbols if given.
     """
+    if out is None:
+        out = np.empty(count, dtype=complex)
     if spec.kind == "gaussian":
-        z = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        return z / np.sqrt(2.0)
-    return spec.points[rng.integers(0, spec.size, count)]
+        rng.standard_normal(out=out.view(float))
+        out *= np.sqrt(0.5)
+        return out
+    return np.take(spec.points, rng.integers(0, spec.size, count), out=out, mode="clip")

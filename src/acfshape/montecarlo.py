@@ -3,33 +3,23 @@
 Each trial draws m independent symbol blocks and averages their m
 periodic ACFs into one estimate.  A periodic ACF is the inverse DFT of
 the power spectrum, so a trial never builds the shaped signal: it
-averages the slots' power spectra (slot_power) and takes one inverse
-transform.  slot_power reads each block's spectrum straight from the
+averages the slots' power spectra (drawn_power), read straight from the
 symbols through the basis spectral map W = sqrt(n) F U (an FFT for single
-carrier, sqrt(n) times the symbols for OFDM, one product otherwise).  The
-power is real, so its ACF is Hermitian, r[ln - k] = conj(r[k]): the inverse
-transform is the half-length ihfft over lags 0..ln//2, the statistics are
-reduced over trials there, and the requested lags are folded onto that half
-at the end (fold_lags).
+carrier, sqrt(n) times the symbols for OFDM, one product otherwise), and
+takes one inverse transform.  The power is real, so its ACF is Hermitian,
+r[ln - k] = conj(r[k]): the inverse transform is the half-length ihfft
+over lags 0..ln//2, the statistics are reduced over trials there, and the
+requested lags are folded onto that half at the end (fold_lags).
 
-Trial t draws from its own generator, stream(seed, _TAG_SYMBOLS, t), so
-results do not depend on batching or execution order.  stream builds every
-seeded generator in the package, and drawn_power draws the slots of Monte
-Carlo trials and ranging runs alike, one draw serving every (basis, pulse)
-pair that a ranging draw group scores on it.  On OFDM the slot-summed power of
-subcarrier j is n times the sum of the m symbols' |s|^2, which depends only
-on how many of them fall in each power class of the alphabet; for a finite
-alphabet with more slots than classes, drawn_power draws those class counts
-(multinomial, the points being equiprobable) instead of the m * n symbols.
-
-run_trials keeps no array over trials.  Each batch of trials, sized by the
-byte budget _BATCH_BYTES, adds its ACF rows to a running per-lag sum and
-is dropped; each block of _SE_BLOCK trials does the same with its rows'
-|r|^2.  The sums add the rows one after another in trial order, the order
-a sum over the trial axis of all the rows takes, so the means have the
-same bits at any batch size.  The standard error merges the mean and the
-summed squared deviations of |r|^2 block by block (Chan, Golub & LeVeque
-1979), never batch by batch, so it too is the same at any batch size.
+stream builds every seeded generator in the package.  Block b of _SE_BLOCK
+trials draws from stream(seed, _TAG_SYMBOLS, b), its trials in turn, each
+batch in one drawn_power call, which numpy makes bit for bit the calls in
+turn it replaces: results do not depend on batching.  drawn_power draws
+ranging runs too.  On OFDM the slot-summed power of subcarrier j is n
+times the sum of the m symbols' |s|^2, which depends only on how many
+fall in each power class of the alphabet; for a finite alphabet with more
+slots than classes, drawn_power draws those class counts (multinomial, the
+points being equiprobable) instead of the m * n symbols.
 """
 
 from __future__ import annotations
@@ -46,7 +36,6 @@ from .pulse import NyquistPulse
 __all__ = [
     "TrialConfig",
     "MonteCarloResult",
-    "slot_power",
     "stream",
     "drawn_power",
     "run_trials",
@@ -60,8 +49,7 @@ _TAG_PROFILE = 3
 # slots drawn per chunk of a trial or run; memory only, not results
 _SLOT_CHUNK = 512
 
-# trials per block of the standard error's merge: part of how se is
-# computed, so its last bits depend on it; memory and batching do not
+# trials per block, each with its own stream and se merge step: results depend on it
 _SE_BLOCK = 64
 
 
@@ -96,26 +84,6 @@ class MonteCarloResult:
     se: np.ndarray
     mean: np.ndarray
     var: np.ndarray
-
-
-def slot_power(
-    pulse: NyquistPulse, basis: ModulationBasis, symbols: np.ndarray
-) -> np.ndarray:
-    """Slot-summed power spectrum P = sum_s |X_s|^2 over all l*n bins.
-
-    symbols has shape (..., m, n); the slot axis -2 is summed out.  Block
-    s has the length-n spectrum X = W s with W = sqrt(n) F U the basis
-    spectral map: fft(s) for single carrier, sqrt(n) s for OFDM (so its
-    power is n |s|^2 with no transform) and s @ W.T for the dense kinds.
-    Zero-insertion upsampling replicates that spectrum l times and the
-    pulse weights bin f by l * G[f] (G from assemble_full_spectrum), so the
-    power is formed at length n and broadcast against pulse.gain_tile, the
-    (l, n) view of l * G.  ifft(P) is the sum of the m periodic ACFs.
-    """
-    s = np.asarray(symbols, dtype=complex)
-    if s.shape[-1] != basis.n:
-        raise ValueError(f"symbol block length {s.shape[-1]} != basis size {basis.n}")
-    return _shaped(pulse, _bin_power(basis, s))
 
 
 def _bin_power(basis: ModulationBasis, s: np.ndarray) -> np.ndarray:
@@ -153,56 +121,59 @@ def _class_law(constellation: ConstellationSpec, basis: ModulationBasis,
 
 def drawn_power(constellation: ConstellationSpec,
                 shapes: list[tuple[ModulationBasis, NyquistPulse]], m: int,
-                rngs: list[np.random.Generator],
+                sources: list[tuple[np.random.Generator, int]],
                 symbols: np.ndarray | None = None) -> list[np.ndarray]:
-    """Slot-summed power spectra of m fresh slots per generator, one per (basis, pulse).
+    """Slot-summed power spectra of m fresh slots per draw, one per (basis, pulse).
 
-    Every pair in shapes sees the same draws: entry k, shape (len(rngs),
-    l * n), is the power of those slots through shapes[k].  The pairs must
-    share n and take the same draw path.  Where _class_law applies, each
-    generator in rngs order makes one draw, rng.multinomial(m, probs,
-    size=n), of the class counts N per subcarrier, and P_j = n * sum_c
-    N_jc * level_c (a sum, so no BLAS call).  Otherwise each chunk of up
-    to _SLOT_CHUNK slots takes one sample_symbols call per generator, in
-    rngs order; its unshaped bin power is formed once per distinct basis
-    and each pair adds that power, shaped by its pulse, to its own sum.
-    Several generators' draws are gathered into the workspace symbols, a
-    contiguous complex array of at least len(rngs) * min(m, _SLOT_CHUNK)
-    * n entries (None allocates one for this call); a caller that keeps it
-    across calls spares the heap a trim and refault on each.  A single
-    generator's draw is already one contiguous block and is used as it
-    comes, with no copy and no workspace to refault.
+    sources lists (generator, count) pairs: each generator makes count
+    draws of m slots in turn, and the draws follow sources order.  Every
+    pair in shapes sees the same draws: entry k, shape (draws, l * n), is
+    their power through shapes[k].  The pairs must share n and take the
+    same draw path.  Where _class_law applies, each source makes one draw,
+    rng.multinomial(m, probs, size=(count, n)), of the class counts N per
+    subcarrier, and P_j = n * sum_c N_jc * level_c (a sum, so no BLAS
+    call).  Otherwise each chunk of up to _SLOT_CHUNK slots takes one
+    sample_symbols call per source, of shape (count, chunk, n), so a source
+    of several draws must take its m slots in one chunk; its unshaped bin
+    power is formed once per distinct basis and each pair adds that power,
+    shaped by its pulse, to its own sum.  The draws go into the workspace
+    symbols, a contiguous complex array of at least draws * min(m,
+    _SLOT_CHUNK) * n entries (None allocates one), kept by a caller across
+    calls to spare the heap a trim and refault on each.
     """
     n = shapes[0][1].n
+    draws = sum(count for _, count in sources)
     laws = [_class_law(constellation, basis, m) for basis, _ in shapes]
     if any(pulse.n != n for _, pulse in shapes) or len({law is None for law in laws}) > 1:
         raise ValueError("the (basis, pulse) pairs of one draw must share n and the draw path")
     if laws[0] is not None:
         levels, probs = laws[0]
-        counts = np.array([rng.multinomial(m, probs, size=n) for rng in rngs])
+        counts = np.concatenate([rng.multinomial(m, probs, size=(count, n))
+                                 for rng, count in sources])
         power = n * np.sum(counts * levels, axis=-1)
         return [_shaped(pulse, power) for _, pulse in shapes]
+    if m > _SLOT_CHUNK and draws > len(sources):
+        raise ValueError("a source of several draws must take its m slots in one chunk")
     # sc and ofdm maps are fixed by n; a dense map is its own
     keys = [basis.kind if basis.spectral_map is None else id(basis.spectral_map)
             for basis, _ in shapes]
-    if symbols is None and len(rngs) > 1:
-        symbols = np.empty(len(rngs) * min(m, _SLOT_CHUNK) * n, dtype=complex)
+    if symbols is None:
+        symbols = np.empty(draws * min(m, _SLOT_CHUNK) * n, dtype=complex)
     powers = None
     for start in range(0, m, _SLOT_CHUNK):
-        count = min(_SLOT_CHUNK, m - start)
-        if len(rngs) == 1:
-            block = sample_symbols(constellation, (count, n), rngs[0])[None]
-        else:
-            block = symbols.reshape(-1)[:len(rngs) * count * n].reshape(len(rngs), count, n)
-            for rng, slots in zip(rngs, block):
-                slots[...] = sample_symbols(constellation, (count, n), rng)
+        size = min(_SLOT_CHUNK, m - start)
+        block = symbols.reshape(-1)[:draws * size * n].reshape(draws, size, n)
+        row = 0
+        for rng, count in sources:
+            sample_symbols(constellation, (count, size, n), rng, out=block[row:row + count])
+            row += count
         bins = {}
         for key, (basis, _) in zip(keys, shapes):
             if key not in bins:
                 bins[key] = _bin_power(basis, block)
         del block  # the sums take only the bin powers
         if powers is None:
-            powers = [np.zeros((len(rngs), pulse.l * n)) for _, pulse in shapes]
+            powers = [np.zeros((draws, pulse.l * n)) for _, pulse in shapes]
         for key, (_, pulse), power in zip(keys, shapes, powers):
             power += _shaped(pulse, bins[key])
     return powers
@@ -211,18 +182,19 @@ def drawn_power(constellation: ConstellationSpec,
 def _batch_trials(config: TrialConfig) -> int:
     """Trials per batch, so that the arrays a batch allocates fit _BATCH_BYTES.
 
-    Per trial, in complex entries: the slot draw (one slot chunk of symbols,
-    its spectrum, and the spectrum's magnitude and power, two reals
-    together; or where drawn_power draws class counts, the counts and their
-    weighted levels, n per class together, being real), the power spectrum,
-    its shaped product and its share of m (3 l n / 2, being real), and on
-    the l n / 2 + 1 lags the ACF row and its place in the sums, then |r|^2
-    in the block and its deviation from the block mean (one together, being
-    real).
+    Per trial, in complex entries: the draw (a slot chunk's symbols, int64
+    indices (half an entry each), spectrum, magnitude and power; or the
+    class counts and weighted levels), the power spectrum, its shaped
+    product and share of m (3 l n / 2, being real), and on the l n / 2 + 1
+    lags the ACF row, its place in the sums, |r|^2 in the block and its
+    deviation from the block mean.  A trial whose slots take several chunks
+    is a batch of its own: one call draws a batch only of one-chunk trials.
     """
     n, ln, m = config.pulse.n, config.pulse.l * config.pulse.n, config.m
     law = _class_law(config.constellation, config.basis, m)
-    draw = law[0].size * n if law is not None else 3 * min(m, _SLOT_CHUNK) * n
+    if law is None and m > _SLOT_CHUNK:
+        return 1
+    draw = law[0].size * n if law is not None else 7 * m * n // 2
     per_trial = 16 * draw + 24 * ln + 48 * (ln // 2 + 1)
     return max(1, _BATCH_BYTES // per_trial)
 
@@ -249,16 +221,18 @@ def _merged(count: int, mean: np.ndarray, m2: np.ndarray,
 def run_trials(config: TrialConfig) -> MonteCarloResult:
     """Monte Carlo estimate of the ACF mean and squared magnitude per lag.
 
-    Trials run in batches of _batch_trials within blocks of _SE_BLOCK.  A
-    batch takes each trial's ACF row r over lags 0..ln//2 (ihfft of its
-    power spectrum) and adds the rows to their running sum in trial order
-    (_fold_rows); a block keeps its rows' |r|^2 until its end, merges them
-    into the standard error's statistics (_merged) and adds them to their
-    running sum.  mean_sq and mean are those sums over the trial count t,
-    var is mean_sq - |mean|^2, and se = sqrt(sum (|r|^2 - mean_sq)^2 /
-    (t (t - 1))), the standard error of mean_sq, with the sum of squared
-    deviations taken by the block merge.  The workspace is one batch and
-    one block, whatever the trial count.
+    Trials run in batches of _batch_trials within blocks of _SE_BLOCK, each
+    block drawing from its own stream and each batch in one drawn_power
+    call.  A batch takes each trial's ACF row r over lags 0..ln//2 (ihfft
+    of its power spectrum) and adds the rows to their running sum in trial
+    order (_fold_rows); a block keeps its rows' |r|^2 until its end, merges
+    them into the standard error's statistics (_merged, Chan, Golub &
+    LeVeque 1979) and adds them to their running sum.  Sums in trial order
+    and merges by block have the same bits at any batch size.  mean_sq and
+    mean are the sums over the trial count t, var is mean_sq - |mean|^2,
+    and se = sqrt(sum (|r|^2 - mean_sq)^2 / (t (t - 1))), the standard
+    error of mean_sq.  The workspace is one batch and one block, whatever
+    the trial count.
     """
     pulse, basis, m, t = config.pulse, config.basis, config.m, config.trials
     ln = pulse.l * pulse.n
@@ -274,15 +248,16 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
     count, sq_mean, m2 = 0, 0.0, 0.0
     for first in range(0, t, block_size):
         size = min(block_size, t - first)
+        rng = stream(config.seed, _TAG_SYMBOLS, first // _SE_BLOCK)
         for start in range(first, first + size, chunk):
-            rngs = [stream(config.seed, _TAG_SYMBOLS, trial)
-                    for trial in range(start, min(start + chunk, first + size))]
-            power = drawn_power(config.constellation, [(basis, pulse)], m, rngs, symbols)[0] / m
-            batch = rows[1:len(rngs) + 1]
+            drawn = min(chunk, first + size - start)
+            power = drawn_power(config.constellation, [(basis, pulse)], m, [(rng, drawn)],
+                                symbols)[0] / m
+            batch = rows[1:drawn + 1]
             batch[...] = np.fft.ihfft(power, axis=-1)
-            place = np.abs(batch, out=sq[1 + start - first:][:len(rngs)])
+            place = np.abs(batch, out=sq[1 + start - first:][:drawn])
             place **= 2
-            _fold_rows(rows, len(rngs))
+            _fold_rows(rows, drawn)
         count, sq_mean, m2 = _merged(count, sq_mean, m2, sq[1:size + 1])
         _fold_rows(sq, size)
     mean_sq = sq[0] / t

@@ -7,24 +7,16 @@ correlates it against that slot's signal.  Coherent integration averages
 the matched-filter output over data slots while the targets stay put,
 which lowers both the noise floor and the data-induced sidelobe variance.
 The averaged output depends on the symbols only through their
-slot-summed power spectrum, so a run works on that spectrum and never
-builds the signals or the echoes.  The noise variance belongs to the
-run, not the scene, and the inverse FFT is linear, so a run takes two
-inverse FFTs, one of the target echo and one of its unit noise record,
-and scores every SNR point by adding the scaled noise term on the lags
-it searches.  The power spectrum is zero outside the pulse's band, the
-n bins from 0 and the n bins up to l*n - 1, so the noise record is drawn
-on those 2n bins only.  One kernel serves a single profile and a batch
-of sweep runs alike; each run still draws from its own generator, and
-its slots come from montecarlo.drawn_power, the draw that Monte Carlo
-trials use.  Run r of a sweep draws from the same stream in every
-scenario, so scenarios whose runs make identical draws (one draw group:
-the same targets, roi, grid, constellation, m and draw path) are swept
-together, runs outer and scenarios inner: each batch of runs is drawn
-once, phases, symbols, noise record and channel spectrum, and every
-scenario of the group is scored on it, the common-random-numbers
-arrangement.  The SNR rule (noise_variance) serves both the sweep and the
-illustrative profiles in dB of their own peak (profile_db).
+slot-summed power spectrum (montecarlo.drawn_power), so a run never
+builds the signals or the echoes, and the inverse FFT is linear, so it
+takes two inverse FFTs, of the target echo and of its unit noise record
+(drawn on the pulse's 2n band bins only), and scores every SNR point by
+adding the scaled noise term on the lags it searches.  Each run draws
+from its own generator, the same in every scenario, so scenarios whose
+runs make identical draws (one draw group) are swept together, runs
+outer and scenarios inner, each batch of runs drawn once for the group:
+the common-random-numbers arrangement.  The SNR rule (noise_variance)
+serves the sweep and the profiles in dB of their own peak (profile_db).
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acfstats import DB_FLOOR, check_slots
+from .acfstats import DB_FLOOR, _fold_rows, check_slots
 from .constellation import ConstellationSpec
 from .modulation import ModulationBasis
 from .montecarlo import (_SLOT_CHUNK, _TAG_PROFILE, _TAG_RANGING, _class_law, drawn_power,
@@ -147,7 +139,7 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0)
     targets.  Slot s's matched filter is ifft(conj(X_s) * Y_s) with
     Y_s = X_s * H + N_s, where H = fft(channel) and the channel holds each
     target's amplitude at its delay.  Summed over the slots this is
-    ifft(P * H + W) with P the slot-summed power spectrum (slot_power).
+    ifft(P * H + W) with P the slot-summed power spectrum (drawn_power).
     The DFT of white circular noise is white, so given the symbols W is
     circular Gaussian, independent per bin, with variance
     noise_var * l * n * P: one draw replaces the m per-slot noise records.
@@ -198,7 +190,7 @@ def _drawn(
     first = group[0]
     n, grid = first.pulse.n, first.grid
     shapes = [(s.basis, s.pulse) for s in group]
-    powers = drawn_power(first.constellation, shapes, first.m, rngs)
+    powers = drawn_power(first.constellation, shapes, first.m, [(rng, 1) for rng in rngs])
     noise = np.empty((len(rngs), 2, 2, n))
     for rng, record in zip(rngs, noise):
         rng.standard_normal(out=record)
@@ -268,14 +260,12 @@ def rmse_sweeps(
     Each SNR point sets its noise_variance.  Run r draws target phases,
     symbols and noise from its own stream, stream(seed, _TAG_RANGING, r),
     and every SNR point scores that one draw, so rows are independent of
-    execution order.  Scenarios whose runs make the same draws form one
-    draw group (_draw_groups): each batch of runs is drawn once for the
-    group and every scenario in it is scored on those draws, one after
-    another, so a group costs one draw per run and not one per scenario.
-    Each block of _SNR_BLOCK points redraws run r from scratch.  Runs are
-    scored in batches sized by _BATCH_BYTES.  The estimate is the range of
-    the roi peak, ties going to the lowest lag, and a run hits when it
-    lands within half a resolution cell of the truth.
+    execution order.  A draw group (_draw_groups) draws each batch of runs
+    once and scores its scenarios on it one after another.  Each block of
+    _SNR_BLOCK points redraws run r from scratch.  Runs are scored in
+    batches sized by _BATCH_BYTES.  The estimate is the range of the roi
+    peak, ties going to the lowest lag, and a run hits when it lands
+    within half a resolution cell of the truth.
     Returns, in scenario order, one list per scenario of one dict per SNR
     with keys snr_db, rmse_m, rmse_hits_m, success_rate (rmse_hits_m is NaN
     when no run succeeds; callers serialize it as an empty field).
@@ -310,35 +300,38 @@ def _draw_groups(scenarios: list[RangingScenario]) -> list[list[int]]:
 
 def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db: list,
                  runs: int, seed: int, amplitude_ref: float) -> list[list[dict[str, float]]]:
-    """rmse_sweeps over one draw group, one row list per scenario."""
+    """rmse_sweeps over one draw group, one row list per scenario, from sums kept in run order."""
     first = group[0]
     l = first.pulse.l
     lo, hi = first.roi
+    steps = np.array([range_per_lag_m(s.bandwidth_hz, l) for s in group])[:, None]
+    half_cells = np.array([resolution_cell_m(s.bandwidth_hz, l) / 2 for s in group])[:, None]
     rows: list[list] = [[] for _ in group]
     for start in range(0, len(snr_grid_db), _SNR_BLOCK):
         block = snr_grid_db[start:start + _SNR_BLOCK]
         variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
         batch = _batch_runs(group, len(block) * (hi - lo + 1))
-        lags = np.empty((len(group), len(block), runs), dtype=int)
+        # row 0: the running sums, then one row per run of the batch (_fold_rows)
+        terms = np.zeros((batch + 1, 3, len(group), len(block)))
         for begin in range(0, runs, batch):
             rngs = [stream(seed, _TAG_RANGING, r) for r in range(begin, min(begin + batch, runs))]
-            lags[..., begin:begin + len(rngs)] = _peak_lags(group, rngs, variances)
-        for scenario, found, scored in zip(group, lags, rows):
-            bw = scenario.bandwidth_hz
-            step, half_cell = range_per_lag_m(bw, l), resolution_cell_m(bw, l) / 2.0
-            errors = found * step - true_range_m
-            hits = np.abs(errors) <= half_cell
-            for snr_db, err, hit in zip(block, errors, hits):
-                rmse_hits = float(np.sqrt(np.mean(err[hit] ** 2))) if hit.any() else float("nan")
-                scored.append({"snr_db": float(snr_db),
-                               "rmse_m": float(np.sqrt(np.mean(err**2))),
-                               "rmse_hits_m": rmse_hits, "success_rate": float(np.mean(hit))})
+            errors = _peak_lags(group, rngs, variances) * steps - true_range_m
+            squared, hit, hit_squared = terms[1:len(rngs) + 1].transpose(1, 0, 2, 3)
+            np.square(errors, out=squared)
+            np.less_equal(np.abs(errors), half_cells, out=hit)
+            np.multiply(squared, hit, out=hit_squared)
+            _fold_rows(terms, len(rngs))
+        for scored, *sums in zip(rows, *terms[0]):
+            for snr_db, squared, hits, hit_squared in zip(block, *sums):
+                rmse_hits = float(np.sqrt(hit_squared / hits)) if hits else float("nan")
+                scored.append({"snr_db": float(snr_db), "rmse_m": float(np.sqrt(squared / runs)),
+                               "rmse_hits_m": rmse_hits, "success_rate": float(hits / runs)})
     return rows
 
 
 def _peak_lags(group: list[RangingScenario], rngs: list[np.random.Generator],
                variances: np.ndarray) -> np.ndarray:
-    """Roi peak lag per scenario, variance and run of one batch, (scenarios, variances, runs).
+    """Roi peak lag per run, scenario and variance of one batch, (runs, scenarios, variances).
 
     The batch is drawn once (_drawn) and its scenarios are scored on it
     one after another, so one scenario's workspace is alive at a time.
@@ -347,26 +340,23 @@ def _peak_lags(group: list[RangingScenario], rngs: list[np.random.Generator],
     lo, hi = first.roi
     amplitudes = np.array([_drawn_amplitudes(first, rng) for rng in rngs])
     powers, noise, spectrum = _drawn(group, rngs, amplitudes)
-    lags = np.empty((len(group), len(variances), len(rngs)), dtype=int)
-    for scenario, power, found in zip(group, powers, lags):
+    lags = np.empty((len(rngs), len(group), len(variances)), dtype=int)
+    for k, (scenario, power) in enumerate(zip(group, powers)):
         profiles = _profiles(scenario, power, noise, spectrum, variances, (lo, hi))
-        found[...] = lo + np.argmax(profiles, axis=-1).T
+        lags[:, k] = lo + np.argmax(profiles, axis=-1)
     return lags
 
 
 def _batch_runs(group: list[RangingScenario], scored: int) -> int:
     """Runs per batch of a draw group, so that the arrays a batch allocates fit _BATCH_BYTES.
 
-    Per run, in complex entries: the group's draw, once (one slot chunk of
-    symbols, its spectrum, and the spectrum's magnitude and power, two
-    reals together; or where drawn_power draws class counts, the counts
-    and their weighted levels, n per class together, being real); each
-    scenario's power spectrum and one shaped product being added to it
-    (half a grid each, being real); the channel and its FFT; then one
-    scenario's workspace at a time: the echo spectrum and its inverse, the
-    band noise spectrum and its inverse, the noise record and the band
-    scale (4n together), and its scored roi points with their sum and
-    squares.
+    Per run, in complex entries: the group's draw, once (a slot chunk's
+    symbols, spectrum, magnitude and power, or the class counts and their
+    weighted levels); each scenario's power spectrum and one shaped product
+    added to it (half a grid each, being real); the channel and its FFT;
+    then one scenario's workspace at a time: the echo spectrum and its
+    inverse, the band noise spectrum and its inverse, the noise record and
+    the band scale (4n together), and its scored roi points, sum, squares.
     """
     first = group[0]
     n, grid = first.pulse.n, first.grid

@@ -31,6 +31,8 @@ __all__ = [
 
 # characters that force a cell into quotes (RFC 4180)
 _SPECIAL = (',', '"', '\n', '\r')
+# rows formatted at once; memory only, not output
+_BLOCK_ROWS = 256
 
 
 def load_text(path, ndmin: int, max_rows: int) -> np.ndarray:
@@ -87,34 +89,56 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _quoted(value) -> str:
+    """format_cell, quoted (RFC 4180) where a string holds a separator, quote or break."""
+    cell = format_cell(value)
+    if isinstance(value, str) and any(ch in cell for ch in _SPECIAL):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _column_cells(column) -> list[str]:
+    """One column's cells, typed once: only floats, or only ints, at once, else cell by cell.
+
+    Floats are checked once for non-finite values and written by repr, ints
+    (not bool) by str; mixed, bool, None and string columns keep _quoted,
+    so a 1 beside floats still reads 1.
+    """
+    kinds = set(map(type, column))
+    if kinds and all(issubclass(kind, float) for kind in kinds):
+        values = np.asarray(column, dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            x = values[np.argmin(finite)].item()
+            raise ValueError(f"non-finite value {x!r} in output table")
+        return list(map(repr, values.tolist()))
+    if kinds <= {int}:
+        return list(map(str, column))
+    return list(map(_quoted, column))
+
+
 def emit_csv(path, header: list[str], rows) -> None:
-    """Write a rectangular table; every row must match the header width."""
-    lines = []
+    """Write a rectangular table by column (_column_cells), in blocks of _BLOCK_ROWS rows."""
     width = len(header)
-    for row in [list(header)] + [list(r) for r in rows]:
+    for row in rows:
         if len(row) != width:
-            raise ValueError(
-                f"{path}: row of width {len(row)} against header of width {width}"
-            )
-        quoted = []
-        try:
-            for value in row:
-                cell = format_cell(value)
-                # only a string can hold a separator, quote or line break: the
-                # numbers, booleans and empty cells format_cell writes never do
-                if isinstance(value, str) and any(ch in cell for ch in _SPECIAL):
-                    cell = '"' + cell.replace('"', '""') + '"'
-                quoted.append(cell)
-        except ValueError as exc:  # the cell that failed is the next one to quote
-            raise ValueError(f"{path}: column {header[len(quoted)]!r}: {exc}") from None
-        lines.append(",".join(quoted))
+            raise ValueError(f"{path}: row of width {len(row)} against header of width {width}")
+    lines = [",".join(map(_quoted, header))]
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        cells = []
+        for name, column in zip(header, zip(*rows[start:start + _BLOCK_ROWS])):
+            try:
+                cells.append(_column_cells(column))
+            except ValueError as exc:
+                raise ValueError(f"{path}: column {name!r}: {exc}") from None
+        lines.extend(map(",".join, zip(*cells)))
     _atomic_write(str(path), "\n".join(lines) + "\n")
 
 
 def emit_text(path, values) -> None:
     """Write scalar values one per line (the loadable gain-file format)."""
     try:
-        lines = [format_cell(v) for v in values]
+        lines = _column_cells(values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     _atomic_write(str(path), "\n".join(lines) + "\n")

@@ -49,6 +49,17 @@ def modulate(basis: ModulationBasis, symbols: np.ndarray) -> np.ndarray:
     return s @ basis.u.T
 
 
+def slot_power(pulse: NyquistPulse, basis: ModulationBasis, symbols: np.ndarray) -> np.ndarray:
+    """Slot-summed power spectrum the long way: sum |fft(U s)|^2 over the slots, tiled by l * G.
+
+    symbols has shape (..., m, n); the slot axis -2 is summed out.
+    """
+    xf = np.fft.fft(modulate(basis, symbols), axis=-1)
+    power = np.sum(np.abs(xf) ** 2, axis=-2)
+    tiled = np.tile(power, (1,) * (power.ndim - 1) + (pulse.l,))
+    return tiled * (pulse.l * assemble_full_spectrum(pulse))
+
+
 def dense_spread(pulse: NyquistPulse, v_tilde: np.ndarray) -> np.ndarray:
     """sum_j |ifft(tile(Vt_j, l) * S)[k]|^2 at every lag k of the full grid.
 

@@ -7,9 +7,8 @@ import pytest
 from acfshape import acfstats as st
 from acfshape import constellation as con
 from acfshape import modulation as mod
-from acfshape import montecarlo as mc
 from acfshape import pulse as pul
-from helpers import dense_spread, edge_lags
+from helpers import dense_spread, edge_lags, slot_power
 
 
 def enumerated_acf_moments(spec, basis, pulse):
@@ -24,7 +23,7 @@ def enumerated_acf_moments(spec, basis, pulse):
     combos = np.array(list(itertools.product(range(pts.size), repeat=pulse.n)))
     syms = pts[combos]
     w = np.prod(pr[combos], axis=1)
-    acf = np.fft.ifft(mc.slot_power(pulse, basis, syms[:, None, :]), axis=-1)
+    acf = np.fft.ifft(slot_power(pulse, basis, syms[:, None, :]), axis=-1)
     mean = np.sum(w[:, None] * acf, axis=0)
     mean_sq = np.sum(w[:, None] * np.abs(acf) ** 2, axis=0)
     return mean, mean_sq

@@ -516,54 +516,96 @@ def test_range_sim_outputs(tmp_path, capsys):
     assert manifest["parameters"]["snr_definition"].startswith("strong-path")
 
 
-def _child_outputs(threads, argv, outputs):
-    """Run the CLI in a child process at a BLAS thread count; output bytes."""
+# runs each argv of a JSON list through cli.run, one after another, in this process
+_CHILD = """
+import json, sys
+from acfshape.cli import run
+for argv in json.loads(sys.argv[1]):
+    code = run(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def _child_outputs(threads, commands):
+    """Run CLI commands in turn in one child process at a BLAS thread count.
+
+    commands lists (argv, outputs); returns the bytes of every output, in order.
+    """
     env = os.environ | {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": str(threads)}
-    proc = subprocess.run([sys.executable, "-m", "acfshape", *map(str, argv)],
+    argvs = json.dumps([[str(arg) for arg in argv] for argv, _ in commands])
+    proc = subprocess.run([sys.executable, "-c", _CHILD, argvs],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return [pathlib.Path(path).read_bytes() for path in outputs]
+    return [pathlib.Path(path).read_bytes() for _, outputs in commands for path in outputs]
 
 
-def test_range_sim_byte_identical_across_thread_counts(tmp_path):
-    # the closed forms, custom-basis Monte Carlo, OFDM Monte Carlo through
-    # the class-count draw, RRC ranging and both design solvers at the
-    # paper's 5:15 window
-    cfg = _write_config(tmp_path / "cfg.json")
+def _thread_commands(tmp, out):
+    """The thread-identity commands, writing under out: (argv, outputs) lists by test.
+
+    range-sim: the closed forms, custom-basis Monte Carlo, OFDM Monte Carlo
+    through the class-count draw, RRC ranging and both design solvers at
+    the paper's 5:15 window.  fig6: the grouped ranging kernel, designed
+    and RRC columns on both bases.
+    """
+    custom = ["--basis", "custom", "--basis-file", tmp / "haar.txt"]
+    return {
+        "range-sim": [
+            (["range-sim", "--config", tmp / "cfg.json", "--out-prefix", out / "rs"],
+             [out / "rs_rmse.csv", out / "rs_profile.csv"]),
+            (["acf-theory", *custom, "--out", out / "theory.csv"], [out / "theory.csv"]),
+            (["acf-mc", *custom, "--trials", 100, "--out", out / "mc.csv"], [out / "mc.csv"]),
+            (["acf-mc", "--basis", "ofdm", "--m", 50, "--trials", 20, "--out", out / "ofdm.csv"],
+             [out / "ofdm.csv"]),
+            (["shape", "--objective", "isl", "--region", "5:15", "--out-spectrum",
+              out / "isl.txt"], [out / "isl.txt"]),
+            (["shape", "--objective", "psl", "--region", "5:15", "--out-spectrum",
+              out / "psl.txt"], [out / "psl.txt"]),
+        ],
+        "fig6": [(["reproduce", "fig6", "--runs", 2, "--out-dir", out],
+                  [out / "fig6_rmse.csv", out / "fig6_profile.csv"])],
+    }
+
+
+@pytest.fixture(scope="module")
+def thread_outputs(tmp_path_factory):
+    """Every thread-identity command, run in one child per BLAS thread count (1 and 2).
+
+    Returns {threads: {test key: output bytes}} and the working directory.
+    """
+    tmp = tmp_path_factory.mktemp("threads")
+    _write_config(tmp / "cfg.json")
     haar = modulation.random_unitary(128, np.random.default_rng(5)).u.reshape(-1)
-    np.savetxt(tmp_path / "haar.txt", np.column_stack([haar.real, haar.imag]))
-    custom = ["--basis", "custom", "--basis-file", tmp_path / "haar.txt"]
-    by_threads = []
+    np.savetxt(tmp / "haar.txt", np.column_stack([haar.real, haar.imag]))
+    by_threads = {}
     for threads in (1, 2):
-        out = tmp_path / str(threads)
-        by_threads.append(
-            _child_outputs(threads, ["range-sim", "--config", cfg, "--out-prefix", out / "rs"],
-                           [out / "rs_rmse.csv", out / "rs_profile.csv"])
-            + _child_outputs(threads, ["acf-theory", *custom, "--out", out / "theory.csv"],
-                             [out / "theory.csv"])
-            + _child_outputs(threads, ["acf-mc", *custom, "--trials", 100,
-                                       "--out", out / "mc.csv"], [out / "mc.csv"])
-            + _child_outputs(threads, ["acf-mc", "--basis", "ofdm", "--m", 50, "--trials", 20,
-                                       "--out", out / "ofdm.csv"], [out / "ofdm.csv"])
-            + _child_outputs(threads, ["shape", "--objective", "isl", "--region", "5:15",
-                                       "--out-spectrum", out / "isl.txt"], [out / "isl.txt"])
-            + _child_outputs(threads, ["shape", "--objective", "psl", "--region", "5:15",
-                                       "--out-spectrum", out / "psl.txt"], [out / "psl.txt"])
-        )
-    assert by_threads[0] == by_threads[1]
+        commands = _thread_commands(tmp, tmp / str(threads))
+        written = iter(_child_outputs(threads, [c for listed in commands.values() for c in listed]))
+        by_threads[threads] = {
+            key: [next(written) for _, outputs in listed for _ in outputs]
+            for key, listed in commands.items()
+        }
+    return by_threads, tmp
 
 
-def test_reproduce_fig6_byte_identical_across_thread_counts(tmp_path):
-    # the grouped ranging kernel: designed and RRC columns on both bases
-    names = ["fig6_rmse.csv", "fig6_profile.csv"]
-    by_threads = [
-        _child_outputs(threads, ["reproduce", "fig6", "--runs", 2, "--out-dir", out],
-                       [out / name for name in names])
-        for threads, out in ((1, tmp_path / "1"), (2, tmp_path / "2"))
-    ]
-    assert by_threads[0] == by_threads[1]
-    header = read_csv(tmp_path / "1" / "fig6_rmse.csv")[0]
+def test_range_sim_byte_identical_across_thread_counts(thread_outputs):
+    by_threads, _ = thread_outputs
+    assert by_threads[1]["range-sim"] == by_threads[2]["range-sim"]
+
+
+def test_reproduce_fig6_byte_identical_across_thread_counts(thread_outputs):
+    by_threads, tmp = thread_outputs
+    assert by_threads[1]["fig6"] == by_threads[2]["fig6"]
+    header = read_csv(tmp / "1" / "fig6_rmse.csv")[0]
     assert {"sc_designed_rmse_m", "ofdm_rrc_rmse_m"} <= set(header)
+
+
+def test_a_command_after_others_writes_what_a_fresh_child_writes(thread_outputs):
+    # the shared child ran fig6 after every range-sim command: nothing one
+    # command leaves in the process may change what a later one writes
+    by_threads, tmp = thread_outputs
+    fresh = _thread_commands(tmp, tmp / "fresh")["fig6"]
+    assert _child_outputs(1, fresh) == by_threads[1]["fig6"]
 
 
 def test_range_sim_checks_both_tables_before_writing(tmp_path, capsys):

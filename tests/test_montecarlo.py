@@ -2,13 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from acfshape import acfstats as st
 from acfshape import constellation as con
 from acfshape import modulation as mod
 from acfshape import montecarlo as mc
 from acfshape import pulse as pul
-from helpers import edge_lags, modulate, spectrum_to_time
+from helpers import edge_lags, modulate, slot_power, spectrum_to_time
+
+
+def _twin_draw(spec, basis, pulse, m, count, seed):
+    """drawn_power of count draws of m slots from stream(seed, 0, 0), and those symbols redrawn."""
+    power = mc.drawn_power(spec, [(basis, pulse)], m, [(mc.stream(seed, 0, 0), count)])[0]
+    return power, con.sample_symbols(spec, (count, m, basis.n), mc.stream(seed, 0, 0))
 
 
 def test_slot_power_matches_dense_circulant():
@@ -16,25 +24,22 @@ def test_slot_power_matches_dense_circulant():
     n, l, m = 8, 3, 3
     basis = mod.random_unitary(n, rng)
     pulse = pul.rrc_spectrum(n, l, 0.5)
-    s = con.sample_symbols(con.qam(16), (m, n), rng)
+    power, (s,) = _twin_draw(con.qam(16), basis, pulse, m, 1, 21)
     up = np.zeros((m, l * n), dtype=complex)
     up[:, ::l] = modulate(basis, s)
     taps = spectrum_to_time(pulse)
     circulant = np.array([np.roll(taps, k) for k in range(l * n)]).T
     xt = up @ circulant.T  # row s is circulant @ up[s]
     expect = np.sum(np.abs(np.fft.fft(xt, axis=-1)) ** 2, axis=0)
-    np.testing.assert_allclose(
-        mc.slot_power(pulse, basis, s), expect, atol=1e-10
-    )
+    np.testing.assert_allclose(power[0], expect, atol=1e-10)
 
 
 def test_slot_power_energy_by_parseval():
-    rng = np.random.default_rng(22)
     n, l = 16, 4
     basis = mod.make_basis("ofdm", n)
     pulse = pul.rrc_spectrum(n, l, 0.35)
-    s = con.sample_symbols(con.qam(16), (2, 5, n), rng)
-    power = mc.slot_power(pulse, basis, s)
+    # three slots of qam16, its class count, keep the slot draw on OFDM
+    power, s = _twin_draw(con.qam(16), basis, pulse, 3, 2, 22)
     assert power.shape == (2, l * n)
     # the pulse is unit-energy and Nyquist, so each shaped block keeps
     # ||s||^2, and Parseval puts l*n times that into the spectrum
@@ -43,14 +48,6 @@ def test_slot_power_energy_by_parseval():
         np.sum(np.abs(s) ** 2, axis=(-2, -1)),
         rtol=1e-10,
     )
-
-
-def _modulated_power(pulse, basis, symbols):
-    """Oracle for slot_power: sum |fft(U s)|^2 over the slots, tiled by l * G."""
-    xf = np.fft.fft(modulate(basis, symbols), axis=-1)
-    power = np.sum(np.abs(xf) ** 2, axis=-2)
-    tiled = np.tile(power, (1,) * (power.ndim - 1) + (pulse.l,))
-    return tiled * (pulse.l * pul.assemble_full_spectrum(pulse))
 
 
 def _basis(kind, n, rng):
@@ -62,24 +59,28 @@ def _basis(kind, n, rng):
     ("sc", 7, 3), ("ofdm", 7, 3), ("haar", 7, 3),
 ])
 def test_slot_power_matches_modulate_oracle(kind, n, l):
-    rng = np.random.default_rng(31)
-    basis = _basis(kind, n, rng)
+    basis = _basis(kind, n, np.random.default_rng(31))
     pulse = pul.rrc_spectrum(n, l, 0.5)
-    s = con.sample_symbols(con.qam(16), (2, 3, n), rng)
-    expect = _modulated_power(pulse, basis, s)
-    got = mc.slot_power(pulse, basis, s)
+    got, s = _twin_draw(con.qam(16), basis, pulse, 3, 2, 31)
+    expect = slot_power(pulse, basis, s)
     assert got.shape == expect.shape == (2, l * n)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
 
 
 def _full_ifft_trials(config, lags):
-    """Oracle for run_trials: every trial's full-length ifft, then its lags."""
-    pulse, t = config.pulse, config.trials
+    """Oracle for run_trials: every trial's full-length ifft, then its lags.
+
+    Block b of _SE_BLOCK trials draws from its own generator, its trials
+    taking their m slots from it one after another, in trial order.
+    """
+    pulse, t, block = config.pulse, config.trials, mc._SE_BLOCK
     rows = []
     for trial in range(t):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, mc._TAG_SYMBOLS, trial)))
+        if trial % block == 0:
+            seq = np.random.SeedSequence((config.seed, mc._TAG_SYMBOLS, trial // block))
+            rng = np.random.default_rng(seq)
         s = con.sample_symbols(config.constellation, (config.m, pulse.n), rng)
-        power = _modulated_power(pulse, config.basis, s) / config.m
+        power = slot_power(pulse, config.basis, s) / config.m
         rows.append(np.fft.ifft(power)[lags])
     rows = np.array(rows)
     sq = np.abs(rows) ** 2
@@ -139,6 +140,57 @@ def test_run_trials_deterministic_and_chunk_invariant(monkeypatch):
     np.testing.assert_array_equal(first.mean_sq, third.mean_sq)
     np.testing.assert_array_equal(first.mean, second.mean)
     np.testing.assert_array_equal(first.se, second.se)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.integers(1, 5), hst.integers(1, 4), hst.integers(1, 9),
+       hst.sampled_from([3, 4, 16, 1024, 65536]), hst.integers(0, 2**32 - 1))
+def test_one_draw_call_over_c_equals_c_calls_in_turn(c, m, n, size, seed):
+    # run_trials draws a batch of c trials in one call; numpy must give the
+    # bits of c calls in turn for point indices, class counts and normals
+    def twin():
+        return mc.stream(seed, mc._TAG_SYMBOLS, 0)
+
+    for spec in (con.psk(size), con.gaussian()):
+        one = con.sample_symbols(spec, (c, m, n), twin())
+        rng = twin()
+        turn = np.array([con.sample_symbols(spec, (m, n), rng) for _ in range(c)])
+        assert np.array_equal(one, turn)
+        out = np.empty((c, m, n), dtype=complex)
+        assert con.sample_symbols(spec, (c, m, n), twin(), out=out) is out
+        assert np.array_equal(out, one)
+    probs = con.qam(16).power_classes[1]
+    rng = twin()
+    turn = np.array([rng.multinomial(m, probs, size=n) for _ in range(c)])
+    assert np.array_equal(twin().multinomial(m, probs, size=(c, n)), turn)
+    # Gaussian symbols are interleaved (re, im) normals times sqrt(1/2)
+    normals = twin().standard_normal((c, m, n, 2)) * np.sqrt(0.5)
+    z = con.sample_symbols(con.gaussian(), (c, m, n), twin())
+    assert np.array_equal(z.real, normals[..., 0]) and np.array_equal(z.imag, normals[..., 1])
+
+
+@pytest.mark.parametrize("spec, kind, m, chunk", [
+    (con.qam(16), "sc", 2, None),
+    (con.qam(16), "ofdm", 5, 2),
+    (con.gaussian(), "ofdm", 3, None),
+    (con.qam(16), "sc", 5, 2),
+], ids=["slots", "class-counts", "gaussian", "slot-chunks"])
+def test_run_trials_same_bits_at_any_batch(monkeypatch, spec, kind, m, chunk):
+    # 150 trials: two full blocks of 64 and a part block, each from its own stream
+    if chunk is not None:
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)
+    cfg = _base_config(constellation=spec, basis=mod.make_basis(kind, 8), trials=150, m=m)
+    several = m <= mc._SLOT_CHUNK or kind == "ofdm"
+    assert (mc._batch_trials(cfg) > 1) == several
+    default = mc.run_trials(cfg)
+    monkeypatch.setattr(mc, "_BATCH_BYTES", 1)  # one trial per batch
+    assert mc._batch_trials(cfg) == 1
+    single = mc.run_trials(cfg)
+    for field in ("mean_sq", "se", "mean", "var"):
+        np.testing.assert_array_equal(getattr(default, field), getattr(single, field))
+    if not several:  # one call gives a source's draws in turn only when each is one chunk
+        with pytest.raises(ValueError, match="one chunk"):
+            mc.drawn_power(spec, [(cfg.basis, cfg.pulse)], m, [(mc.stream(0, 0, 0), 2)])
 
 
 @pytest.mark.parametrize("kind, m", [("sc", 3), ("ofdm", 5)], ids=["sc-m3", "ofdm-class-counts"])
@@ -227,8 +279,8 @@ def test_class_count_law_matches_the_slot_draw(spec):
     # 2,000 class-count draws and 2,000 slot draws of m = 20 slots
     n, l, m, draws = 16, 2, 20, 2000
     pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
-    rngs = [mc.stream(7, 0, d) for d in range(draws)]
-    law = _subcarrier_power(mc.drawn_power(spec, [(basis, pulse)], m, rngs)[0], l, n)
+    sources = [(mc.stream(7, 0, d), 1) for d in range(draws)]
+    law = _subcarrier_power(mc.drawn_power(spec, [(basis, pulse)], m, sources)[0], l, n)
     symbols = con.sample_symbols(spec, (draws, m, n), np.random.default_rng(8))
     slot = n * np.sum(np.abs(symbols) ** 2, axis=-2)
     kurt = con.kurtosis(spec)
@@ -256,25 +308,26 @@ def test_slot_stream_stands_up_to_the_class_count(spec, m):
     # m at the class count (qam16, PSK) and Gaussian symbols keep the slot draw
     n, l = 8, 3
     pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
-    got = mc.drawn_power(spec, [(basis, pulse)], m, [mc.stream(3, 0, 0)])[0]
-    slots = con.sample_symbols(spec, (m, n), mc.stream(3, 0, 0))
-    np.testing.assert_array_equal(got, mc.slot_power(pulse, basis, slots[None]))
+    got, slots = _twin_draw(spec, basis, pulse, m, 1, 3)
+    np.testing.assert_array_equal(got, mc._shaped(pulse, mc._bin_power(basis, slots)))
+    expect = slot_power(pulse, basis, slots)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
 
 
 def test_class_counts_above_the_class_count():
     # one multinomial draw per generator, in rngs order, weighted by a sum
     n, l, m = 8, 3, 4
     spec, pulse, basis = con.qam(16), pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
-    rngs = [mc.stream(3, 0, r) for r in range(3)]
-    got = mc.drawn_power(spec, [(basis, pulse)], m, rngs)[0]
+    got = mc.drawn_power(spec, [(basis, pulse)], m, [(mc.stream(3, 0, r), 1) for r in range(3)])[0]
     levels, probs = spec.power_classes
     counts = [mc.stream(3, 0, r).multinomial(m, probs, size=n) for r in range(3)]
     power = n * np.sum(np.array(counts) * levels, axis=-1)
     np.testing.assert_array_equal(got, np.tile(power, l) * (l * pul.assemble_full_spectrum(pulse)))
     sc = mod.make_basis("sc", n)  # every other basis keeps the slot draw
-    slots = con.sample_symbols(spec, (1, m, n), mc.stream(3, 0, 0))
-    got = mc.drawn_power(spec, [(sc, pulse)], m, [mc.stream(3, 0, 0)])[0]
-    np.testing.assert_array_equal(got, mc.slot_power(pulse, sc, slots))
+    got, slots = _twin_draw(spec, sc, pulse, m, 1, 3)
+    np.testing.assert_array_equal(got, mc._shaped(pulse, mc._bin_power(sc, slots)))
+    expect = slot_power(pulse, sc, slots)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
 
 
 @pytest.mark.parametrize("spec, m", [(con.qam(16), 5), (con.qam(16), 3)],
@@ -287,10 +340,10 @@ def test_drawn_power_serves_every_pair_from_one_draw(monkeypatch, spec, m):
     pulses = [pul.rrc_spectrum(n, l, 0.5), pul.rrc_spectrum(n, l, 0.9)]
     bases = [ofdm] if m == 5 else [ofdm, sc, mod.make_basis("cdma", n)]
     shapes = [(basis, pulse) for basis in bases for pulse in pulses]
-    got = mc.drawn_power(spec, shapes, m, [mc.stream(3, 0, r) for r in range(3)])
+    got = mc.drawn_power(spec, shapes, m, [(mc.stream(3, 0, r), 1) for r in range(3)])
     assert len(got) == len(shapes)
     for power, shape in zip(got, shapes):
-        alone = mc.drawn_power(spec, [shape], m, [mc.stream(3, 0, r) for r in range(3)])[0]
+        alone = mc.drawn_power(spec, [shape], m, [(mc.stream(3, 0, r), 1) for r in range(3)])[0]
         assert np.array_equal(power, alone)
     with pytest.raises(ValueError, match="draw path"):
-        mc.drawn_power(spec, [(ofdm, pulses[0]), (sc, pulses[0])], 5, [mc.stream(3, 0, 0)])
+        mc.drawn_power(spec, [(ofdm, pulses[0]), (sc, pulses[0])], 5, [(mc.stream(3, 0, 0), 1)])

@@ -1,5 +1,6 @@
 """Matched-filter ranging against dense-matrix and closed-form oracles."""
 
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -275,7 +276,9 @@ def _per_snr_reference(scene, truth, snr_grid, runs, seed):
 
     Each run is scored by _one_fft_profiles, which draws all m slots in one
     sample_symbols call, or their class counts in its own multinomial draw,
-    so it shares no slot-draw code with rmse_sweep.
+    so it shares no chunked or batched slot draw with rmse_sweep.  The
+    squared errors are summed one run after another (cumsum), the order
+    rmse_sweep's running sums take.
     """
     bw, l = scene.bandwidth_hz, scene.pulse.l
     rows = []
@@ -291,8 +294,8 @@ def _per_snr_reference(scene, truth, snr_grid, runs, seed):
             hits[run] = _detection_success(est_m, truth, bw, l)
         rows.append({
             "snr_db": float(snr_db),
-            "rmse_m": float(np.sqrt(np.mean(errors**2))),
-            "rmse_hits_m": float(np.sqrt(np.mean(errors[hits] ** 2))),
+            "rmse_m": float(np.sqrt(np.cumsum(errors**2)[-1] / runs)),
+            "rmse_hits_m": float(np.sqrt(np.cumsum(errors[hits] ** 2)[-1] / hits.sum())),
             "success_rate": float(np.mean(hits)),
         })
     return rows
@@ -378,9 +381,10 @@ def _class_count_power(scenario, rng):
 def _one_fft_profiles(scenario, rng, variances):
     """run_once as it was before the noise term was split off: one inverse FFT per variance.
 
-    The m slots are drawn at once, as one sample_symbols call, except on
-    OFDM with more slots than the alphabet has power classes, where their
-    power comes from one class-count draw (_class_count_power).  The unit
+    The m slots are drawn at once, as one sample_symbols call, and their
+    power is drawn_power's on a twin of the generator, except on OFDM with
+    more slots than the alphabet has power classes, where their power comes
+    from one class-count draw (_class_count_power).  The unit
     noise record is the band record run_once draws: 2n real parts, then 2n
     imaginary parts, on bins 0..n-1 and (l-1)*n..l*n-1, zero elsewhere.
     """
@@ -389,8 +393,10 @@ def _one_fft_profiles(scenario, rng, variances):
     if scenario.basis.kind == "ofdm" and m > classes:
         power = _class_count_power(scenario, rng)
     else:
-        symbols = con.sample_symbols(scenario.constellation, (m, n), rng)
-        power = mc.slot_power(scenario.pulse, scenario.basis, symbols)
+        twin = copy.deepcopy(rng)
+        con.sample_symbols(scenario.constellation, (m, n), rng)
+        shape = (scenario.basis, scenario.pulse)
+        power = mc.drawn_power(scenario.constellation, [shape], m, [(twin, 1)])[0][0]
     channel = np.zeros(grid, dtype=complex)
     for t in scenario.targets:
         channel[t.delay] = t.amplitude
@@ -535,3 +541,26 @@ def test_group_sweep_memory_within_one_scenario_sweep():
 
     single = max(peak([s]) for s in group)
     assert peak(group) <= single + 16 * batch * scored
+
+
+def test_sweep_memory_does_not_grow_with_runs():
+    # 768 runs' peak lags over 8 SNR points would be 48 KiB of int64;
+    # the running sums of squared error, hits and hit error are one batch
+    scene, truth = _sweep_scene()
+    grid = list(np.linspace(-10.0, 30.0, 8))
+    batch = rng_mod._batch_runs([scene], len(grid) * (scene.roi[1] - scene.roi[0] + 1))
+    assert batch < 100
+
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            rng_mod.rmse_sweep(scene, truth, grid, runs=runs, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 256 runs take three full batches and a fourth; the first traced sweep
+    # of several batches fills caches that later ones reuse
+    peak(256)
+    grown = peak(768) - peak(256)
+    assert grown < 8 * len(grid) * 256, f"{grown} bytes"

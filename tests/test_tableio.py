@@ -121,3 +121,75 @@ def test_manifest_sidecar(tmp_path):
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_float_round_trip_property(value):
     assert float(tableio.format_cell(value)) == value
+
+
+def test_columns_are_typed_once(tmp_path):
+    # a 1 beside floats stays 1; bool, None and strings keep their cell rules
+    path = tmp_path / "typed.csv"
+    rows = [[1, 0.5, True, None, "a,b", np.float64(0.25), 3],
+            [2.5, -0.0, False, 1.5, "plain", np.float64(1e-300), 10**20]]
+    tableio.emit_csv(path, ["mixed", "float", "bool", "none", "text", "numpy", "int"], rows)
+    assert path.read_text().splitlines() == [
+        "mixed,float,bool,none,text,numpy,int",
+        '1,0.5,true,,"a,b",0.25,3',
+        "2.5,-0.0,false,1.5,plain,1e-300,100000000000000000000",
+    ]
+
+
+@pytest.mark.parametrize("column, bad", [([0.5, float("inf")], "inf"),
+                                         ([np.float64(1.0), np.float64("-inf")], "-inf"),
+                                         ([1, float("nan")], "nan")],
+                         ids=["float", "numpy", "mixed"])
+def test_non_finite_names_its_column(tmp_path, column, bad):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError) as caught:
+        tableio.emit_csv(path, ["ok", "b"], [[0.0, value] for value in column])
+    assert str(caught.value) == f"{path}: column 'b': non-finite value {bad} in output table"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_blocks_of_rows_write_the_same_bytes(tmp_path, monkeypatch):
+    # a column may be all floats in one block and mixed in the next
+    rows = [[k, k / 3.0, "x" if k == 7 else k * 0.5, None if k % 4 else True] for k in range(10)]
+    header = ["int", "float", "mixed", "flags"]
+    tableio.emit_csv(tmp_path / "whole.csv", header, rows)
+    monkeypatch.setattr(tableio, "_BLOCK_ROWS", 3)
+    tableio.emit_csv(tmp_path / "blocks.csv", header, rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "whole.csv").read_text().splitlines()[8] == "7,2.3333333333333335,x,"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{tmp_path / 'bad.csv'}: column 'float'")):
+        tableio.emit_csv(tmp_path / "bad.csv", header, rows + [[10, float("nan"), 1.0, None]])
+
+
+_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(),
+                   st.booleans(), st.none(), st.text(alphabet='a,"\n\r 1.'))
+_COLUMNS = [st.floats(allow_nan=False, allow_infinity=False), st.integers(), _CELLS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_column_writer_writes_the_cell_rule(tmp_path_factory, length, data):
+    # float, int and mixed columns: whichever path a column takes, the table
+    # must read as the cell rule and the RFC 4180 quoting write it row by row
+    columns = [data.draw(st.lists(data.draw(st.sampled_from(_COLUMNS)), min_size=length,
+                                  max_size=length)) for _ in range(3)]
+    rows = [list(row) for row in zip(*columns)]
+    path = tmp_path_factory.getbasetemp() / "rule.csv"
+    tableio.emit_csv(path, ["a", "b", "c"], rows)
+
+    def quoted(value):
+        cell = tableio.format_cell(value)
+        if isinstance(value, str) and any(ch in cell for ch in ',"\n\r'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    lines = ["a,b,c"] + [",".join(map(quoted, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_gain_file_takes_the_column_path(tmp_path):
+    path = tmp_path / "gains.txt"
+    tableio.emit_text(path, np.array([0.0, 0.5, 1.0 / 3.0]))
+    assert path.read_text() == f"0.0\n0.5\n{1.0 / 3.0!r}\n"
+    tableio.emit_text(path, [1, 0.5])
+    assert path.read_text() == "1\n0.5\n"
