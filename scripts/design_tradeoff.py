@@ -13,7 +13,6 @@ about half a second per row.  A missing output directory is created.
 
 import argparse
 import math
-import os
 import time
 
 from acfshape import pulse, shaping, tableio
@@ -34,9 +33,8 @@ def main() -> int:
 
     started = time.perf_counter()
     rrc = pulse.rrc_spectrum(args.n, args.l, args.alpha)
-    header = ["width_symbols", "rrc_isl", "rrc_psl",
-              "designed_isl", "designed_psl", "psl_gain_db"]
-    rows = []
+    table = {name: [] for name in ("width_symbols", "rrc_isl", "rrc_psl",
+                                   "designed_isl", "designed_psl", "psl_gain_db")}
     for width in args.widths:
         lags = shaping.sidelobe_lags(args.n, args.l, args.start, args.start + width)
         base = shaping.region_metrics(rrc, lags)
@@ -51,15 +49,16 @@ def main() -> int:
             spot[objective] = shaping.region_metrics(result.pulse, lags)[objective]
         gain_db = None if spot["psl"] <= 0 else \
             10.0 * math.log10(base["psl"] / spot["psl"])
-        rows.append([width, base["isl"], base["psl"],
-                     spot["isl"], spot["psl"], gain_db])
+        for column, value in zip(table.values(), (width, base["isl"], base["psl"],
+                                                  spot["isl"], spot["psl"], gain_db)):
+            column.append(value)
         print(f"width {width:g}: baseline psl {base['psl']:.3e}, "
               f"designed psl {spot['psl']:.3e} "
               f"({'n/a' if gain_db is None else f'{gain_db:.1f} dB'})")
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    tableio.emit_csv(args.out, header, rows)
-    tableio.write_manifest(args.out, "design-tradeoff", vars(args), None,
-                           time.perf_counter() - started)
+    manifest = tableio.manifest_text("design-tradeoff", vars(args), None,
+                                     time.perf_counter() - started)
+    tableio.commit([(args.out, tableio.csv_text(table)),
+                    (tableio.manifest_path(args.out), manifest)])
     print(f"wrote {args.out}")
     return 0
 

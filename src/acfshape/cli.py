@@ -6,14 +6,15 @@ reproduce (one or more canned recipes fig1..fig7, each timed on stderr).
 Each one validates its whole configuration up front: a range-sim config
 is parsed once into its scene (constellations, bases, pulse files,
 targets on distinct lags, unique labels, no unknown keys) before any
-design runs.  Outputs are written atomically through tableio with a
-JSON manifest per file, and the resolved configuration is echoed as a
-single JSON line on stdout.
+design runs.  A handler only computes: it returns its tables, and run
+writes every table and its JSON manifest in one tableio.commit, which
+checks every destination first, so any failure writes no file.  The
+resolved configuration is then echoed as a single JSON line on stdout.
 
-Exit codes: 0 success, 1 usage error, 2 invalid configuration,
-3 numerical failure (a solver that did not converge or broke down, a
-non-finite or negative value reaching an output table, or any other
-unexpected error).  A fixed seed at a fixed BLAS thread count gives
+Exit codes: 0 success, 1 usage error, 2 invalid configuration or
+destination, 3 numerical failure (a solver that did not converge or
+broke down, a non-finite or negative value reaching an output table, or
+any other unexpected error).  A fixed seed at a fixed BLAS thread count gives
 byte-identical output files, and the closed forms, Monte Carlo, RRC
 ranging and both design objectives give the same bytes at one and two
 threads (tested).
@@ -48,57 +49,15 @@ class NumericalFailure(RuntimeError):
     """Computation produced no usable result (divergence or non-finite)."""
 
 
-# ---------------------------------------------------------------------------
-# output plumbing
-
-
-def _emit_table(path, table, command, params, seed, started) -> None:
-    """Write a dict of equal-length columns as CSV or a sequence one per line, then a manifest."""
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    try:
-        if isinstance(table, dict):
-            rows = len(next(iter(table.values())))
-            for name, column in table.items():
-                if len(column) != rows:
-                    raise ValueError(f"{path}: column {name!r} holds {len(column)} values, "
-                                     f"the first column {rows}")
-            tableio.emit_csv(path, list(table), list(zip(*table.values())))
-        else:
-            tableio.emit_text(path, table)
-    except ValueError as exc:
-        raise NumericalFailure(str(exc)) from exc
-    tableio.write_manifest(path, command, params | {"out": str(path)}, seed,
-                           time.perf_counter() - started)
-
-
-def _check_destinations(*paths) -> None:
-    """Refuse an output or manifest that is a directory, or a parent that cannot be one.
-
-    Called before any work, so that one bad destination leaves no file written.
-    """
-    for path in map(os.fspath, paths):
-        for target in (path, tableio.manifest_path(path)):
-            if os.path.isdir(target):
-                raise ValueError(f"output {target} is a directory")
-        parent = os.path.dirname(os.path.abspath(path))
-        while not os.path.exists(parent):
-            parent = os.path.dirname(parent)
-        if not os.path.isdir(parent):
-            raise ValueError(f"output {path}: {parent} is not a directory")
-
-
 def _floor_db(pul: pulse.NyquistPulse) -> np.ndarray:
     """Deterministic squared ACF of a pulse per lag, in dB of the peak."""
     return acfstats.to_db_of_peak(np.abs(acfstats.mean_acf(pul)) ** 2, pul.n)
 
 
-def _emit_acf_table(path, rrc, designed, command, params, seed, started) -> None:
+def _acf_table(rrc, designed) -> dict:
     """Per-lag floors of the baseline and the designed pulse."""
-    table = {"lag": range(rrc.l * rrc.n), "rrc_db": _floor_db(rrc),
-             "designed_db": _floor_db(designed)}
-    _emit_table(path, table, command, params, seed, started)
+    return {"lag": range(rrc.l * rrc.n), "rrc_db": _floor_db(rrc),
+            "designed_db": _floor_db(designed)}
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +101,7 @@ def _waveform_params(args, pul: pulse.NyquistPulse) -> dict:
     }
 
 
-def _cmd_acf_theory(args) -> dict:
-    started = time.perf_counter()
+def _cmd_acf_theory(args):
     pul, basis, const = _waveform_from_args(args)
     kurt = constellation.kurtosis(const)
     stats = acfstats.expected_sq_acf(pul, basis, kurt, m=args.m)
@@ -154,8 +112,7 @@ def _cmd_acf_theory(args) -> dict:
         "total_db": acfstats.to_db_of_peak(stats.total, args.n),
     }
     params = _waveform_params(args, pul) | {"kurtosis": kurt, "out": str(args.out)}
-    _emit_table(args.out, table, "acf-theory", params, None, started)
-    return params
+    return [(args.out, table, params, None)], params, ()
 
 
 def _theory_and_trials(const, basis, pul, m: int, trials: int, seed: int):
@@ -165,8 +122,7 @@ def _theory_and_trials(const, basis, pul, m: int, trials: int, seed: int):
     return theory, result
 
 
-def _cmd_acf_mc(args) -> dict:
-    started = time.perf_counter()
+def _cmd_acf_mc(args):
     pul, basis, const = _waveform_from_args(args)
     theory, result = _theory_and_trials(const, basis, pul, args.m, args.trials, args.seed)
     table = {
@@ -180,8 +136,7 @@ def _cmd_acf_mc(args) -> dict:
         "trials": args.trials,
         "out": str(args.out),
     }
-    _emit_table(args.out, table, "acf-mc", params, args.seed, started)
-    return params | {"seed": args.seed}
+    return [(args.out, table, params, args.seed)], params | {"seed": args.seed}, ()
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +197,17 @@ def _design(n: int, l: int, alpha: float, lags: np.ndarray, objective: str,
     }
 
 
-def _cmd_shape(args) -> dict:
-    started = time.perf_counter()
-    _check_destinations(*filter(None, (args.out_spectrum, args.out_acf)))
+def _cmd_shape(args):
     lags = _region_lags(args.n, args.l, *_parse_region(args.region), args.region_units)
     result, rrc, params = _design(args.n, args.l, args.alpha, lags, args.objective,
                                   args.tol, args.max_iter)
     params |= {"region": args.region, "region_units": args.region_units}
+    outputs = []
     if args.out_spectrum:
-        _emit_table(args.out_spectrum, result.pulse.g, "shape", params, None, started)
+        outputs.append((args.out_spectrum, result.pulse.g, params, None))
     if args.out_acf:
-        _emit_acf_table(args.out_acf, rrc, result.pulse, "shape", params, None, started)
-    return params
+        outputs.append((args.out_acf, _acf_table(rrc, result.pulse), params, None))
+    return outputs, params, ()
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +473,8 @@ def _build_scenarios(echo: dict, scene: dict) -> tuple[list, dict]:
     return scenarios, stats
 
 
-def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: str,
-                    started: float) -> None:
-    """Run the scene's sweep and profiles at the echo's settings; write both tables."""
+def _ranging_tables(echo: dict, scene: dict, prefix: str) -> list:
+    """The scene's sweep and profiles at the echo's settings: <prefix>_rmse.csv, _profile.csv."""
     scenarios, designs = _build_scenarios(echo, scene)
     n, l, bw, seed = echo["n"], echo["l"], echo["bandwidth_hz"], echo["seed"]
     geometry, ref = scene["geometry"], scene["amplitude_ref"]
@@ -537,19 +490,16 @@ def _ranging_tables(echo: dict, scene: dict, rmse_path, profile_path, command: s
         "snr_definition": "strong-path per-sample received power over noise variance",
         "designs": designs,
     }
-    _emit_table(rmse_path, rmse, command, params, seed, started)
     profiles = {  # drawn first, so that the range column is not held through the draws
         f"{name}_db": ranging.profile_db(scenario, echo["profile_snr_db"], seed, index, ref)
         for index, (name, scenario) in enumerate(scenarios)
     }
     table = {"range_m": [ranging.range_for_lag(lag, bw, l) for lag in range(l * n)]} | profiles
-    _emit_table(profile_path, table, command, params, seed, started)
+    return [(f"{prefix}_rmse.csv", rmse, params, seed),
+            (f"{prefix}_profile.csv", table, params, seed)]
 
 
-def _cmd_range_sim(args) -> dict:
-    started = time.perf_counter()
-    outputs = [f"{args.out_prefix}_rmse.csv", f"{args.out_prefix}_profile.csv"]
-    _check_destinations(*outputs)
+def _cmd_range_sim(args):
     try:
         with open(args.config) as handle:
             cfg = json.load(handle)
@@ -560,10 +510,11 @@ def _cmd_range_sim(args) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {args.config} must hold a JSON object")
     echo, scene = _resolve_range_config(cfg, args.runs, args.seed, args.profile_snr_db)
-    _ranging_tables(echo, scene, *outputs, "range-sim", started)
+    outputs = _ranging_tables(echo, scene, args.out_prefix)
     geometry = scene["geometry"]
-    return echo | {"true_range_m": geometry["true_range_m"], "roi_lags": geometry["roi_lags"],
-                   "outputs": outputs}
+    return outputs, echo | {"true_range_m": geometry["true_range_m"],
+                            "roi_lags": geometry["roi_lags"],
+                            "outputs": [path for path, *_ in outputs]}, ()
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +575,7 @@ _RECIPES = {
 }
 
 
-def _mc_recipe(name: str, recipe: dict, args, outputs: list[str]) -> None:
-    started = time.perf_counter()
+def _mc_recipe(name: str, recipe: dict, args) -> list:
     pul = pulse.rrc_spectrum(_FIG_N, _FIG_L, _FIG_ALPHA)
     table = {"lag": range(_FIG_N * _FIG_L)}
     if recipe.get("pulse_db"):
@@ -646,59 +596,47 @@ def _mc_recipe(name: str, recipe: dict, args, outputs: list[str]) -> None:
         "alpha": _FIG_ALPHA,
         "trials": args.trials,
     }
-    _emit_table(outputs[0], table, "reproduce", params, args.seed, started)
+    return [(f"{args.out_dir}/{name}.csv", table, params, args.seed)]
 
 
-def _psl_recipe(name: str, recipe: dict, args, outputs: list[str]) -> None:
-    started = time.perf_counter()
+def _psl_recipe(name: str, recipe: dict, args) -> list:
     lags = shaping.sidelobe_lags(_FIG_N, _FIG_L, *recipe["window"])
     result, rrc, params = _design(_FIG_N, _FIG_L, _FIG_ALPHA, lags, "psl")
     params |= {"recipe": name, "region_symbols": recipe["window"]}
-    acf_path, spectrum_path = outputs
-    _emit_acf_table(acf_path, rrc, result.pulse, "reproduce", params, args.seed, started)
-    table = {"bin": range(_FIG_N), "rrc": rrc.g, "designed": result.pulse.g}
-    _emit_table(spectrum_path, table, "reproduce", params, args.seed, started)
+    spectrum = {"bin": range(_FIG_N), "rrc": rrc.g, "designed": result.pulse.g}
+    return [(f"{args.out_dir}/{name}_acf.csv", _acf_table(rrc, result.pulse), params, args.seed),
+            (f"{args.out_dir}/{name}_spectrum.csv", spectrum, params, args.seed)]
 
 
-def _range_recipe(name: str, recipe: dict, args, outputs: list[str]) -> None:
-    started = time.perf_counter()
+def _range_recipe(name: str, recipe: dict, args) -> list:
     echo, scene = _resolve_range_config(recipe["config"], args.runs, args.seed)
-    _ranging_tables(echo | {"recipe": name}, scene, *outputs, "reproduce", started)
+    return _ranging_tables(echo | {"recipe": name}, scene, f"{args.out_dir}/{name}")
 
 
-# each kind's recipe and the name suffixes of the tables it writes
-_RECIPE_KINDS = {"mc": (_mc_recipe, ("",)), "psl": (_psl_recipe, ("_acf", "_spectrum")),
-                 "range": (_range_recipe, ("_rmse", "_profile"))}
+_RECIPE_KINDS = {"mc": _mc_recipe, "psl": _psl_recipe, "range": _range_recipe}
 
 
-def _recipe_outputs(name: str, out_dir) -> list[str]:
-    """The tables a recipe writes, one per name suffix of its kind."""
-    _, suffixes = _RECIPE_KINDS[_RECIPES[name]["kind"]]
-    return [f"{out_dir}/{name}{suffix}.csv" for suffix in suffixes]
-
-
-def _cmd_reproduce(args) -> dict:
-    for flag, lo in (("trials", 2), ("runs", 1), ("seed", 0)):  # before any recipe writes
+def _cmd_reproduce(args):
+    for flag, lo in (("trials", 2), ("runs", 1), ("seed", 0)):  # before any recipe runs
         if getattr(args, flag) < lo:
             raise ValueError(f"--{flag} must be >= {lo}, got {getattr(args, flag)}")
     names = list(_RECIPES) if "all" in args.recipes else list(dict.fromkeys(args.recipes))
-    outputs = {name: _recipe_outputs(name, args.out_dir) for name in names}
-    files = [path for name in names for path in outputs[name]]
-    _check_destinations(*files)
+    outputs, timings = [], []
     for name in names:
         started = time.perf_counter()
         recipe = _RECIPES[name]
-        make, _ = _RECIPE_KINDS[recipe["kind"]]
-        make(name, recipe, args, outputs[name])
-        print(f"{name}: {time.perf_counter() - started:.2f}s", file=sys.stderr)
-    return {
+        made = _RECIPE_KINDS[recipe["kind"]](name, recipe, args)
+        seconds = time.perf_counter() - started
+        outputs += [output + (seconds,) for output in made]
+        timings.append(f"{name}: {seconds:.2f}s")
+    return outputs, {
         "figures": names,
         "out_dir": str(args.out_dir),
         "seed": args.seed,
         "trials": args.trials,
         "runs": args.runs,
-        "files": files,
-    }
+        "files": [path for path, *_ in outputs],
+    }, timings
 
 
 # ---------------------------------------------------------------------------
@@ -773,15 +711,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _files(command: str, seconds: float, path, table, params: dict, seed,
+           recipe_seconds: float | None = None) -> list[tuple[str, str]]:
+    """A table's text and its manifest's, as (path, text) pairs for tableio.commit.
+
+    The manifest's wall time is the recipe's under reproduce, else the
+    command's.  A table that cannot be written (a short or non-finite
+    column) is a NumericalFailure naming path.
+    """
+    try:
+        text = tableio.csv_text(table)
+    except ValueError as exc:
+        raise NumericalFailure(f"{path}: {exc}") from exc
+    manifest = tableio.manifest_text(command, params | {"out": str(path)}, seed,
+                                     seconds if recipe_seconds is None else recipe_seconds)
+    return [(path, text), (tableio.manifest_path(path), manifest)]
+
+
 def run(argv=None) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv and execute; returns the process exit code.
+
+    A handler computes and returns (outputs, summary, timings): each output
+    is (path, table, manifest params, seed), plus the recipe's seconds
+    under reproduce.  Every table and manifest is then written in one
+    tableio.commit, and only after it are the timing lines printed on
+    stderr and the summary on stdout.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        resolved = args.handler(args)
+        started = time.perf_counter()
+        outputs, resolved, timings = args.handler(args)
+        seconds = time.perf_counter() - started
+        tableio.commit([file for output in outputs
+                        for file in _files(args.command, seconds, *output)])
     except np.linalg.LinAlgError as exc:  # a ValueError, but a solver breakdown
         failure = exc
     except (ValueError, OSError) as exc:
@@ -789,6 +755,8 @@ def run(argv=None) -> int:
     except Exception as exc:  # NumericalFailure and anything unforeseen
         failure = exc
     else:
+        for line in timings:
+            print(line, file=sys.stderr)
         try:
             print(json.dumps(resolved, sort_keys=True))
             sys.stdout.flush()

@@ -321,6 +321,7 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
             np.less_equal(np.abs(errors), half_cells, out=hit)
             np.multiply(squared, hit, out=hit_squared)
             _fold_rows(terms, len(rngs))
+            del rngs, errors  # not held through the next batch's draw
         for scored, *sums in zip(rows, *terms[0]):
             for snr_db, squared, hits, hit_squared in zip(block, *sums):
                 rmse_hits = float(np.sqrt(hit_squared / hits)) if hits else float("nan")
@@ -357,10 +358,14 @@ def _batch_runs(group: list[RangingScenario], scored: int) -> int:
     then one scenario's workspace at a time: the echo spectrum and its
     inverse, the band noise spectrum and its inverse, the noise record and
     the band scale (4n together), and its scored roi points, sum, squares.
+    Then, in reals per scenario and SNR point: the three running-sum terms,
+    the int peak lag and the error made from it.
     """
     first = group[0]
     n, grid = first.pulse.n, first.grid
+    lo, hi = first.roi
     law = _class_law(first.constellation, first.basis, first.m)
     draw = law[0].size * n if law is not None else 3 * min(first.m, _SLOT_CHUNK) * n
     per_run = 16 * (draw + (len(group) + 1) * grid // 2 + 6 * grid + 4 * n + 3 * scored)
+    per_run += 8 * 5 * len(group) * (scored // (hi - lo + 1))
     return max(1, _BATCH_BYTES // per_run)

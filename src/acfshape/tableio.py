@@ -1,12 +1,14 @@
-"""CSV and manifest emission with strict formatting rules.
+"""CSV and manifest text with strict formatting rules, and the one commit that writes them.
 
 Data files are plain RFC-4180 CSV with LF endings and shortest
-round-trip float formatting, written atomically so a crashed run never
-leaves a half-written table.  Every table gets a JSON sidecar manifest
-carrying the resolved parameters, seed, package version, and wall time.
-NaN or infinite values in a table are treated as upstream bugs and
-rejected; a deliberately empty cell is spelled None.  Text inputs (gain,
-basis and alphabet files) are read through load_text.
+round-trip float formatting (csv_text).  Every table gets a JSON sidecar
+manifest carrying the resolved parameters, seed, package version, and
+wall time (manifest_text).  NaN or infinite values in a table are
+treated as upstream bugs and rejected; a deliberately empty cell is
+spelled None.  commit is the only writer: it checks every destination,
+stages every file and renames them only when all are staged, so a
+failure leaves no partial file.  Text inputs (gain, basis and alphabet
+files) are read through load_text.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from . import __version__
 __all__ = [
     "load_text",
     "format_cell",
-    "emit_csv",
-    "emit_text",
+    "csv_text",
     "manifest_path",
-    "write_manifest",
+    "manifest_text",
+    "commit",
 ]
 
 # characters that force a cell into quotes (RFC 4180)
@@ -68,27 +70,6 @@ def format_cell(value) -> str:
     return repr(x)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write a new file beside path, then rename it onto path.
-
-    The file gets the mode of any new file, 0666 less the umask, and a
-    failure names path, not the file beside it.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
-    try:
-        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, path) from None
-        raise
-
-
 def _quoted(value) -> str:
     """format_cell, quoted (RFC 4180) where a string holds a separator, quote or break."""
     cell = format_cell(value)
@@ -117,39 +98,38 @@ def _column_cells(column) -> list[str]:
     return list(map(_quoted, column))
 
 
-def emit_csv(path, header: list[str], rows) -> None:
-    """Write a rectangular table by column (_column_cells), in blocks of _BLOCK_ROWS rows."""
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"{path}: row of width {len(row)} against header of width {width}")
-    lines = [",".join(map(_quoted, header))]
-    for start in range(0, len(rows), _BLOCK_ROWS):
+def csv_text(table) -> str:
+    """A dict of equal-length columns as CSV text under its header.
+
+    Any other sequence is written one value per line (the loadable
+    gain-file format).  Columns are sliced into blocks of _BLOCK_ROWS rows
+    and each block is typed by _column_cells; a short column or a
+    non-finite value raises ValueError naming the column.
+    """
+    if not isinstance(table, dict):
+        return "\n".join(_column_cells(table)) + "\n"
+    rows = len(next(iter(table.values()), ()))
+    for name, column in table.items():
+        if len(column) != rows:
+            raise ValueError(f"column {name!r} holds {len(column)} values, the first column {rows}")
+    lines = [",".join(map(_quoted, table))]
+    for start in range(0, rows, _BLOCK_ROWS):
         cells = []
-        for name, column in zip(header, zip(*rows[start:start + _BLOCK_ROWS])):
+        for name, column in table.items():
             try:
-                cells.append(_column_cells(column))
+                cells.append(_column_cells(column[start:start + _BLOCK_ROWS]))
             except ValueError as exc:
-                raise ValueError(f"{path}: column {name!r}: {exc}") from None
+                raise ValueError(f"column {name!r}: {exc}") from None
         lines.extend(map(",".join, zip(*cells)))
-    _atomic_write(str(path), "\n".join(lines) + "\n")
-
-
-def emit_text(path, values) -> None:
-    """Write scalar values one per line (the loadable gain-file format)."""
-    try:
-        lines = _column_cells(values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    _atomic_write(str(path), "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def manifest_path(path) -> str:
     return str(path) + ".manifest.json"
 
 
-def write_manifest(path, command: str, parameters: dict, seed, wall_time_s: float) -> None:
-    """JSON sidecar next to a data file; keys sorted for stable diffs."""
+def manifest_text(command: str, parameters: dict, seed, wall_time_s: float) -> str:
+    """The JSON sidecar of a data file; keys sorted for stable diffs."""
     payload = {
         "command": command,
         "version": __version__,
@@ -157,4 +137,45 @@ def write_manifest(path, command: str, parameters: dict, seed, wall_time_s: floa
         "parameters": parameters,
         "wall_time_s": round(float(wall_time_s), 6),
     }
-    _atomic_write(manifest_path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def commit(files) -> None:
+    """Write (path, text) pairs all or none: check every destination, stage, then rename in order.
+
+    First, a destination that is a directory, or whose parent is not one
+    and cannot be made, raises ValueError.  Then each text goes to a new
+    file beside its path, its parents made first, and only when every one
+    is written are they renamed onto their paths, in the order given.  A
+    failure before the first rename removes every staged file, so nothing
+    is written; an OSError names the destination, not the staged file.
+    Files get the mode of any new file, 0666 less the umask.
+    """
+    files = [(os.fspath(path), text) for path, text in files]
+    for path, _ in files:
+        if os.path.isdir(path):
+            raise ValueError(f"output {path} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise ValueError(f"output {path}: {parent} is not a directory")
+    staged = []  # (staged file, destination), in the order given
+    try:
+        for path, text in files:
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acfshape import acfstats, constellation, modulation, pulse, ranging, shaping, tableio
+from acfshape import acfstats, cli, constellation, modulation, pulse, ranging, shaping, tableio
 from acfshape.cli import (_RECIPES, NumericalFailure, _build_scenarios, _resolve_range_config,
                           run)
 from helpers import read_csv
@@ -546,7 +548,8 @@ def _thread_commands(tmp, out):
     range-sim: the closed forms, custom-basis Monte Carlo, OFDM Monte Carlo
     through the class-count draw, RRC ranging and both design solvers at
     the paper's 5:15 window.  fig6: the grouped ranging kernel, designed
-    and RRC columns on both bases.
+    and RRC columns on both bases.  fig7: both design solvers at the 10:30
+    window, then fig7's designed columns and its class-count group.
     """
     custom = ["--basis", "custom", "--basis-file", tmp / "haar.txt"]
     return {
@@ -564,6 +567,14 @@ def _thread_commands(tmp, out):
         ],
         "fig6": [(["reproduce", "fig6", "--runs", 2, "--out-dir", out],
                   [out / "fig6_rmse.csv", out / "fig6_profile.csv"])],
+        "fig7": [
+            (["shape", "--objective", "psl", "--region", "10:30", "--out-spectrum",
+              out / "psl_10_30.txt"], [out / "psl_10_30.txt"]),
+            (["shape", "--objective", "isl", "--region", "10:30", "--out-spectrum",
+              out / "isl_10_30.txt"], [out / "isl_10_30.txt"]),
+            (["reproduce", "fig7", "--runs", 2, "--out-dir", out],
+             [out / "fig7_rmse.csv", out / "fig7_profile.csv"]),
+        ],
     }
 
 
@@ -598,6 +609,13 @@ def test_reproduce_fig6_byte_identical_across_thread_counts(thread_outputs):
     assert by_threads[1]["fig6"] == by_threads[2]["fig6"]
     header = read_csv(tmp / "1" / "fig6_rmse.csv")[0]
     assert {"sc_designed_rmse_m", "ofdm_rrc_rmse_m"} <= set(header)
+
+
+def test_designs_at_10_30_and_fig7_byte_identical_across_thread_counts(thread_outputs):
+    by_threads, tmp = thread_outputs
+    assert by_threads[1]["fig7"] == by_threads[2]["fig7"]
+    header = read_csv(tmp / "1" / "fig7_rmse.csv")[0]
+    assert {"designed_m1_rmse_m", "designed_m1000_rmse_m"} <= set(header)
 
 
 def test_a_command_after_others_writes_what_a_fresh_child_writes(thread_outputs):
@@ -924,6 +942,52 @@ def test_non_finite_table_cell_exits_numerical(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("numerical failure: NumericalFailure: ")
     assert str(out) in err and "'sea_db'" in err and "nan" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_shape_gain_file_nan_names_the_file(tmp_path, capsys, monkeypatch):
+    design = shaping.design_pulse
+
+    def nan_gain(*args, **kwargs):
+        result = design(*args, **kwargs)
+        gains = result.pulse.g.copy()
+        gains[-1] = np.nan
+        return dataclasses.replace(result, pulse=types.SimpleNamespace(g=gains))
+
+    monkeypatch.setattr(shaping, "design_pulse", nan_gain)
+    gains = tmp_path / "g.txt"
+    code = run(["shape", "--n", "32", "--l", "4", "--region", "2:6", f"--out-spectrum={gains}"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: NumericalFailure: "
+                   f"{gains}: non-finite value nan in output table\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_recipe_leaves_the_recipes_before_it_unwritten(tmp_path, capsys, monkeypatch):
+    # fig4 has finished when fig5's Monte Carlo fails: neither writes a file
+    monkeypatch.setattr(cli, "run_trials", _raise(NumericalFailure("trials diverged")))
+    code = run(["reproduce", "fig4", "fig5", "--trials", "4", "--out-dir", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: NumericalFailure: trials diverged\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_finite_profile_leaves_neither_ranging_table(tmp_path, capsys, monkeypatch):
+    # the rmse table comes first and is sound; the profile table is not
+    profile = ranging.profile_db
+
+    def nan_profile(*args, **kwargs):
+        values = profile(*args, **kwargs)
+        values[5] = np.nan
+        return values
+
+    monkeypatch.setattr(ranging, "profile_db", nan_profile)
+    code = run(["reproduce", "fig6", "--runs", "1", "--out-dir", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{tmp_path / 'fig6_profile.csv'}: column 'sc_rrc_db'" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -195,7 +195,7 @@ def test_from_segment_lays_out_the_rrc_gains(tmp_path, n, alpha):
     assert pul.from_segment(n, 3, segment).g.tobytes() == g.tobytes()
     if width:  # a gain file holding only the segment is padded to the same gains
         path = tmp_path / "segment.txt"
-        tableio.emit_text(path, segment)
+        tableio.commit([(path, tableio.csv_text(segment))])
         assert pul.from_text_file(path, n, 3).g.tobytes() == g.tobytes()
 
 
