@@ -494,7 +494,7 @@ def _ranging_tables(echo: dict, scene: dict, prefix: str) -> list:
         f"{name}_db": ranging.profile_db(scenario, echo["profile_snr_db"], seed, index, ref)
         for index, (name, scenario) in enumerate(scenarios)
     }
-    table = {"range_m": [ranging.range_for_lag(lag, bw, l) for lag in range(l * n)]} | profiles
+    table = {"range_m": np.arange(l * n) * ranging.range_per_lag_m(bw, l)} | profiles
     return [(f"{prefix}_rmse.csv", rmse, params, seed),
             (f"{prefix}_profile.csv", table, params, seed)]
 

@@ -41,15 +41,15 @@ __all__ = [
     "run_trials",
 ]
 
-# stream tags: Monte Carlo trials, ranging sweep runs, illustrative range profiles
+# stream tags: Monte Carlo trials; sweep runs' phases, symbols and noise; range profiles
 _TAG_SYMBOLS = 1
-_TAG_RANGING = 2
+_TAG_RUNS = (2, 4, 5)
 _TAG_PROFILE = 3
 
 # slots drawn per chunk of a trial or run; memory only, not results
 _SLOT_CHUNK = 512
 
-# trials per block, each with its own stream and se merge step: results depend on it
+# trials or sweep runs per block, each with its own streams (and se merge): results depend on it
 _SE_BLOCK = 64
 
 
@@ -159,7 +159,7 @@ def drawn_power(constellation: ConstellationSpec,
             for basis, _ in shapes]
     if symbols is None:
         symbols = np.empty(draws * min(m, _SLOT_CHUNK) * n, dtype=complex)
-    powers = None
+    powers = [None] * len(shapes)
     for start in range(0, m, _SLOT_CHUNK):
         size = min(_SLOT_CHUNK, m - start)
         block = symbols.reshape(-1)[:draws * size * n].reshape(draws, size, n)
@@ -172,31 +172,39 @@ def drawn_power(constellation: ConstellationSpec,
             if key not in bins:
                 bins[key] = _bin_power(basis, block)
         del block  # the sums take only the bin powers
-        if powers is None:
-            powers = [np.zeros((draws, pulse.l * n)) for _, pulse in shapes]
-        for key, (_, pulse), power in zip(keys, shapes, powers):
-            power += _shaped(pulse, bins[key])
+        for k, (key, (_, pulse)) in enumerate(zip(keys, shapes)):
+            if start:
+                powers[k] += _shaped(pulse, bins[key])
+            else:  # the first chunk's power is the sum so far
+                powers[k] = _shaped(pulse, bins[key])
     return powers
+
+
+def _draw_entries(constellation: ConstellationSpec, basis: ModulationBasis, m: int) -> int | None:
+    """Complex entries one draw of m slots allocates in drawn_power, None for several chunks.
+
+    Symbols, int64 indices (half an entry each), spectrum, magnitude and power, or counts, levels.
+    """
+    law = _class_law(constellation, basis, m)
+    if law is not None:
+        return law[0].size * basis.n
+    return 7 * m * basis.n // 2 if m <= _SLOT_CHUNK else None
 
 
 def _batch_trials(config: TrialConfig) -> int:
     """Trials per batch, so that the arrays a batch allocates fit _BATCH_BYTES.
 
-    Per trial, in complex entries: the draw (a slot chunk's symbols, int64
-    indices (half an entry each), spectrum, magnitude and power; or the
-    class counts and weighted levels), the power spectrum, its shaped
-    product and share of m (3 l n / 2, being real), and on the l n / 2 + 1
-    lags the ACF row, its place in the sums, |r|^2 in the block and its
-    deviation from the block mean.  A trial whose slots take several chunks
-    is a batch of its own: one call draws a batch only of one-chunk trials.
+    Per trial, in complex entries: the draw (_draw_entries), the power
+    spectrum, its shaped product and share of m (3 l n / 2, being real),
+    and on the l n / 2 + 1 lags the ACF row, its place in the sums, |r|^2
+    in the block and its deviation from the block mean.  A trial whose
+    slots take several chunks is a batch of its own.
     """
-    n, ln, m = config.pulse.n, config.pulse.l * config.pulse.n, config.m
-    law = _class_law(config.constellation, config.basis, m)
-    if law is None and m > _SLOT_CHUNK:
+    ln = config.pulse.l * config.pulse.n
+    draw = _draw_entries(config.constellation, config.basis, config.m)
+    if draw is None:
         return 1
-    draw = law[0].size * n if law is not None else 7 * m * n // 2
-    per_trial = 16 * draw + 24 * ln + 48 * (ln // 2 + 1)
-    return max(1, _BATCH_BYTES // per_trial)
+    return max(1, _BATCH_BYTES // (16 * draw + 24 * ln + 48 * (ln // 2 + 1)))
 
 
 def _merged(count: int, mean: np.ndarray, m2: np.ndarray,

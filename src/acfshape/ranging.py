@@ -7,16 +7,14 @@ correlates it against that slot's signal.  Coherent integration averages
 the matched-filter output over data slots while the targets stay put,
 which lowers both the noise floor and the data-induced sidelobe variance.
 The averaged output depends on the symbols only through their
-slot-summed power spectrum (montecarlo.drawn_power), so a run never
-builds the signals or the echoes, and the inverse FFT is linear, so it
-takes two inverse FFTs, of the target echo and of its unit noise record
-(drawn on the pulse's 2n band bins only), and scores every SNR point by
-adding the scaled noise term on the lags it searches.  Each run draws
-from its own generator, the same in every scenario, so scenarios whose
-runs make identical draws (one draw group) are swept together, runs
-outer and scenarios inner, each batch of runs drawn once for the group:
-the common-random-numbers arrangement.  The SNR rule (noise_variance)
-serves the sweep and the profiles in dB of their own peak (profile_db).
+slot-summed power spectrum P (montecarlo.drawn_power), so a run never
+builds the signals or the echoes: the echo is the ACF row ifft(P) read at
+each target's delay, and the noise term, whose record is drawn on the
+pulse's 2n band bins only, takes one inverse FFT for every SNR point.
+A sweep draws by blocks of runs, one stream per kind of draw, the same
+in every scenario, so scenarios whose runs make identical draws (a draw
+group) are swept together, each batch of runs drawn once for the group:
+the common-random-numbers arrangement.  noise_variance sets the SNR.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acfstats import DB_FLOOR, _fold_rows, check_slots
+from .acfstats import DB_FLOOR, _fold_rows, check_slots, fold_lags
 from .constellation import ConstellationSpec
 from .modulation import ModulationBasis
-from .montecarlo import (_SLOT_CHUNK, _TAG_PROFILE, _TAG_RANGING, _class_law, drawn_power,
-                         stream)
+from .montecarlo import (_SE_BLOCK, _TAG_PROFILE, _TAG_RUNS, _class_law, _draw_entries,
+                         drawn_power, stream)
 from .pulse import NyquistPulse
 
 __all__ = [
@@ -82,9 +80,7 @@ class RangingScenario:
 
     def __post_init__(self):
         if self.basis.n != self.pulse.n:
-            raise ValueError(
-                f"basis size {self.basis.n} does not match pulse block {self.pulse.n}"
-            )
+            raise ValueError(f"basis size {self.basis.n} does not match pulse block {self.pulse.n}")
         grid = self.pulse.n * self.pulse.l
         delays = [t.delay for t in self.targets]
         for d in delays:
@@ -137,25 +133,25 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0)
 
     Each slot carries fresh symbols and fresh noise against the static
     targets.  Slot s's matched filter is ifft(conj(X_s) * Y_s) with
-    Y_s = X_s * H + N_s, where H = fft(channel) and the channel holds each
-    target's amplitude at its delay.  Summed over the slots this is
-    ifft(P * H + W) with P the slot-summed power spectrum (drawn_power).
-    The DFT of white circular noise is white, so given the symbols W is
-    circular Gaussian, independent per bin, with variance
-    noise_var * l * n * P: one draw replaces the m per-slot noise records.
-    P is zero outside the pulse's band, so W is drawn on its 2n bins only.
-    A 1-D noise_var gives one row per variance, all from the same draw.
-    The generator gives the symbols, then the unit noise record of 4n
-    normals, always drawn, even at zero variance.
+    Y_s = X_s * H + N_s, H being the spectrum of the targets' amplitudes at
+    their delays.  Summed over the slots this is ifft(P * H + W) with P the
+    slot-summed power spectrum (drawn_power), so the echo term is the ACF
+    row ifft(P) delayed to each target and weighted by its amplitude.  The
+    DFT of white circular noise is white, so given the symbols W is
+    circular Gaussian, independent per bin, with variance noise_var * l * n
+    * P, zero outside the pulse's band: one draw on its 2n bins replaces
+    the m per-slot noise records.  A 1-D noise_var gives one row per
+    variance from one draw: the symbols, then 4n normals, even at 0.
     """
     variances = np.asarray(noise_var, dtype=float)
     if variances.ndim > 1 or not np.all(variances >= 0):
         raise ValueError(f"noise variance must be a scalar or 1-D, each >= 0, got {noise_var}")
     amplitudes = np.array([[t.amplitude for t in scenario.targets]], dtype=complex)
-    grid = scenario.grid
-    (power,), noise, spectrum = _drawn([scenario], [rng], amplitudes)
-    profiles = _profiles(scenario, power, noise, spectrum, variances.reshape(-1), (0, grid - 1))
-    return profiles[0].reshape(variances.shape + (grid,))
+    window = (0, scenario.grid - 1)
+    (power,), noise = _drawn([scenario], rng, rng, 1)
+    profiles = _profiles(scenario, power, noise, amplitudes, variances.reshape(-1), window,
+                         _workspace(scenario, 1, window))
+    return profiles[0].reshape(variances.shape + (scenario.grid,))
 
 
 def profile_db(scenario: RangingScenario, snr_db: float, seed: int, index: int,
@@ -173,102 +169,97 @@ def profile_db(scenario: RangingScenario, snr_db: float, seed: int, index: int,
     return np.maximum(db, DB_FLOOR)
 
 
-def _drawn(
-    group: list[RangingScenario],
-    rngs: list[np.random.Generator],
-    amplitudes: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """The draws of a batch of runs, shared by every scenario of one draw group.
+def _drawn(group: list[RangingScenario], symbols: np.random.Generator,
+           noise: np.random.Generator, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """count runs' power spectra, one array per scenario of a draw group, and noise records.
 
-    Run b draws from rngs[b], its symbols (or class counts) through
-    drawn_power, one power spectrum per scenario, then its unit noise record
-    of 4n normals; its targets carry amplitudes[b].  Returns the powers,
-    the records, shape (runs, 2, 2, n), and the channel spectrum H =
-    fft(channel), where the channel holds each target's amplitude at its
-    delay.
+    The runs draw their symbols (or class counts) from symbols in turn, in
+    one drawn_power call (one per run if it takes several slot chunks), and
+    their 4n unit normals from noise, shape (count, 2, 2, n).
     """
     first = group[0]
-    n, grid = first.pulse.n, first.grid
-    shapes = [(s.basis, s.pulse) for s in group]
-    powers = drawn_power(first.constellation, shapes, first.m, [(rng, 1) for rng in rngs])
-    noise = np.empty((len(rngs), 2, 2, n))
-    for rng, record in zip(rngs, noise):
-        rng.standard_normal(out=record)
-    channel = np.zeros((len(rngs), grid), dtype=complex)
-    channel[:, [t.delay for t in first.targets]] = amplitudes
-    return powers, noise, np.fft.fft(channel, axis=-1)
+    c, m, shapes = first.constellation, first.m, [(s.basis, s.pulse) for s in group]
+    if _draw_entries(c, first.basis, m) is None:
+        runs = [drawn_power(c, shapes, m, [(symbols, 1)]) for _ in range(count)]
+        powers = [np.concatenate(p) for p in zip(*runs)]
+    else:
+        powers = drawn_power(c, shapes, m, [(symbols, count)])
+    return powers, noise.standard_normal((count, 2, 2, first.pulse.n))
 
 
-def _profiles(
-    scenario: RangingScenario,
-    power: np.ndarray,
-    noise: np.ndarray,
-    spectrum: np.ndarray,
-    variances: np.ndarray,
-    window: tuple[int, int],
-) -> np.ndarray:
+def _workspace(scenario: RangingScenario, runs: int, window: tuple[int, int]) -> tuple:
+    """_profiles' buffers for up to runs runs, kept across batches, and its echo lags.
+
+    The zeroed band (runs, l, n), the ACF rows and noise spread the inverse FFTs write
+    into, and where the ACF row holds lag t - d_j per target j and window lag t (fold_lags).
+    """
+    l, n, grid = scenario.pulse.l, scenario.pulse.n, scenario.grid
+    delays = np.array([t.delay for t in scenario.targets], dtype=int)
+    return (np.zeros((runs, l, n), dtype=complex), np.empty((runs, grid // 2 + 1), dtype=complex),
+            np.empty((runs, grid), dtype=complex),
+            *fold_lags(grid, np.arange(window[0], window[1] + 1) - delays[:, None]))
+
+
+def _profiles(scenario: RangingScenario, power: np.ndarray, noise: np.ndarray,
+              amplitudes: np.ndarray, variances: np.ndarray, window: tuple[int, int],
+              work: tuple) -> np.ndarray:
     """run_once for a batch of drawn runs (_drawn), on the inclusive lag window only.
 
-    The pulse puts P on the band's 2n bins, 0..n-1 and (l-1)*n..l*n-1, and
-    nowhere else, so the unit record V is 2n real parts, then 2n imaginary
-    parts, on those bins in that order, and zero elsewhere; at l = 2 the
-    band is the whole grid.  With S = sqrt(l * n * P / 2),
-    ifft(P * H + sqrt(v) * S * V) = ifft(P * H) + sqrt(v) * ifft(S * V),
-    so two inverse FFTs serve every variance.  Returns shape
-    (runs, variances, hi - lo + 1).
+    The echo is sum_j a_j R[t - d_j] with R the ACF row ihfft(P), folded
+    as work gives (_workspace).  P lives on the band's 2n bins, 0..n-1 and
+    (l-1)*n..l*n-1, so the unit record V is 2n real parts, then 2n
+    imaginary parts, on those bins (at l = 2 the band is the whole grid),
+    written into work's zeroed band.  With S = sqrt(l * n * P / 2) one
+    inverse FFT of S * V serves every variance v: the profile is
+    |echo + sqrt(v) * ifft(S * V)|^2 / m^2, shape (runs, variances, lags).
     """
     m, grid, l, n = scenario.m, scenario.grid, scenario.pulse.l, scenario.pulse.n
     lo, hi = window
-    echo = np.fft.ifft(power * spectrum, axis=-1)[:, None, lo:hi + 1]
-    # the band is blocks 0 and l - 1 of the (l, n) view; P is zero on the rest
-    band = np.zeros((len(power), l, n), dtype=complex)
-    occupied = band[:, ::l - 1]
+    band, rows, spread = (buffer[:len(power)] for buffer in work[:3])
+    fold, mirrored = work[3:]
+    echo = np.fft.ihfft(power, axis=-1, out=rows)[:, fold]  # the gathered rows, then their sum
+    np.conjugate(echo, out=echo, where=mirrored)
+    echo = np.einsum("rt,rtw->rw", amplitudes, echo)
+    occupied = band[:, ::l - 1]  # blocks 0 and l - 1 of the (l, n) view
     occupied.real, occupied.imag = noise[:, 0], noise[:, 1]
-    occupied *= np.sqrt(grid * power.reshape(-1, l, n)[:, ::l - 1] / 2.0)
-    spread = np.fft.ifft(band.reshape(-1, grid), axis=-1)[:, None, lo:hi + 1]
-    return np.abs((echo + np.sqrt(variances)[:, None] * spread) / m) ** 2
+    occupied *= np.sqrt(power.reshape(-1, l, n)[:, ::l - 1] * (grid / 2.0))
+    np.fft.ifft(band.reshape(-1, grid), out=spread)
+    scored = np.sqrt(variances)[:, None] * spread[:, None, lo:hi + 1]
+    scored += echo[:, None]
+    parts = scored.view(float)
+    parts *= parts
+    profiles = parts[..., ::2] + parts[..., 1::2]
+    return np.divide(profiles, float(m) ** 2, out=profiles)
 
 
-def _drawn_amplitudes(scenario: RangingScenario, rng: np.random.Generator) -> np.ndarray:
-    """Target amplitudes with every phase redrawn uniformly, magnitudes kept."""
+def _drawn_amplitudes(scenario: RangingScenario, rng: np.random.Generator,
+                      shape: tuple = ()) -> np.ndarray:
+    """Target amplitudes with every phase redrawn uniformly, magnitudes kept, shape + (targets,)."""
     magnitudes = np.array([abs(t.amplitude) for t in scenario.targets])
-    return magnitudes * np.exp(2j * np.pi * rng.random(magnitudes.size))
+    return magnitudes * np.exp(2j * np.pi * rng.random(shape + magnitudes.shape))
 
 
-def rmse_sweep(
-    scenario: RangingScenario,
-    true_range_m: float,
-    snr_grid_db,
-    runs: int,
-    seed: int,
-    amplitude_ref: float = 1.0,
-) -> list[dict[str, float]]:
+def rmse_sweep(scenario: RangingScenario, true_range_m: float, snr_grid_db, runs: int,
+               seed: int, amplitude_ref: float = 1.0) -> list[dict[str, float]]:
     """Range error statistics of the roi peak across an SNR grid: rmse_sweeps of one scenario."""
     return rmse_sweeps([scenario], true_range_m, snr_grid_db, runs, seed, amplitude_ref)[0]
 
 
-def rmse_sweeps(
-    scenarios: list[RangingScenario],
-    true_range_m: float,
-    snr_grid_db,
-    runs: int,
-    seed: int,
-    amplitude_ref: float = 1.0,
-) -> list[list[dict[str, float]]]:
+def rmse_sweeps(scenarios: list[RangingScenario], true_range_m: float, snr_grid_db, runs: int,
+                seed: int, amplitude_ref: float = 1.0) -> list[list[dict[str, float]]]:
     """Range error statistics of the roi peak across an SNR grid, per scenario.
 
-    Each SNR point sets its noise_variance.  Run r draws target phases,
-    symbols and noise from its own stream, stream(seed, _TAG_RANGING, r),
-    and every SNR point scores that one draw, so rows are independent of
-    execution order.  A draw group (_draw_groups) draws each batch of runs
-    once and scores its scenarios on it one after another.  Each block of
-    _SNR_BLOCK points redraws run r from scratch.  Runs are scored in
-    batches sized by _BATCH_BYTES.  The estimate is the range of the roi
-    peak, ties going to the lowest lag, and a run hits when it lands
-    within half a resolution cell of the truth.
-    Returns, in scenario order, one list per scenario of one dict per SNR
-    with keys snr_db, rmse_m, rmse_hits_m, success_rate (rmse_hits_m is NaN
-    when no run succeeds; callers serialize it as an empty field).
+    Each SNR point sets its noise_variance.  Block b of _SE_BLOCK runs owns
+    stream(seed, tag, b) per tag of _TAG_RUNS, whose draws (target phases,
+    symbols, noise) its runs take in run order, one call per kind and batch
+    of runs, which numpy makes the calls in turn it replaces: rows depend
+    on neither batch sizes, the scenarios beside them nor the _SNR_BLOCK
+    blocks, each of which rebuilds the streams.  A draw group
+    (_draw_groups) draws each batch once and scores its scenarios on it in
+    turn.  The estimate is the range of the roi peak, ties going low; a run
+    hits within half a resolution cell of the truth.  Returns, per scenario
+    in order, one dict per SNR with keys snr_db, rmse_m, rmse_hits_m (NaN
+    when no run succeeds, written as an empty field) and success_rate.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
@@ -303,25 +294,28 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
     """rmse_sweeps over one draw group, one row list per scenario, from sums kept in run order."""
     first = group[0]
     l = first.pulse.l
-    lo, hi = first.roi
     steps = np.array([range_per_lag_m(s.bandwidth_hz, l) for s in group])[:, None]
     half_cells = np.array([resolution_cell_m(s.bandwidth_hz, l) / 2 for s in group])[:, None]
     rows: list[list] = [[] for _ in group]
     for start in range(0, len(snr_grid_db), _SNR_BLOCK):
         block = snr_grid_db[start:start + _SNR_BLOCK]
         variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
-        batch = _batch_runs(group, len(block) * (hi - lo + 1))
+        batch = _batch_runs(group, len(block) * (first.roi[1] - first.roi[0] + 1))
         # row 0: the running sums, then one row per run of the batch (_fold_rows)
         terms = np.zeros((batch + 1, 3, len(group), len(block)))
-        for begin in range(0, runs, batch):
-            rngs = [stream(seed, _TAG_RANGING, r) for r in range(begin, min(begin + batch, runs))]
-            errors = _peak_lags(group, rngs, variances) * steps - true_range_m
-            squared, hit, hit_squared = terms[1:len(rngs) + 1].transpose(1, 0, 2, 3)
-            np.square(errors, out=squared)
-            np.less_equal(np.abs(errors), half_cells, out=hit)
-            np.multiply(squared, hit, out=hit_squared)
-            _fold_rows(terms, len(rngs))
-            del rngs, errors  # not held through the next batch's draw
+        work = _workspace(first, batch, first.roi)
+        for begin in range(0, runs, _SE_BLOCK):
+            streams = [stream(seed, tag, begin // _SE_BLOCK) for tag in _TAG_RUNS]
+            end = min(begin + _SE_BLOCK, runs)
+            for run in range(begin, end, batch):
+                count = min(batch, end - run)
+                errors = _peak_lags(group, streams, count, variances, work) * steps - true_range_m
+                squared, hit, hit_squared = terms[1:count + 1].transpose(1, 0, 2, 3)
+                np.square(errors, out=squared)
+                np.less_equal(np.abs(errors), half_cells, out=hit)
+                np.multiply(squared, hit, out=hit_squared)
+                _fold_rows(terms, count)
+                del errors  # not held through the next batch's draw
         for scored, *sums in zip(rows, *terms[0]):
             for snr_db, squared, hits, hit_squared in zip(block, *sums):
                 rmse_hits = float(np.sqrt(hit_squared / hits)) if hits else float("nan")
@@ -330,42 +324,39 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
     return rows
 
 
-def _peak_lags(group: list[RangingScenario], rngs: list[np.random.Generator],
-               variances: np.ndarray) -> np.ndarray:
-    """Roi peak lag per run, scenario and variance of one batch, (runs, scenarios, variances).
+def _peak_lags(group: list[RangingScenario], streams: list[np.random.Generator], count: int,
+               variances: np.ndarray, work: tuple) -> np.ndarray:
+    """Roi peak lag per run, scenario and variance of count runs, (runs, scenarios, variances).
 
-    The batch is drawn once (_drawn) and its scenarios are scored on it
-    one after another, so one scenario's workspace is alive at a time.
+    The runs are drawn once from the (phases, symbols, noise) streams and
+    the scenarios scored on them one after another, in one workspace.
     """
     first = group[0]
-    lo, hi = first.roi
-    amplitudes = np.array([_drawn_amplitudes(first, rng) for rng in rngs])
-    powers, noise, spectrum = _drawn(group, rngs, amplitudes)
-    lags = np.empty((len(rngs), len(group), len(variances)), dtype=int)
+    amplitudes = _drawn_amplitudes(first, streams[0], (count,))
+    powers, records = _drawn(group, streams[1], streams[2], count)
+    lags = np.empty((count, len(group), len(variances)), dtype=int)
     for k, (scenario, power) in enumerate(zip(group, powers)):
-        profiles = _profiles(scenario, power, noise, spectrum, variances, (lo, hi))
-        lags[:, k] = lo + np.argmax(profiles, axis=-1)
+        profiles = _profiles(scenario, power, records, amplitudes, variances, first.roi, work)
+        lags[:, k] = first.roi[0] + np.argmax(profiles, axis=-1)
     return lags
 
 
 def _batch_runs(group: list[RangingScenario], scored: int) -> int:
-    """Runs per batch of a draw group, so that the arrays a batch allocates fit _BATCH_BYTES.
+    """Runs per batch of a draw group, at most _SE_BLOCK, so that its arrays fit _BATCH_BYTES.
 
-    Per run, in complex entries: the group's draw, once (a slot chunk's
-    symbols, spectrum, magnitude and power, or the class counts and their
-    weighted levels); each scenario's power spectrum and one shaped product
-    added to it (half a grid each, being real); the channel and its FFT;
-    then one scenario's workspace at a time: the echo spectrum and its
-    inverse, the band noise spectrum and its inverse, the noise record and
-    the band scale (4n together), and its scored roi points, sum, squares.
-    Then, in reals per scenario and SNR point: the three running-sum terms,
-    the int peak lag and the error made from it.
+    Per run, in complex entries: the group's draw (_draw_entries), each scenario's
+    power (half a grid, being real), the noise record (2n), the workspace (band, ACF
+    row, spread: 2.5 grids) and one scenario's band scale (n), echo per target and
+    summed, and scored roi points and squares (1.5 each); per scenario and SNR point,
+    five reals (three running sums, the peak lag, its error).  A run of several slot
+    chunks is a batch of one.
     """
     first = group[0]
-    n, grid = first.pulse.n, first.grid
-    lo, hi = first.roi
-    law = _class_law(first.constellation, first.basis, first.m)
-    draw = law[0].size * n if law is not None else 3 * min(first.m, _SLOT_CHUNK) * n
-    per_run = 16 * (draw + (len(group) + 1) * grid // 2 + 6 * grid + 4 * n + 3 * scored)
-    per_run += 8 * 5 * len(group) * (scored // (hi - lo + 1))
-    return max(1, _BATCH_BYTES // per_run)
+    window = first.roi[1] - first.roi[0] + 1
+    draw = _draw_entries(first.constellation, first.basis, first.m)
+    if draw is None:
+        return 1
+    per_run = 16 * (draw + (len(group) + 5) * first.grid // 2 + 3 * first.pulse.n
+                    + (len(first.targets) + 1) * window + 3 * scored // 2)
+    per_run += 8 * 5 * len(group) * (scored // window)
+    return min(_SE_BLOCK, max(1, _BATCH_BYTES // per_run))

@@ -13,6 +13,7 @@ files) are read through load_text.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -147,16 +148,19 @@ def commit(files) -> None:
     and cannot be made, raises ValueError.  Then each text goes to a new
     file beside its path, its parents made first, and only when every one
     is written are they renamed onto their paths, in the order given.  A
-    failure before the first rename removes every staged file, so nothing
+    failure before the first rename removes every staged file and every
+    directory the commit made, deepest first and only if empty, so nothing
     is written; an OSError names the destination, not the staged file.
     Files get the mode of any new file, 0666 less the umask.
     """
     files = [(os.fspath(path), text) for path, text in files]
+    made = set()  # the missing ancestors of the destinations, which staging makes
     for path, _ in files:
         if os.path.isdir(path):
             raise ValueError(f"output {path} is a directory")
         parent = os.path.dirname(os.path.abspath(path))
         while not os.path.exists(parent):
+            made.add(parent)
             parent = os.path.dirname(parent)
         if not os.path.isdir(parent):
             raise ValueError(f"output {path}: {parent} is not a directory")
@@ -176,6 +180,9 @@ def commit(files) -> None:
         for tmp, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for directory in sorted(made, key=len, reverse=True):  # a child before its parent
+            with contextlib.suppress(OSError):  # not made, or not empty
+                os.rmdir(directory)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise

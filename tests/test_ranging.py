@@ -247,6 +247,10 @@ def test_target_phase_redraw_keeps_magnitudes():
     # the same phases, drawn in the same order, as one target at a time
     oracle = _with_phases(scene, np.random.default_rng(8))
     assert np.array_equal(redrawn, [t.amplitude for t in oracle.targets])
+    # a batch of runs in one call: the runs' draws in turn
+    batch = rng_mod._drawn_amplitudes(scene, np.random.default_rng(8), (3,))
+    gen = np.random.default_rng(8)
+    assert np.array_equal(batch, [rng_mod._drawn_amplitudes(scene, gen) for _ in range(3)])
 
 
 def test_run_once_rows_equal_scalar_calls():
@@ -271,24 +275,38 @@ def _with_phases(scenario, rng):
     return replace(scenario, targets=targets)
 
 
+def _run_streams(seed, runs):
+    """(phases, symbols, noise) generators for runs 0..runs-1, one run at a time.
+
+    Block b of 64 runs owns stream(seed, tag, b) for each of the three
+    tags, and its runs take each stream in run order; the tuple yielded
+    for a run is its block's, advanced by the runs before it.
+    """
+    for run in range(runs):
+        if run % 64 == 0:
+            streams = tuple(mc.stream(seed, tag, run // 64) for tag in mc._TAG_RUNS)
+        yield streams
+
+
 def _per_snr_reference(scene, truth, snr_grid, runs, seed):
     """rmse_sweep as one fresh draw per (SNR, run), the loop it replaced.
 
     Each run is scored by _one_fft_profiles, which draws all m slots in one
     sample_symbols call, or their class counts in its own multinomial draw,
-    so it shares no chunked or batched slot draw with rmse_sweep.  The
-    squared errors are summed one run after another (cumsum), the order
-    rmse_sweep's running sums take.
+    so it shares no chunked or batched slot draw with rmse_sweep; the run
+    draws its phases, symbols and noise from its block's streams
+    (_run_streams), one target at a time.  The squared errors are summed
+    one run after another (cumsum), the order rmse_sweep's running sums
+    take.
     """
     bw, l = scene.bandwidth_hz, scene.pulse.l
     rows = []
     for snr_db in snr_grid:
         noise_var = 1.0 / (l * 10.0 ** (snr_db / 10.0))
         errors, hits = np.empty(runs), np.zeros(runs, dtype=bool)
-        for run in range(runs):
-            rng = mc.stream(seed, mc._TAG_RANGING, run)
-            drawn = _with_phases(scene, rng)
-            profile = _one_fft_profiles(drawn, rng, [noise_var])[0]
+        for run, (phases, symbols, noise) in enumerate(_run_streams(seed, runs)):
+            drawn = _with_phases(scene, phases)
+            profile = _one_fft_profiles(drawn, symbols, [noise_var], noise)[0]
             est_m = _estimate_range(profile, drawn.roi, bw, l)
             errors[run] = est_m - truth
             hits[run] = _detection_success(est_m, truth, bw, l)
@@ -321,22 +339,37 @@ def test_rmse_sweep_equals_per_snr_draws(monkeypatch, block, l):
     assert rows[-1]["success_rate"] == 1.0
 
 
-def test_rmse_sweep_draws_once_per_run_and_block(monkeypatch):
+def _counted_streams(monkeypatch):
+    """Record the (tag, index) of every stream the sweep builds."""
     calls = []
     original = rng_mod.stream
 
-    def counted(seed, tag, run):
-        calls.append(run)
-        return original(seed, tag, run)
+    def counted(seed, tag, index):
+        calls.append((tag, index))
+        return original(seed, tag, index)
 
     monkeypatch.setattr(rng_mod, "stream", counted)
+    return calls
+
+
+def _block_streams(blocks):
+    """The streams a sweep builds for its run blocks: three per block, in draw-kind order."""
+    return [(tag, b) for b in range(blocks) for tag in mc._TAG_RUNS]
+
+
+def test_rmse_sweep_draws_once_per_run_and_block(monkeypatch):
+    # three streams per block of 64 runs and per SNR block, each built once
+    calls = _counted_streams(monkeypatch)
     scene, truth = _sweep_scene()
     rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
-    assert calls == list(range(4))
+    assert calls == _block_streams(1)
+    calls.clear()
+    rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=130, seed=0)
+    assert calls == _block_streams(3)
     calls.clear()
     monkeypatch.setattr(rng_mod, "_SNR_BLOCK", 2)
     rng_mod.rmse_sweep(scene, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
-    assert calls == list(range(4)) * 2
+    assert calls == _block_streams(1) * 2
 
 
 @pytest.mark.parametrize("case", ["one-run-batch", "ragged-batch", "slot-chunks", "class-counts",
@@ -363,6 +396,28 @@ def test_rmse_sweep_batches_equal_per_snr_draws(monkeypatch, case):
     assert 0.0 < rows[0]["success_rate"] < 1.0
 
 
+@pytest.mark.parametrize("draw", ["slots", "class-counts"])
+def test_sweep_rows_do_not_depend_on_batches_or_blocks(monkeypatch, draw):
+    # 130 runs: two full blocks of 64 and a part block, each with its own streams
+    scene, truth = _sweep_scene()
+    m = 2 if draw == "slots" else 5  # qam16 on OFDM: 5 slots, 3 power classes
+    scenarios = _methods(scene, m, "qam16", [scene.basis])
+    if draw == "slots":
+        scenarios += _methods(scene, m, "qam16", [mod.make_basis("sc", 16)])
+    assert len(rng_mod._draw_groups(scenarios)) == 1
+    grid, runs = [-10.0, 0.0, 30.0], 130
+    default = rng_mod.rmse_sweeps(scenarios, truth, grid, runs=runs, seed=9)
+    assert default[0] == _per_snr_reference(scenarios[0], truth, grid, runs=runs, seed=9)
+    assert default == [rng_mod.rmse_sweep(s, truth, grid, runs=runs, seed=9) for s in scenarios]
+    assert rng_mod._batch_runs(scenarios, len(grid) * 17) not in (1, 3)
+    for batch in (1, 3):  # 3 leaves a batch of one run at the end of each full block
+        monkeypatch.setattr(rng_mod, "_batch_runs", lambda group, scored, b=batch: b)
+        assert rng_mod.rmse_sweeps(scenarios, truth, grid, runs=runs, seed=9) == default
+    monkeypatch.undo()
+    monkeypatch.setattr(rng_mod, "_SNR_BLOCK", 2)  # the SNR grid crosses a block
+    assert rng_mod.rmse_sweeps(scenarios, truth, grid, runs=runs, seed=9) == default
+
+
 def _class_count_power(scenario, rng):
     """Slot-summed power of m OFDM slots from the class counts of the symbols' |s|^2.
 
@@ -378,7 +433,7 @@ def _class_count_power(scenario, rng):
     return np.tile(power, pulse.l) * (pulse.l * pul.assemble_full_spectrum(pulse))
 
 
-def _one_fft_profiles(scenario, rng, variances):
+def _one_fft_profiles(scenario, rng, variances, noise_rng=None):
     """run_once as it was before the noise term was split off: one inverse FFT per variance.
 
     The m slots are drawn at once, as one sample_symbols call, and their
@@ -386,7 +441,10 @@ def _one_fft_profiles(scenario, rng, variances):
     more slots than the alphabet has power classes, where their power comes
     from one class-count draw (_class_count_power).  The unit
     noise record is the band record run_once draws: 2n real parts, then 2n
-    imaginary parts, on bins 0..n-1 and (l-1)*n..l*n-1, zero elsewhere.
+    imaginary parts, on bins 0..n-1 and (l-1)*n..l*n-1, zero elsewhere,
+    drawn from noise_rng (rng itself by default, after the symbols).  The
+    echo is ifft(P * fft(channel)), the full-length oracle of the ACF-row
+    read.
     """
     n, m, grid = scenario.pulse.n, scenario.m, scenario.grid
     classes = np.unique(np.round(np.abs(scenario.constellation.points) ** 2, 12)).size
@@ -400,8 +458,10 @@ def _one_fft_profiles(scenario, rng, variances):
     channel = np.zeros(grid, dtype=complex)
     for t in scenario.targets:
         channel[t.delay] = t.amplitude
+    noise_rng = rng if noise_rng is None else noise_rng
     noise = np.zeros(grid, dtype=complex)
-    noise[np.r_[0:n, grid - n:grid]] = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    noise[np.r_[0:n, grid - n:grid]] = (noise_rng.standard_normal(2 * n)
+                                        + 1j * noise_rng.standard_normal(2 * n))
     scale = np.sqrt(np.asarray(variances)[:, None] * grid * power / 2.0)
     spectrum = power * np.fft.fft(channel) + scale * noise
     return np.abs(np.fft.ifft(spectrum) / m) ** 2
@@ -416,9 +476,36 @@ def test_split_noise_matches_one_fft_formula():
         variances = [0.0, 0.05, 2.0]
         split = rng_mod.run_once(scene, np.random.default_rng(9), variances)
         oracle = _one_fft_profiles(scene, np.random.default_rng(9), variances)
-        assert np.array_equal(split[0], oracle[0])  # noiseless: the echo term alone
-        for got, want in zip(split[1:], oracle[1:]):
+        # the noiseless row is the echo term alone, read from the ACF row
+        for got, want in zip(split, oracle):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+
+
+# l = 2 and 3 on an even grid, and an odd grid (n = 5, l = 3); targets at
+# delays 0, grid // 2 and grid - 1 put window lags t - d on both halves of
+# the ACF row, on lag grid // 2 and wrapped round the grid
+@pytest.mark.parametrize("n, l", [(16, 2), (16, 3), (5, 3)], ids=["l2", "l3", "odd-grid"])
+def test_acf_row_echo_matches_full_fft_oracle(n, l):
+    grid = n * l
+    c, b = con.from_name("qam16"), mod.make_basis("sc", n)
+    targets = (rng_mod.Target(0, 0.7 * np.exp(0.3j)), rng_mod.Target(grid // 2, 0.5j),
+               rng_mod.Target(grid - 1, 0.4 * np.exp(-2.0j)))
+    scene = rng_mod.RangingScenario(c, b, pul.rrc_spectrum(n, l, 0.5), targets,
+                                    (0, grid - 1), m=3)
+    variances = [0.0, 0.2]
+    whole = rng_mod.run_once(scene, np.random.default_rng(21), variances)
+    oracle = _one_fft_profiles(scene, np.random.default_rng(21), variances)
+    for got, want in zip(whole, oracle):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
+    # a window at the end of the grid, as a sweep scores its roi
+    window = (grid // 2, grid - 1)
+    gen = np.random.default_rng(21)
+    (power,), noise = rng_mod._drawn([scene], gen, gen, 1)
+    amplitudes = np.array([[t.amplitude for t in targets]])
+    part = rng_mod._profiles(scene, power, noise, amplitudes, np.array(variances), window,
+                             rng_mod._workspace(scene, 3, window))[0]
+    for got, want in zip(part, oracle[:, window[0]:]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
 
 @pytest.mark.parametrize("l", [2, 3, 10])
@@ -472,23 +559,16 @@ def test_rmse_sweeps_rows_equal_one_scenario_sweeps(monkeypatch, draw, setting):
 
 
 def test_rmse_sweeps_draw_once_per_run_and_block_per_group(monkeypatch):
-    calls = []
-    original = rng_mod.stream
-
-    def counted(seed, tag, run):
-        calls.append(run)
-        return original(seed, tag, run)
-
-    monkeypatch.setattr(rng_mod, "stream", counted)
+    calls = _counted_streams(monkeypatch)
     scene, truth = _sweep_scene()
     group = _methods(scene, 2, "qam16", [mod.make_basis("sc", 16), scene.basis])
     rng_mod.rmse_sweeps(group, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
-    assert calls == list(range(4))
+    assert calls == _block_streams(1)
     calls.clear()
     monkeypatch.setattr(rng_mod, "_SNR_BLOCK", 2)
     two = group + [replace(s, m=1) for s in group]
     rng_mod.rmse_sweeps(two, truth, [0.0, 10.0, 20.0], runs=4, seed=0)
-    assert calls == list(range(4)) * 4  # two groups of two blocks each
+    assert calls == _block_streams(1) * 4  # two groups of two SNR blocks each
 
 
 def test_draw_groups_split_on_m_constellation_scene_and_draw_path():

@@ -236,6 +236,41 @@ def test_commit_writes_nothing_when_a_staged_write_fails(tmp_path, monkeypatch):
     assert (tmp_path / "t0.csv").read_text() == "old\n"
 
 
+def test_commit_removes_the_directories_it_made_when_a_write_fails(tmp_path, monkeypatch):
+    # new/dir/ is made for both files; old/ was there before and stays
+    (tmp_path / "old").mkdir()
+    new = tmp_path / "new" / "dir"
+    files = [(new / "a.csv", "a\n"), (new / "b.csv", "b\n"),
+             (tmp_path / "old" / "deep" / "c.csv", "c\n")]
+    fdopen, opened = os.fdopen, []
+
+    def full_on_second(fd, *args, **kwargs):
+        opened.append(fd)
+        if len(opened) == 2:
+            os.close(fd)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return fdopen(fd, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", full_on_second)
+    with pytest.raises(OSError, match="b.csv"):
+        tableio.commit(files)
+    assert [p.name for p in tmp_path.iterdir()] == ["old"]
+    assert list((tmp_path / "old").iterdir()) == []
+    # a made directory that is no longer empty stays, with what was put there
+    opened.clear()
+    stray = tmp_path / "new" / "stray.txt"
+
+    def fill_then_fail(fd, *args, **kwargs):
+        if not stray.exists():
+            stray.write_text("kept\n")
+        return full_on_second(fd, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", fill_then_fail)
+    with pytest.raises(OSError):
+        tableio.commit(files)
+    assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["stray.txt"]
+
+
 def test_commit_checks_every_destination_before_it_writes(tmp_path):
     # the last destination is a directory: the first five are not written either
     (tmp_path / "t5.csv").mkdir()
