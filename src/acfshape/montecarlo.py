@@ -159,7 +159,7 @@ def drawn_power(constellation: ConstellationSpec,
             for basis, _ in shapes]
     if symbols is None:
         symbols = np.empty(draws * min(m, _SLOT_CHUNK) * n, dtype=complex)
-    powers = [None] * len(shapes)
+    powers = None
     for start in range(0, m, _SLOT_CHUNK):
         size = min(_SLOT_CHUNK, m - start)
         block = symbols.reshape(-1)[:draws * size * n].reshape(draws, size, n)
@@ -172,11 +172,9 @@ def drawn_power(constellation: ConstellationSpec,
             if key not in bins:
                 bins[key] = _bin_power(basis, block)
         del block  # the sums take only the bin powers
-        for k, (key, (_, pulse)) in enumerate(zip(keys, shapes)):
-            if start:
-                powers[k] += _shaped(pulse, bins[key])
-            else:  # the first chunk's power is the sum so far
-                powers[k] = _shaped(pulse, bins[key])
+        shaped = [_shaped(pulse, bins[key]) for key, (_, pulse) in zip(keys, shapes)]
+        # the first chunk's power is the sum so far; later chunks add theirs
+        powers = shaped if powers is None else [p + q for p, q in zip(powers, shaped)]
     return powers
 
 

@@ -80,7 +80,9 @@ class RangingScenario:
 
     def __post_init__(self):
         if self.basis.n != self.pulse.n:
-            raise ValueError(f"basis size {self.basis.n} does not match pulse block {self.pulse.n}")
+            raise ValueError(
+                f"basis size {self.basis.n} does not match pulse block {self.pulse.n}"
+            )
         grid = self.pulse.n * self.pulse.l
         delays = [t.delay for t in self.targets]
         for d in delays:
@@ -169,13 +171,19 @@ def profile_db(scenario: RangingScenario, snr_db: float, seed: int, index: int,
     return np.maximum(db, DB_FLOOR)
 
 
-def _drawn(group: list[RangingScenario], symbols: np.random.Generator,
-           noise: np.random.Generator, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _drawn(
+    group: list[RangingScenario],
+    symbols: np.random.Generator,
+    noise: np.random.Generator,
+    count: int,
+) -> tuple[list[np.ndarray], np.ndarray]:
     """count runs' power spectra, one array per scenario of a draw group, and noise records.
 
     The runs draw their symbols (or class counts) from symbols in turn, in
-    one drawn_power call (one per run if it takes several slot chunks), and
-    their 4n unit normals from noise, shape (count, 2, 2, n).
+    one drawn_power call, and their 4n unit normals from noise, shape
+    (count, 2, 2, n).  drawn_power refuses a source of several draws whose
+    slots take several chunks, so such runs, which _batch_runs puts in
+    batches of one, take a call each when a larger batch is forced.
     """
     first = group[0]
     c, m, shapes = first.constellation, first.m, [(s.basis, s.pulse) for s in group]
@@ -188,21 +196,25 @@ def _drawn(group: list[RangingScenario], symbols: np.random.Generator,
 
 
 def _workspace(scenario: RangingScenario, runs: int, window: tuple[int, int]) -> tuple:
-    """_profiles' buffers for up to runs runs, kept across batches, and its echo lags.
+    """_profiles' zeroed band (runs, l, n), kept across batches, and its echo lags.
 
-    The zeroed band (runs, l, n), the ACF rows and noise spread the inverse FFTs write
-    into, and where the ACF row holds lag t - d_j per target j and window lag t (fold_lags).
+    fold_lags gives where the ACF row holds lag t - d_j for target j and window lag t.
     """
-    l, n, grid = scenario.pulse.l, scenario.pulse.n, scenario.grid
+    l, n = scenario.pulse.l, scenario.pulse.n
     delays = np.array([t.delay for t in scenario.targets], dtype=int)
-    return (np.zeros((runs, l, n), dtype=complex), np.empty((runs, grid // 2 + 1), dtype=complex),
-            np.empty((runs, grid), dtype=complex),
-            *fold_lags(grid, np.arange(window[0], window[1] + 1) - delays[:, None]))
+    lags = np.arange(window[0], window[1] + 1) - delays[:, None]
+    return np.zeros((runs, l, n), dtype=complex), *fold_lags(scenario.grid, lags)
 
 
-def _profiles(scenario: RangingScenario, power: np.ndarray, noise: np.ndarray,
-              amplitudes: np.ndarray, variances: np.ndarray, window: tuple[int, int],
-              work: tuple) -> np.ndarray:
+def _profiles(
+    scenario: RangingScenario,
+    power: np.ndarray,
+    noise: np.ndarray,
+    amplitudes: np.ndarray,
+    variances: np.ndarray,
+    window: tuple[int, int],
+    work: tuple,
+) -> np.ndarray:
     """run_once for a batch of drawn runs (_drawn), on the inclusive lag window only.
 
     The echo is sum_j a_j R[t - d_j] with R the ACF row ihfft(P), folded
@@ -215,16 +227,15 @@ def _profiles(scenario: RangingScenario, power: np.ndarray, noise: np.ndarray,
     """
     m, grid, l, n = scenario.m, scenario.grid, scenario.pulse.l, scenario.pulse.n
     lo, hi = window
-    band, rows, spread = (buffer[:len(power)] for buffer in work[:3])
-    fold, mirrored = work[3:]
-    echo = np.fft.ihfft(power, axis=-1, out=rows)[:, fold]  # the gathered rows, then their sum
+    band, fold, mirrored = work[0][:len(power)], *work[1:]
+    echo = np.fft.ihfft(power, axis=-1)[:, fold]  # the gathered rows, then their sum
     np.conjugate(echo, out=echo, where=mirrored)
     echo = np.einsum("rt,rtw->rw", amplitudes, echo)
     occupied = band[:, ::l - 1]  # blocks 0 and l - 1 of the (l, n) view
     occupied.real, occupied.imag = noise[:, 0], noise[:, 1]
     occupied *= np.sqrt(power.reshape(-1, l, n)[:, ::l - 1] * (grid / 2.0))
-    np.fft.ifft(band.reshape(-1, grid), out=spread)
-    scored = np.sqrt(variances)[:, None] * spread[:, None, lo:hi + 1]
+    spread = np.fft.ifft(band.reshape(-1, grid), axis=-1)[:, None, lo:hi + 1]
+    scored = np.sqrt(variances)[:, None] * spread
     scored += echo[:, None]
     parts = scored.view(float)
     parts *= parts
@@ -239,14 +250,26 @@ def _drawn_amplitudes(scenario: RangingScenario, rng: np.random.Generator,
     return magnitudes * np.exp(2j * np.pi * rng.random(shape + magnitudes.shape))
 
 
-def rmse_sweep(scenario: RangingScenario, true_range_m: float, snr_grid_db, runs: int,
-               seed: int, amplitude_ref: float = 1.0) -> list[dict[str, float]]:
+def rmse_sweep(
+    scenario: RangingScenario,
+    true_range_m: float,
+    snr_grid_db,
+    runs: int,
+    seed: int,
+    amplitude_ref: float = 1.0,
+) -> list[dict[str, float]]:
     """Range error statistics of the roi peak across an SNR grid: rmse_sweeps of one scenario."""
     return rmse_sweeps([scenario], true_range_m, snr_grid_db, runs, seed, amplitude_ref)[0]
 
 
-def rmse_sweeps(scenarios: list[RangingScenario], true_range_m: float, snr_grid_db, runs: int,
-                seed: int, amplitude_ref: float = 1.0) -> list[list[dict[str, float]]]:
+def rmse_sweeps(
+    scenarios: list[RangingScenario],
+    true_range_m: float,
+    snr_grid_db,
+    runs: int,
+    seed: int,
+    amplitude_ref: float = 1.0,
+) -> list[list[dict[str, float]]]:
     """Range error statistics of the roi peak across an SNR grid, per scenario.
 
     Each SNR point sets its noise_variance.  Block b of _SE_BLOCK runs owns
@@ -294,16 +317,18 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
     """rmse_sweeps over one draw group, one row list per scenario, from sums kept in run order."""
     first = group[0]
     l = first.pulse.l
+    lo, hi = first.roi
     steps = np.array([range_per_lag_m(s.bandwidth_hz, l) for s in group])[:, None]
     half_cells = np.array([resolution_cell_m(s.bandwidth_hz, l) / 2 for s in group])[:, None]
     rows: list[list] = [[] for _ in group]
+    # sized for the largest SNR block; a shorter last block scores fewer points per run
+    batch = _batch_runs(group, min(len(snr_grid_db), _SNR_BLOCK) * (hi - lo + 1))
+    work = _workspace(first, batch, first.roi)
     for start in range(0, len(snr_grid_db), _SNR_BLOCK):
         block = snr_grid_db[start:start + _SNR_BLOCK]
         variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
-        batch = _batch_runs(group, len(block) * (first.roi[1] - first.roi[0] + 1))
         # row 0: the running sums, then one row per run of the batch (_fold_rows)
         terms = np.zeros((batch + 1, 3, len(group), len(block)))
-        work = _workspace(first, batch, first.roi)
         for begin in range(0, runs, _SE_BLOCK):
             streams = [stream(seed, tag, begin // _SE_BLOCK) for tag in _TAG_RUNS]
             end = min(begin + _SE_BLOCK, runs)
@@ -345,9 +370,9 @@ def _batch_runs(group: list[RangingScenario], scored: int) -> int:
     """Runs per batch of a draw group, at most _SE_BLOCK, so that its arrays fit _BATCH_BYTES.
 
     Per run, in complex entries: the group's draw (_draw_entries), each scenario's
-    power (half a grid, being real), the noise record (2n), the workspace (band, ACF
-    row, spread: 2.5 grids) and one scenario's band scale (n), echo per target and
-    summed, and scored roi points and squares (1.5 each); per scenario and SNR point,
+    power (half a grid, being real), the noise record (2n), the kept band, the ACF
+    row and noise spread (2.5 grids) and one scenario's band scale (n), echo per target
+    and summed, and scored roi points and squares (1.5 each); per scenario and SNR point,
     five reals (three running sums, the peak lag, its error).  A run of several slot
     chunks is a batch of one.
     """
