@@ -121,39 +121,36 @@ def _class_law(constellation: ConstellationSpec, basis: ModulationBasis,
 
 def drawn_power(constellation: ConstellationSpec,
                 shapes: list[tuple[ModulationBasis, NyquistPulse]], m: int,
-                sources: list[tuple[np.random.Generator, int]],
+                rng: np.random.Generator, draws: int,
                 symbols: np.ndarray | None = None) -> list[np.ndarray]:
     """Slot-summed power spectra of m fresh slots per draw, one per (basis, pulse).
 
-    sources lists (generator, count) pairs: each generator makes count
-    draws of m slots in turn, and the draws follow sources order.  Every
-    pair in shapes sees the same draws: entry k, shape (draws, l * n), is
-    their power through shapes[k].  The pairs must share n and take the
-    same draw path.  Where _class_law applies, each source makes one draw,
-    rng.multinomial(m, probs, size=(count, n)), of the class counts N per
-    subcarrier, and P_j = n * sum_c N_jc * level_c (a sum, so no BLAS
-    call).  Otherwise each chunk of up to _SLOT_CHUNK slots takes one
-    sample_symbols call per source, of shape (count, chunk, n), so a source
-    of several draws must take its m slots in one chunk; its unshaped bin
-    power is formed once per distinct basis and each pair adds that power,
-    shaped by its pulse, to its own sum.  The draws go into the workspace
-    symbols, a contiguous complex array of at least draws * min(m,
-    _SLOT_CHUNK) * n entries (None allocates one), kept by a caller across
-    calls to spare the heap a trim and refault on each.
+    rng makes the draws of m slots in turn.  Every pair in shapes
+    sees the same draws: entry k, shape (draws, l * n), is their power
+    through shapes[k].  The pairs must share n and take the same draw
+    path.  Where _class_law applies, one draw, rng.multinomial(m, probs,
+    size=(draws, n)), gives the class counts N per subcarrier, and P_j =
+    n * sum_c N_jc * level_c (a sum, so no BLAS call).  Otherwise each
+    chunk of up to _SLOT_CHUNK slots takes one sample_symbols call of
+    shape (draws, chunk, n); draws whose m slots take several chunks are
+    taken one draw per call, in turn.  The unshaped bin power is formed
+    once per distinct basis and each pair adds that power, shaped by its
+    pulse, to its own sum.  The draws go into the workspace symbols, a
+    contiguous complex array of at least draws * min(m, _SLOT_CHUNK) * n
+    entries (None allocates one), kept by a caller across calls to spare
+    the heap a trim and refault on each.
     """
     n = shapes[0][1].n
-    draws = sum(count for _, count in sources)
     laws = [_class_law(constellation, basis, m) for basis, _ in shapes]
     if any(pulse.n != n for _, pulse in shapes) or len({law is None for law in laws}) > 1:
         raise ValueError("the (basis, pulse) pairs of one draw must share n and the draw path")
     if laws[0] is not None:
         levels, probs = laws[0]
-        counts = np.concatenate([rng.multinomial(m, probs, size=(count, n))
-                                 for rng, count in sources])
-        power = n * np.sum(counts * levels, axis=-1)
+        power = n * np.sum(rng.multinomial(m, probs, size=(draws, n)) * levels, axis=-1)
         return [_shaped(pulse, power) for _, pulse in shapes]
-    if m > _SLOT_CHUNK and draws > len(sources):
-        raise ValueError("a source of several draws must take its m slots in one chunk")
+    if m > _SLOT_CHUNK and draws > 1:
+        runs = [drawn_power(constellation, shapes, m, rng, 1, symbols) for _ in range(draws)]
+        return [np.concatenate(p) for p in zip(*runs)]
     # sc and ofdm maps are fixed by n; a dense map is its own
     keys = [basis.kind if basis.spectral_map is None else id(basis.spectral_map)
             for basis, _ in shapes]
@@ -163,10 +160,7 @@ def drawn_power(constellation: ConstellationSpec,
     for start in range(0, m, _SLOT_CHUNK):
         size = min(_SLOT_CHUNK, m - start)
         block = symbols.reshape(-1)[:draws * size * n].reshape(draws, size, n)
-        row = 0
-        for rng, count in sources:
-            sample_symbols(constellation, (count, size, n), rng, out=block[row:row + count])
-            row += count
+        sample_symbols(constellation, (draws, size, n), rng, out=block)
         bins = {}
         for key, (basis, _) in zip(keys, shapes):
             if key not in bins:
@@ -178,15 +172,15 @@ def drawn_power(constellation: ConstellationSpec,
     return powers
 
 
-def _draw_entries(constellation: ConstellationSpec, basis: ModulationBasis, m: int) -> int | None:
-    """Complex entries one draw of m slots allocates in drawn_power, None for several chunks.
+def _draw_entries(constellation: ConstellationSpec, basis: ModulationBasis, m: int) -> int:
+    """Complex entries one draw of m slots allocates in drawn_power: the workspace of one chunk.
 
     Symbols, int64 indices (half an entry each), spectrum, magnitude and power, or counts, levels.
     """
     law = _class_law(constellation, basis, m)
     if law is not None:
         return law[0].size * basis.n
-    return 7 * m * basis.n // 2 if m <= _SLOT_CHUNK else None
+    return 7 * min(m, _SLOT_CHUNK) * basis.n // 2
 
 
 def _batch_trials(config: TrialConfig) -> int:
@@ -195,13 +189,10 @@ def _batch_trials(config: TrialConfig) -> int:
     Per trial, in complex entries: the draw (_draw_entries), the power
     spectrum, its shaped product and share of m (3 l n / 2, being real),
     and on the l n / 2 + 1 lags the ACF row, its place in the sums, |r|^2
-    in the block and its deviation from the block mean.  A trial whose
-    slots take several chunks is a batch of its own.
+    in the block and its deviation from the block mean.
     """
     ln = config.pulse.l * config.pulse.n
     draw = _draw_entries(config.constellation, config.basis, config.m)
-    if draw is None:
-        return 1
     return max(1, _BATCH_BYTES // (16 * draw + 24 * ln + 48 * (ln // 2 + 1)))
 
 
@@ -257,7 +248,7 @@ def run_trials(config: TrialConfig) -> MonteCarloResult:
         rng = stream(config.seed, _TAG_SYMBOLS, first // _SE_BLOCK)
         for start in range(first, first + size, chunk):
             drawn = min(chunk, first + size - start)
-            power = drawn_power(config.constellation, [(basis, pulse)], m, [(rng, drawn)],
+            power = drawn_power(config.constellation, [(basis, pulse)], m, rng, drawn,
                                 symbols)[0] / m
             batch = rows[1:drawn + 1]
             batch[...] = np.fft.ihfft(power, axis=-1)

@@ -181,17 +181,11 @@ def _drawn(
 
     The runs draw their symbols (or class counts) from symbols in turn, in
     one drawn_power call, and their 4n unit normals from noise, shape
-    (count, 2, 2, n).  drawn_power refuses a source of several draws whose
-    slots take several chunks, so such runs, which _batch_runs puts in
-    batches of one, take a call each when a larger batch is forced.
+    (count, 2, 2, n).
     """
     first = group[0]
-    c, m, shapes = first.constellation, first.m, [(s.basis, s.pulse) for s in group]
-    if _draw_entries(c, first.basis, m) is None:
-        runs = [drawn_power(c, shapes, m, [(symbols, 1)]) for _ in range(count)]
-        powers = [np.concatenate(p) for p in zip(*runs)]
-    else:
-        powers = drawn_power(c, shapes, m, [(symbols, count)])
+    shapes = [(s.basis, s.pulse) for s in group]
+    powers = drawn_power(first.constellation, shapes, first.m, symbols, count)
     return powers, noise.standard_normal((count, 2, 2, first.pulse.n))
 
 
@@ -373,14 +367,11 @@ def _batch_runs(group: list[RangingScenario], scored: int) -> int:
     power (half a grid, being real), the noise record (2n), the kept band, the ACF
     row and noise spread (2.5 grids) and one scenario's band scale (n), echo per target
     and summed, and scored roi points and squares (1.5 each); per scenario and SNR point,
-    five reals (three running sums, the peak lag, its error).  A run of several slot
-    chunks is a batch of one.
+    five reals (three running sums, the peak lag, its error).
     """
     first = group[0]
     window = first.roi[1] - first.roi[0] + 1
     draw = _draw_entries(first.constellation, first.basis, first.m)
-    if draw is None:
-        return 1
     per_run = 16 * (draw + (len(group) + 5) * first.grid // 2 + 3 * first.pulse.n
                     + (len(first.targets) + 1) * window + 3 * scored // 2)
     per_run += 8 * 5 * len(group) * (scored // window)

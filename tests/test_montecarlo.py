@@ -15,8 +15,14 @@ from helpers import edge_lags, modulate, slot_power, spectrum_to_time
 
 def _twin_draw(spec, basis, pulse, m, count, seed):
     """drawn_power of count draws of m slots from stream(seed, 0, 0), and those symbols redrawn."""
-    power = mc.drawn_power(spec, [(basis, pulse)], m, [(mc.stream(seed, 0, 0), count)])[0]
+    power = mc.drawn_power(spec, [(basis, pulse)], m, mc.stream(seed, 0, 0), count)[0]
     return power, con.sample_symbols(spec, (count, m, basis.n), mc.stream(seed, 0, 0))
+
+
+def _stream_draws(spec, shapes, m, seed, streams):
+    """One draw per generator stream(seed, 0, r), r < streams, concatenated per pair of shapes."""
+    runs = [mc.drawn_power(spec, shapes, m, mc.stream(seed, 0, r), 1) for r in range(streams)]
+    return [np.concatenate(p) for p in zip(*runs)]
 
 
 def test_slot_power_matches_dense_circulant():
@@ -180,24 +186,32 @@ def test_run_trials_same_bits_at_any_batch(monkeypatch, spec, kind, m, chunk):
     if chunk is not None:
         monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)
     cfg = _base_config(constellation=spec, basis=mod.make_basis(kind, 8), trials=150, m=m)
-    several = m <= mc._SLOT_CHUNK or kind == "ofdm"
-    assert (mc._batch_trials(cfg) > 1) == several
+    assert mc._batch_trials(cfg) > 1
     default = mc.run_trials(cfg)
     monkeypatch.setattr(mc, "_BATCH_BYTES", 1)  # one trial per batch
     assert mc._batch_trials(cfg) == 1
     single = mc.run_trials(cfg)
     for field in ("mean_sq", "se", "mean", "var"):
         np.testing.assert_array_equal(getattr(default, field), getattr(single, field))
-    if not several:  # one call gives a source's draws in turn only when each is one chunk
-        with pytest.raises(ValueError, match="one chunk"):
-            mc.drawn_power(spec, [(cfg.basis, cfg.pulse)], m, [(mc.stream(0, 0, 0), 2)])
+    # one call of two draws, of several chunks each on "slot-chunks", is two calls in turn
+    shape = [(cfg.basis, cfg.pulse)]
+    both = mc.drawn_power(spec, shape, m, mc.stream(0, 0, 0), 2)[0]
+    rng = mc.stream(0, 0, 0)
+    turn = np.concatenate([mc.drawn_power(spec, shape, m, rng, 1)[0] for _ in range(2)])
+    assert np.array_equal(both, turn)
 
 
-@pytest.mark.parametrize("kind, m", [("sc", 3), ("ofdm", 5)], ids=["sc-m3", "ofdm-class-counts"])
-def test_run_trials_memory_does_not_grow_with_trials(kind, m):
-    # 4,096 trials' ACF rows alone are 2.2 MB; one batch of 64 trials' slot
-    # draws, power spectra and rows is well under the bound below
+@pytest.mark.parametrize("kind, m, chunk, trials", [
+    ("sc", 3, None, 4096), ("ofdm", 5, None, 4096), ("sc", 5, 2, 1024),
+], ids=["sc-m3", "ofdm-class-counts", "sc-slot-chunks"])
+def test_run_trials_memory_does_not_grow_with_trials(monkeypatch, kind, m, chunk, trials):
+    # 4,096 trials' ACF rows alone are 2.2 MB, 1,024 trials' 0.5 MB; one batch
+    # of 64 trials' slot draws (one chunk each), power spectra and rows is
+    # well under the bound below.  Trials of several chunks are drawn one at
+    # a time, which tracemalloc slows most, hence their smaller count.
     n, l = 16, 4
+    if chunk is not None:  # trials of several chunks share batches too
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)
 
     def peak(trials):
         cfg = _base_config(basis=mod.make_basis(kind, n), pulse=pul.rrc_spectrum(n, l, 0.5),
@@ -210,8 +224,8 @@ def test_run_trials_memory_does_not_grow_with_trials(kind, m):
             tracemalloc.stop()
 
     peak(64)  # fills lazy caches
-    grown = peak(4096) - peak(64)
-    assert grown < 64 * 16 * (3 * m * n + 4 * l * n), f"{grown} bytes"
+    grown = peak(trials) - peak(64)
+    assert grown < 64 * 16 * (3 * min(m, mc._SLOT_CHUNK) * n + 4 * l * n), f"{grown} bytes"
 
 
 def test_run_trials_agrees_with_closed_form():
@@ -279,8 +293,7 @@ def test_class_count_law_matches_the_slot_draw(spec):
     # 2,000 class-count draws and 2,000 slot draws of m = 20 slots
     n, l, m, draws = 16, 2, 20, 2000
     pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
-    sources = [(mc.stream(7, 0, d), 1) for d in range(draws)]
-    law = _subcarrier_power(mc.drawn_power(spec, [(basis, pulse)], m, sources)[0], l, n)
+    law = _subcarrier_power(_stream_draws(spec, [(basis, pulse)], m, 7, draws)[0], l, n)
     symbols = con.sample_symbols(spec, (draws, m, n), np.random.default_rng(8))
     slot = n * np.sum(np.abs(symbols) ** 2, axis=-2)
     kurt = con.kurtosis(spec)
@@ -315,10 +328,10 @@ def test_slot_stream_stands_up_to_the_class_count(spec, m):
 
 
 def test_class_counts_above_the_class_count():
-    # one multinomial draw per generator, in rngs order, weighted by a sum
+    # one multinomial draw per generator, in stream order, weighted by a sum
     n, l, m = 8, 3, 4
     spec, pulse, basis = con.qam(16), pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
-    got = mc.drawn_power(spec, [(basis, pulse)], m, [(mc.stream(3, 0, r), 1) for r in range(3)])[0]
+    got = _stream_draws(spec, [(basis, pulse)], m, 3, 3)[0]
     levels, probs = spec.power_classes
     counts = [mc.stream(3, 0, r).multinomial(m, probs, size=n) for r in range(3)]
     power = n * np.sum(np.array(counts) * levels, axis=-1)
@@ -340,10 +353,10 @@ def test_drawn_power_serves_every_pair_from_one_draw(monkeypatch, spec, m):
     pulses = [pul.rrc_spectrum(n, l, 0.5), pul.rrc_spectrum(n, l, 0.9)]
     bases = [ofdm] if m == 5 else [ofdm, sc, mod.make_basis("cdma", n)]
     shapes = [(basis, pulse) for basis in bases for pulse in pulses]
-    got = mc.drawn_power(spec, shapes, m, [(mc.stream(3, 0, r), 1) for r in range(3)])
+    got = _stream_draws(spec, shapes, m, 3, 3)
     assert len(got) == len(shapes)
     for power, shape in zip(got, shapes):
-        alone = mc.drawn_power(spec, [shape], m, [(mc.stream(3, 0, r), 1) for r in range(3)])[0]
+        alone = _stream_draws(spec, [shape], m, 3, 3)[0]
         assert np.array_equal(power, alone)
     with pytest.raises(ValueError, match="draw path"):
-        mc.drawn_power(spec, [(ofdm, pulses[0]), (sc, pulses[0])], 5, [(mc.stream(3, 0, 0), 1)])
+        mc.drawn_power(spec, [(ofdm, pulses[0]), (sc, pulses[0])], 5, mc.stream(3, 0, 0), 1)

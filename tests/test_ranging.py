@@ -143,6 +143,28 @@ def test_noise_floor_drops_with_integration():
     assert drop_db == pytest.approx(10 * np.log10(64), abs=1.0)
 
 
+# the slot draw, the class-count law (qam16 has 3 power classes) and slots in several chunks
+@pytest.mark.parametrize("kind, m, chunk", [("sc", 1, None), ("ofdm", 4, None), ("sc", 3, 2)],
+                         ids=["sc-slots", "ofdm-class-counts", "sc-slot-chunks"])
+def test_mean_profile_is_the_closed_form_iceberg_and_sea(monkeypatch, kind, m, chunk):
+    # one target a at delay d: E profile[t] = |a|^2 E|R(t - d)|^2 + noise_var * n / m, with
+    # E|R|^2 the closed form (iceberg plus sea).  Two targets would need their phases drawn
+    # uniformly, as the sweep draws them, or the cross term survives.  The bound, fixed
+    # before any run: a lag's |z| passes 5 with probability 5.7e-7 under the null, so by the
+    # union bound over the 128 lags a case fails by chance with probability under 7.3e-5.
+    if chunk is not None:
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)
+    n, l, runs, noise_var, target = 32, 4, 4000, 0.5, rng_mod.Target(37, 0.8 * np.exp(0.4j))
+    c, b, p = _waveform(n, l, kind=kind, const="qam16")
+    scene = rng_mod.RangingScenario(c, b, p, (target,), roi=(0, n * l - 1), m=m)
+    gen = np.random.default_rng(31)
+    profiles = np.array([rng_mod.run_once(scene, gen, noise_var) for _ in range(runs)])
+    total = acfstats.expected_sq_acf(p, b, con.kurtosis(c), m).total
+    expect = abs(target.amplitude) ** 2 * np.roll(total, target.delay) + noise_var * n / m
+    z = (profiles.mean(axis=0) - expect) / (profiles.std(axis=0, ddof=1) / np.sqrt(runs))
+    assert np.abs(z).max() < 5.0
+
+
 def test_noise_floor_is_absolute():
     # no targets and constant-modulus symbols (||x||^2 = n in every slot):
     # the lag-averaged output is pure noise with mean noise_var * n / m.
@@ -454,7 +476,7 @@ def _one_fft_profiles(scenario, rng, variances, noise_rng=None):
         twin = copy.deepcopy(rng)
         con.sample_symbols(scenario.constellation, (m, n), rng)
         shape = (scenario.basis, scenario.pulse)
-        power = mc.drawn_power(scenario.constellation, [shape], m, [(twin, 1)])[0][0]
+        power = mc.drawn_power(scenario.constellation, [shape], m, twin, 1)[0][0]
     channel = np.zeros(grid, dtype=complex)
     for t in scenario.targets:
         channel[t.delay] = t.amplitude
@@ -623,24 +645,28 @@ def test_group_sweep_memory_within_one_scenario_sweep():
     assert peak(group) <= single + 16 * batch * scored
 
 
-def test_sweep_memory_does_not_grow_with_runs():
+def test_sweep_memory_does_not_grow_with_runs(monkeypatch):
     # 768 runs' peak lags over 8 SNR points would be 48 KiB of int64;
     # the running sums of squared error, hits and hit error are one batch
     scene, truth = _sweep_scene()
     grid = list(np.linspace(-10.0, 30.0, 8))
-    batch = rng_mod._batch_runs([scene], len(grid) * (scene.roi[1] - scene.roi[0] + 1))
-    assert batch < 100
 
-    def peak(runs):
+    def peak(scenario, runs):
         tracemalloc.start()
         try:
-            rng_mod.rmse_sweep(scene, truth, grid, runs=runs, seed=0)
+            rng_mod.rmse_sweep(scenario, truth, grid, runs=runs, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # 256 runs take three full batches and a fourth; the first traced sweep
-    # of several batches fills caches that later ones reuse
-    peak(256)
-    grown = peak(768) - peak(256)
-    assert grown < 8 * len(grid) * 256, f"{grown} bytes"
+    # runs of several chunks (SC, m = 5 in chunks of 2) share batches too
+    chunked = replace(scene, basis=mod.make_basis("sc", 16), m=5)
+    for scenario, chunk in ((scene, mc._SLOT_CHUNK), (chunked, 2)):
+        monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)
+        batch = rng_mod._batch_runs([scenario], len(grid) * (scenario.roi[1] - scenario.roi[0] + 1))
+        assert batch < 100
+        # 256 runs take four batches of 64; the first traced sweep of several
+        # batches fills caches that later ones reuse
+        peak(scenario, 256)
+        grown = peak(scenario, 768) - peak(scenario, 256)
+        assert grown < 8 * len(grid) * 256, f"{grown} bytes"
