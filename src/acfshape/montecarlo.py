@@ -8,23 +8,17 @@ symbols through the basis spectral map W = sqrt(n) F U (an FFT for single
 carrier, sqrt(n) times the symbols for OFDM, one product otherwise), and
 takes one inverse transform.  The power is real, so its ACF is Hermitian,
 r[ln - k] = conj(r[k]): the inverse transform is the half-length ihfft
-over lags 0..ln//2, the statistics are reduced over trials there, and the
-requested lags are folded onto that half at the end (fold_lags).
+over lags 0..ln//2, the statistics are reduced over trials there, and
+every lag is read off that half at the end (fold_lags).
 
-stream builds every seeded generator in the package.  Block b of _SE_BLOCK
-trials draws from stream(seed, _TAG_SYMBOLS, b), its trials in turn, each
-batch in one drawn_power call, which numpy makes bit for bit the calls in
-turn it replaces: results do not depend on batching.  drawn_power draws
-ranging runs too.  On OFDM the slot-summed power of subcarrier j is n
-times the sum of the m symbols' |s|^2, which depends only on how many
-fall in each power class of the alphabet; for a finite alphabet with more
-slots than classes, drawn_power draws those class counts (multinomial, the
-points being equiprobable) instead of the m * n symbols.
+stream builds every seeded generator in the package, _blocks hands them
+to trials and ranging sweep runs, and drawn_power draws the slot power of
+both: the slots' symbols, or on OFDM their power class counts (_class_law).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +57,6 @@ class TrialConfig:
     trials: int
     seed: int
     m: int = 1
-    lags: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if self.basis.n != self.pulse.n:
@@ -100,8 +93,24 @@ def _shaped(pulse: NyquistPulse, power: np.ndarray) -> np.ndarray:
 
 
 def stream(seed: int, tag: int, index: int) -> np.random.Generator:
-    """The generator of item index (a trial, run or profile) for one tag."""
+    """The generator of item index (a block of trials or runs, or a profile) for one tag."""
     return np.random.default_rng(np.random.SeedSequence((seed, tag, index)))
+
+
+def _blocks(seed: int, tags: tuple[int, ...] | list[int], total: int, batch: int):
+    """Items 0..total-1 (trials or sweep runs) by block: its streams, then its batches.
+
+    Block b, items _SE_BLOCK * b on, owns stream(seed, tag, b) per tag
+    (substreams after L'Ecuyer, Simard, Chen & Kelton 2002).  Its items
+    draw from them in item order, in batches (start, count) of at most
+    batch items within the block, one call per kind of draw and batch,
+    which numpy makes bit for bit the calls in turn it replaces: results
+    depend on the blocks but on no batch size.
+    """
+    for first in range(0, total, _SE_BLOCK):
+        end = min(first + _SE_BLOCK, total)
+        yield ([stream(seed, tag, first // _SE_BLOCK) for tag in tags],
+               [(start, min(batch, end - start)) for start in range(first, end, batch)])
 
 
 def _class_law(constellation: ConstellationSpec, basis: ModulationBasis,
@@ -136,9 +145,9 @@ def drawn_power(constellation: ConstellationSpec,
     taken one draw per call, in turn.  The unshaped bin power is formed
     once per distinct basis and each pair adds that power, shaped by its
     pulse, to its own sum.  The draws go into the workspace symbols, a
-    contiguous complex array of at least draws * min(m, _SLOT_CHUNK) * n
-    entries (None allocates one), kept by a caller across calls to spare
-    the heap a trim and refault on each.
+    contiguous complex array of at least min(m, _SLOT_CHUNK) * n entries
+    per draw of a call (None allocates one), kept by a caller across calls
+    to spare the heap a trim and refault on each.
     """
     n = shapes[0][1].n
     laws = [_class_law(constellation, basis, m) for basis, _ in shapes]
@@ -184,7 +193,7 @@ def _draw_entries(constellation: ConstellationSpec, basis: ModulationBasis, m: i
 
 
 def _batch_trials(config: TrialConfig) -> int:
-    """Trials per batch, so that the arrays a batch allocates fit _BATCH_BYTES.
+    """Trials per batch, at most _SE_BLOCK, so that the arrays a batch allocates fit _BATCH_BYTES.
 
     Per trial, in complex entries: the draw (_draw_entries), the power
     spectrum, its shaped product and share of m (3 l n / 2, being real),
@@ -193,7 +202,7 @@ def _batch_trials(config: TrialConfig) -> int:
     """
     ln = config.pulse.l * config.pulse.n
     draw = _draw_entries(config.constellation, config.basis, config.m)
-    return max(1, _BATCH_BYTES // (16 * draw + 24 * ln + 48 * (ln // 2 + 1)))
+    return min(_SE_BLOCK, max(1, _BATCH_BYTES // (16 * draw + 24 * ln + 48 * (ln // 2 + 1))))
 
 
 def _merged(count: int, mean: np.ndarray, m2: np.ndarray,
@@ -218,36 +227,33 @@ def _merged(count: int, mean: np.ndarray, m2: np.ndarray,
 def run_trials(config: TrialConfig) -> MonteCarloResult:
     """Monte Carlo estimate of the ACF mean and squared magnitude per lag.
 
-    Trials run in batches of _batch_trials within blocks of _SE_BLOCK, each
-    block drawing from its own stream and each batch in one drawn_power
-    call.  A batch takes each trial's ACF row r over lags 0..ln//2 (ihfft
-    of its power spectrum) and adds the rows to their running sum in trial
-    order (_fold_rows); a block keeps its rows' |r|^2 until its end, merges
-    them into the standard error's statistics (_merged, Chan, Golub &
-    LeVeque 1979) and adds them to their running sum.  Sums in trial order
-    and merges by block have the same bits at any batch size.  mean_sq and
-    mean are the sums over the trial count t, var is mean_sq - |mean|^2,
-    and se = sqrt(sum (|r|^2 - mean_sq)^2 / (t (t - 1))), the standard
-    error of mean_sq.  The workspace is one batch and one block, whatever
-    the trial count.
+    Trials are drawn by _blocks in batches of _batch_trials.  A batch adds
+    its trials' ACF rows r over lags 0..ln//2 (ihfft of the power) to their
+    running sum in trial order (_fold_rows); a block keeps its rows' |r|^2
+    until its end, merges them into the standard error's statistics
+    (_merged) and adds them to their running sum, so no bit depends on the
+    batch size.  mean_sq and mean are the sums over the trial count t, var
+    is mean_sq - |mean|^2, and se = sqrt(sum (|r|^2 - mean_sq)^2 / (t (t - 1)))
+    is the standard error of mean_sq.  The workspace is one batch and one
+    block, whatever the trial count.
     """
     pulse, basis, m, t = config.pulse, config.basis, config.m, config.trials
     ln = pulse.l * pulse.n
-    lags = np.arange(ln) if config.lags is None else np.atleast_1d(config.lags)
+    lags = np.arange(ln)
     fold, mirrored = fold_lags(ln, lags)
+    chunk = min(t, _batch_trials(config))
+    # drawn_power takes a draw of several slot chunks in a call of its own
+    entries = (chunk if m <= _SLOT_CHUNK else 1) * min(m, _SLOT_CHUNK) * pulse.n
     law = _class_law(config.constellation, basis, m) is not None
-    block_size = min(t, _SE_BLOCK)
-    chunk = min(block_size, _batch_trials(config))
-    symbols = None if law else np.empty((chunk, min(m, _SLOT_CHUNK), pulse.n), dtype=complex)
+    symbols = None if law else np.empty(entries, dtype=complex)
     # row 0 of each holds the running sum over all trials so far
     rows = np.zeros((chunk + 1, ln // 2 + 1), dtype=complex)
-    sq = np.zeros((block_size + 1, ln // 2 + 1))
+    sq = None  # then a block's |r|^2, sized by the first block, the largest
     count, sq_mean, m2 = 0, 0.0, 0.0
-    for first in range(0, t, block_size):
-        size = min(block_size, t - first)
-        rng = stream(config.seed, _TAG_SYMBOLS, first // _SE_BLOCK)
-        for start in range(first, first + size, chunk):
-            drawn = min(chunk, first + size - start)
+    for (rng,), batches in _blocks(config.seed, [_TAG_SYMBOLS], t, chunk):
+        first, size = batches[0][0], sum(drawn for _, drawn in batches)
+        sq = np.zeros((size + 1, ln // 2 + 1)) if sq is None else sq
+        for start, drawn in batches:
             power = drawn_power(config.constellation, [(basis, pulse)], m, rng, drawn,
                                 symbols)[0] / m
             batch = rows[1:drawn + 1]

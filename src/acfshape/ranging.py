@@ -11,10 +11,10 @@ slot-summed power spectrum P (montecarlo.drawn_power), so a run never
 builds the signals or the echoes: the echo is the ACF row ifft(P) read at
 each target's delay, and the noise term, whose record is drawn on the
 pulse's 2n band bins only, takes one inverse FFT for every SNR point.
-A sweep draws by blocks of runs, one stream per kind of draw, the same
-in every scenario, so scenarios whose runs make identical draws (a draw
-group) are swept together, each batch of runs drawn once for the group:
-the common-random-numbers arrangement.  noise_variance sets the SNR.
+A sweep draws its runs by montecarlo._blocks, one stream per kind of
+draw, the same in every scenario, so scenarios whose runs make identical
+draws (a draw group) are swept together, each batch of runs drawn once
+for the group: the common-random-numbers arrangement.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 from .acfstats import DB_FLOOR, _fold_rows, check_slots, fold_lags
 from .constellation import ConstellationSpec
 from .modulation import ModulationBasis
-from .montecarlo import (_SE_BLOCK, _TAG_PROFILE, _TAG_RUNS, _class_law, _draw_entries,
-                         drawn_power, stream)
+from .montecarlo import (_SE_BLOCK, _TAG_PROFILE, _TAG_RUNS, _blocks, _class_law,
+                         _draw_entries, drawn_power, stream)
 from .pulse import NyquistPulse
 
 __all__ = [
@@ -179,9 +179,8 @@ def _drawn(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """count runs' power spectra, one array per scenario of a draw group, and noise records.
 
-    The runs draw their symbols (or class counts) from symbols in turn, in
-    one drawn_power call, and their 4n unit normals from noise, shape
-    (count, 2, 2, n).
+    One drawn_power call on symbols; the records are each run's 4n unit
+    normals from noise, shape (count, 2, 2, n).
     """
     first = group[0]
     shapes = [(s.basis, s.pulse) for s in group]
@@ -266,17 +265,15 @@ def rmse_sweeps(
 ) -> list[list[dict[str, float]]]:
     """Range error statistics of the roi peak across an SNR grid, per scenario.
 
-    Each SNR point sets its noise_variance.  Block b of _SE_BLOCK runs owns
-    stream(seed, tag, b) per tag of _TAG_RUNS, whose draws (target phases,
-    symbols, noise) its runs take in run order, one call per kind and batch
-    of runs, which numpy makes the calls in turn it replaces: rows depend
-    on neither batch sizes, the scenarios beside them nor the _SNR_BLOCK
-    blocks, each of which rebuilds the streams.  A draw group
-    (_draw_groups) draws each batch once and scores its scenarios on it in
-    turn.  The estimate is the range of the roi peak, ties going low; a run
-    hits within half a resolution cell of the truth.  Returns, per scenario
-    in order, one dict per SNR with keys snr_db, rmse_m, rmse_hits_m (NaN
-    when no run succeeds, written as an empty field) and success_rate.
+    Each SNR point sets its noise_variance.  Runs are drawn by
+    montecarlo._blocks from the _TAG_RUNS streams, rebuilt for each
+    _SNR_BLOCK block of points: rows depend on neither batches, SNR blocks
+    nor the scenarios beside them.  A draw group (_draw_groups) draws each
+    batch once and scores its scenarios on it in turn.  The estimate is
+    the range of the roi peak, ties going low; a run hits within half a
+    resolution cell of the truth.  Returns, per scenario in order, one
+    dict per SNR with keys snr_db, rmse_m, rmse_hits_m (NaN when no run
+    succeeds, written as an empty field) and success_rate.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
@@ -323,11 +320,8 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
         variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
         # row 0: the running sums, then one row per run of the batch (_fold_rows)
         terms = np.zeros((batch + 1, 3, len(group), len(block)))
-        for begin in range(0, runs, _SE_BLOCK):
-            streams = [stream(seed, tag, begin // _SE_BLOCK) for tag in _TAG_RUNS]
-            end = min(begin + _SE_BLOCK, runs)
-            for run in range(begin, end, batch):
-                count = min(batch, end - run)
+        for streams, batches in _blocks(seed, _TAG_RUNS, runs, batch):
+            for _, count in batches:
                 errors = _peak_lags(group, streams, count, variances, work) * steps - true_range_m
                 squared, hit, hit_squared = terms[1:count + 1].transpose(1, 0, 2, 3)
                 np.square(errors, out=squared)

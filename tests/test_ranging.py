@@ -364,13 +364,13 @@ def test_rmse_sweep_equals_per_snr_draws(monkeypatch, block, l):
 def _counted_streams(monkeypatch):
     """Record the (tag, index) of every stream the sweep builds."""
     calls = []
-    original = rng_mod.stream
+    original = mc.stream
 
     def counted(seed, tag, index):
         calls.append((tag, index))
         return original(seed, tag, index)
 
-    monkeypatch.setattr(rng_mod, "stream", counted)
+    monkeypatch.setattr(mc, "stream", counted)
     return calls
 
 

@@ -1,7 +1,8 @@
-"""Smoke run of the scripts/ driver at its smallest arguments."""
+"""Smoke runs of the scripts/ drivers at their smallest arguments."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -33,3 +34,12 @@ def test_design_tradeoff(tmp_path):
     assert proc.returncode == 0, proc.stderr
     _assert_outputs(nested.parent, ["tradeoff.csv", "tradeoff.csv.manifest.json"])
     assert len(out.read_text().splitlines()) == 2  # header and one width
+
+
+def test_output_digests():
+    proc = _run_script("output_digests.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 14  # reproduce all's ten CSVs, range-sim's two, two acf-mc runs
+    for line in lines:
+        assert re.fullmatch(r"[\w.]+\.csv [0-9a-f]{8}", line), line

@@ -1,4 +1,4 @@
-"""Every seeded generator in the package comes from montecarlo.stream."""
+"""Every seeded generator in the package comes from montecarlo.stream, called by two owners."""
 
 import ast
 import pathlib
@@ -8,8 +8,8 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "acfshape"
 _SEEDING = {"SeedSequence", "default_rng"}
 
 
-def _seeding_sites(path):
-    """(line, enclosing function or None) for each call or from-import of a seeding name."""
+def _seeding_sites(path, names=_SEEDING):
+    """(line, enclosing function or None) for each call or from-import of one of names."""
     sites = []
 
     def visit(node, function):
@@ -18,10 +18,10 @@ def _seeding_sites(path):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in _SEEDING:
+            if name in names:
                 sites.append((node.lineno, function))
         elif isinstance(node, ast.ImportFrom):
-            sites.extend((node.lineno, function) for a in node.names if a.name in _SEEDING)
+            sites.extend((node.lineno, function) for a in node.names if a.name in names)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -52,3 +52,24 @@ def test_the_guard_sees_a_second_seeding_site(tmp_path):
     )
     assert _seeding_sites(source) == [(2, None), (4, "stream"), (4, "stream"), (6, "draw"),
                                       (7, None)]
+
+
+def test_only_the_block_rule_and_profiles_call_stream():
+    # montecarlo._blocks gives trials and sweep runs their streams; the
+    # function-less site is ranging's from-import for profile_db
+    sites = [(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for _, function in _seeding_sites(path, {"stream"})]
+    assert sites == [("montecarlo.py", "_blocks"), ("ranging.py", None),
+                     ("ranging.py", "profile_db")]
+
+
+def test_the_guard_sees_a_stray_stream_call(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .montecarlo import stream\n"
+        "def _blocks(seed):\n"
+        "    yield stream(seed, 1, 0)\n"
+        "def sweep(seed):\n"
+        "    return mc.stream(seed, 2, 0), streams(seed)\n"
+    )
+    assert _seeding_sites(source, {"stream"}) == [(1, None), (3, "_blocks"), (5, "sweep")]
