@@ -33,9 +33,9 @@ DB_FLOOR = -400.0
 # exact up to here, and the class-count draws take counts below 2**63
 MAX_SLOTS = 1 << 53
 
-# Workspace budget in bytes of the blocked statistics: the dense spread rows
-# here and a batch of Monte Carlo trials (montecarlo.run_trials).  Only
-# memory depends on it; every result has the same bits at any budget.
+# Workspace budget in bytes of every blocked loop: the dense spread rows here,
+# Monte Carlo trials and ranging sweep runs (montecarlo._batch).  Only memory
+# depends on it; every result has the same bits at any budget.
 _BATCH_BYTES = 1 << 21
 
 
@@ -84,8 +84,7 @@ def _fold_rows(buffer: np.ndarray, count: int) -> None:
 
     A sum over axis 0 of a C-contiguous array adds its rows in order (over
     other layouts numpy may add them pairwise), so a running total kept in
-    row 0 and fed rows in batches has the same bits as one sum over all the
-    rows, whatever the batches.
+    row 0 and fed rows in batches has the bits of one sum over all the rows.
     """
     buffer[0] = np.add.reduce(buffer[:count + 1], axis=0)
 
@@ -120,11 +119,8 @@ def expected_sq_acf(
       sc    Vt = 1/n everywhere, n equal rows: |ifft(S)[k]|^2 / n;
       ofdm  Vt = I, row j keeps bins j, n + j, ...: with T = ifft(S.reshape(l, n))
             along its l rows, sum_j |T[k mod l, j]|^2 / n^2;
-      other kinds sum the n dense rows, a block of rows at a time, fitted
-            to _BATCH_BYTES (per row, l n reals of spectrum, then on the
-            l n / 2 + 1 lags the complex ACF, its magnitude, |ACF|^2 and its
-            place in the sums), added in row order (_fold_rows) so that any
-            block size gives the same bits.
+      other kinds sum the n dense rows in blocks fitted to _BATCH_BYTES, in
+            row order (_fold_rows), so that no bit depends on the block size.
     Each row tile(Vt_j, l) * S is a real spectrum, so its ACF is Hermitian:
     the spread is taken over lags 0..ln//2 with the half-length ihfft (or
     over the l residues for ofdm) and the requested lags are folded onto

@@ -12,9 +12,8 @@ builds the signals or the echoes: the echo is the ACF row ifft(P) read at
 each target's delay, and the noise term, whose record is drawn on the
 pulse's 2n band bins only, takes one inverse FFT for every SNR point.
 A sweep draws its runs by montecarlo._blocks, one stream per kind of
-draw, the same in every scenario, so scenarios whose runs make identical
-draws (a draw group) are swept together, each batch of runs drawn once
-for the group: the common-random-numbers arrangement.
+draw, so scenarios whose runs make identical draws (a draw group) are
+swept together, each batch drawn once: common random numbers.
 """
 
 from __future__ import annotations
@@ -23,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acfstats import DB_FLOOR, _fold_rows, check_slots, fold_lags
+from .acfstats import _BATCH_BYTES, DB_FLOOR, _fold_rows, check_slots, fold_lags
 from .constellation import ConstellationSpec
 from .modulation import ModulationBasis
-from .montecarlo import (_SE_BLOCK, _TAG_PROFILE, _TAG_RUNS, _blocks, _class_law,
-                         _draw_entries, drawn_power, stream)
+from .montecarlo import (_TAG_PROFILE, _TAG_RUNS, _Workspace, _batch, _blocks, _class_law,
+                         _draw_layout, drawn_power, stream)
 from .pulse import NyquistPulse
 
 __all__ = [
@@ -49,8 +48,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 # SNR points scored per draw in a sweep; memory only, not results
 _SNR_BLOCK = 64
-# workspace per batch of sweep runs; memory only, not results
-_BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -134,26 +131,26 @@ def run_once(scenario: RangingScenario, rng: np.random.Generator, noise_var=0.0)
     """Integrated range profiles |mean of m matched-filter outputs|^2.
 
     Each slot carries fresh symbols and fresh noise against the static
-    targets.  Slot s's matched filter is ifft(conj(X_s) * Y_s) with
-    Y_s = X_s * H + N_s, H being the spectrum of the targets' amplitudes at
-    their delays.  Summed over the slots this is ifft(P * H + W) with P the
+    targets.  Slot s's matched filter is ifft(conj(X_s) * Y_s) with Y_s =
+    X_s * H + N_s, H the spectrum of the targets' amplitudes at their
+    delays.  Summed over the slots this is ifft(P * H + W) with P the
     slot-summed power spectrum (drawn_power), so the echo term is the ACF
     row ifft(P) delayed to each target and weighted by its amplitude.  The
-    DFT of white circular noise is white, so given the symbols W is
-    circular Gaussian, independent per bin, with variance noise_var * l * n
-    * P, zero outside the pulse's band: one draw on its 2n bins replaces
-    the m per-slot noise records.  A 1-D noise_var gives one row per
-    variance from one draw: the symbols, then 4n normals, even at 0.
+    DFT of white circular noise is white, so given the symbols W is circular
+    Gaussian, independent per bin, of variance noise_var * l * n * P, zero
+    off the pulse's band: one draw on its 2n bins replaces the m per-slot
+    records.  A 1-D noise_var gives one row per variance from one draw: the
+    symbols, then 4n normals, even at 0.
     """
     variances = np.asarray(noise_var, dtype=float)
     if variances.ndim > 1 or not np.all(variances >= 0):
         raise ValueError(f"noise variance must be a scalar or 1-D, each >= 0, got {noise_var}")
     amplitudes = np.array([[t.amplitude for t in scenario.targets]], dtype=complex)
     window = (0, scenario.grid - 1)
-    (power,), noise = _drawn([scenario], rng, rng, 1)
-    profiles = _profiles(scenario, power, noise, amplitudes, variances.reshape(-1), window,
-                         _workspace(scenario, 1, window))
-    return profiles[0].reshape(variances.shape + (scenario.grid,))
+    work = _workspace([scenario], 1, window, variances.size * scenario.grid)
+    (power,), noise = _drawn([scenario], rng, rng, 1, work)
+    profiles = _profiles(scenario, power, noise, amplitudes, variances.reshape(-1), window, work)
+    return profiles[:, 0].reshape(variances.shape + (scenario.grid,))
 
 
 def profile_db(scenario: RangingScenario, snr_db: float, seed: int, index: int,
@@ -176,27 +173,38 @@ def _drawn(
     symbols: np.random.Generator,
     noise: np.random.Generator,
     count: int,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """count runs' power spectra, one array per scenario of a draw group, and noise records.
-
-    One drawn_power call on symbols; the records are each run's 4n unit
-    normals from noise, shape (count, 2, 2, n).
-    """
+    work: _Workspace,
+) -> tuple:
+    """count runs' power spectra, one per scenario of a draw group in turn (drawn_power
+    into work), and noise records, each run's 4n unit normals from noise, (count, 2, 2, n)."""
     first = group[0]
-    shapes = [(s.basis, s.pulse) for s in group]
-    powers = drawn_power(first.constellation, shapes, first.m, symbols, count)
-    return powers, noise.standard_normal((count, 2, 2, first.pulse.n))
+    powers = drawn_power(first.constellation, [(s.basis, s.pulse) for s in group], first.m,
+                         symbols, count, work)
+    return powers, noise.standard_normal(out=work("noise", count, 2, 2, first.pulse.n))
 
 
-def _workspace(scenario: RangingScenario, runs: int, window: tuple[int, int]) -> tuple:
-    """_profiles' zeroed band (runs, l, n), kept across batches, and its echo lags.
+def _run_layout(group: list[RangingScenario], window: tuple[int, int], scored: int) -> list:
+    """A run's _Workspace layout for a draw group scored at scored points of the window: the draw,
+    the noise record, _profiles' arrays and five reals per scenario and SNR point (the sums)."""
+    first, width = group[0], window[1] - window[0] + 1
+    n, grid = first.pulse.n, first.grid
+    return _draw_layout(first.constellation, [(s.basis, s.pulse) for s in group], first.m) + [
+        ("noise", float, 4 * n, 0), ("acf", complex, grid // 2 + 1, 0),
+        ("gathered", complex, len(first.targets) * width, 0), ("echo", complex, width, 0),
+        ("scale", complex, 2 * n, 0), ("record", complex, 2 * n, 0), ("band", complex, grid, 0),
+        ("spread", complex, grid, 0), ("window", complex, width, 0),
+        ("scored", complex, scored, 0), ("profiles", float, scored, 0),
+        (None, float, 5 * len(group) * (scored // width), 0)]
 
-    fold_lags gives where the ACF row holds lag t - d_j for target j and window lag t.
-    """
-    l, n = scenario.pulse.l, scenario.pulse.n
-    delays = np.array([t.delay for t in scenario.targets], dtype=int)
+
+def _workspace(group: list[RangingScenario], runs: int, window: tuple[int, int],
+               scored: int) -> _Workspace:
+    """_Workspace of _run_layout for runs runs; fold, mirrored: fold_lags of echo lags t - d_j."""
+    work = _Workspace(_run_layout(group, window, scored), runs)
+    delays = np.array([t.delay for t in group[0].targets], dtype=int)
     lags = np.arange(window[0], window[1] + 1) - delays[:, None]
-    return np.zeros((runs, l, n), dtype=complex), *fold_lags(scenario.grid, lags)
+    work.fold, work.mirrored = fold_lags(group[0].grid, lags)
+    return work
 
 
 def _profiles(
@@ -206,33 +214,47 @@ def _profiles(
     amplitudes: np.ndarray,
     variances: np.ndarray,
     window: tuple[int, int],
-    work: tuple,
+    work: _Workspace,
 ) -> np.ndarray:
     """run_once for a batch of drawn runs (_drawn), on the inclusive lag window only.
 
     The echo is sum_j a_j R[t - d_j] with R the ACF row ihfft(P), folded
     as work gives (_workspace).  P lives on the band's 2n bins, 0..n-1 and
-    (l-1)*n..l*n-1, so the unit record V is 2n real parts, then 2n
-    imaginary parts, on those bins (at l = 2 the band is the whole grid),
-    written into work's zeroed band.  With S = sqrt(l * n * P / 2) one
-    inverse FFT of S * V serves every variance v: the profile is
-    |echo + sqrt(v) * ifft(S * V)|^2 / m^2, shape (runs, variances, lags).
+    (l-1)*n..l*n-1, so the unit record V is 2n real, then 2n imaginary parts
+    on those bins (at l = 2 the whole grid), in work's zeroed band.  With
+    S = sqrt(l * n * P / 2) one inverse FFT of S * V serves every variance
+    v: the profile is |echo + sqrt(v) * ifft(S * V)|^2 / m^2, shape
+    (variances, runs, lags).  Arrays are views of work; no ufunc operand is
+    broadcast or cast (scales are complex, imaginary parts 0), so numpy
+    takes no iterator buffers.
     """
     m, grid, l, n = scenario.m, scenario.grid, scenario.pulse.l, scenario.pulse.n
     lo, hi = window
-    band, fold, mirrored = work[0][:len(power)], *work[1:]
-    echo = np.fft.ihfft(power, axis=-1)[:, fold]  # the gathered rows, then their sum
-    np.conjugate(echo, out=echo, where=mirrored)
-    echo = np.einsum("rt,rtw->rw", amplitudes, echo)
-    occupied = band[:, ::l - 1]  # blocks 0 and l - 1 of the (l, n) view
-    occupied.real, occupied.imag = noise[:, 0], noise[:, 1]
-    occupied *= np.sqrt(power.reshape(-1, l, n)[:, ::l - 1] * (grid / 2.0))
-    spread = np.fft.ifft(band.reshape(-1, grid), axis=-1)[:, None, lo:hi + 1]
-    scored = np.sqrt(variances)[:, None] * spread
-    scored += echo[:, None]
-    parts = scored.view(float)
+    runs, width = len(power), hi - lo + 1
+    acf = np.fft.ihfft(power, axis=-1, out=work("acf", runs, grid // 2 + 1))
+    echo = np.take(acf, work.fold, axis=1, out=work("gathered", runs, *work.fold.shape),
+                   mode="clip")  # the gathered rows, then their sum
+    np.conjugate(echo, out=echo, where=work.mirrored)
+    echo = np.einsum("rt,rtw->rw", amplitudes, echo, out=work("echo", runs, width))
+    scale = work("scale", runs, 2, n)  # S on the band, complex with imaginary parts 0
+    np.copyto(scale.real, power.reshape(-1, l, n)[:, ::l - 1])
+    scale.real *= grid / 2.0
+    np.sqrt(scale.real, out=scale.real)
+    record = work("record", runs, 2, n)
+    record.real, record.imag = noise[:, 0], noise[:, 1]
+    record *= scale
+    band = work("band", runs, l, n)
+    band[:, ::l - 1] = record  # blocks 0 and l - 1 of the (l, n) view
+    whole = np.fft.ifft(band.reshape(runs, grid), axis=-1, out=work("spread", runs, grid))
+    spread = work("window", runs, width)  # contiguous: a strided operand takes iterator buffers
+    np.copyto(spread, whole[:, lo:hi + 1])
+    profile = work("scored", len(variances), runs, width)
+    for scored, sigma in zip(profile, np.sqrt(variances).astype(complex)):
+        np.multiply(sigma, spread, out=scored)
+        scored += echo
+    parts = profile.view(float)
     parts *= parts
-    profiles = parts[..., ::2] + parts[..., 1::2]
+    profiles = np.add(parts[..., ::2], parts[..., 1::2], out=work("profiles", *profile.shape))
     return np.divide(profiles, float(m) ** 2, out=profiles)
 
 
@@ -265,15 +287,13 @@ def rmse_sweeps(
 ) -> list[list[dict[str, float]]]:
     """Range error statistics of the roi peak across an SNR grid, per scenario.
 
-    Each SNR point sets its noise_variance.  Runs are drawn by
-    montecarlo._blocks from the _TAG_RUNS streams, rebuilt for each
-    _SNR_BLOCK block of points: rows depend on neither batches, SNR blocks
-    nor the scenarios beside them.  A draw group (_draw_groups) draws each
-    batch once and scores its scenarios on it in turn.  The estimate is
-    the range of the roi peak, ties going low; a run hits within half a
-    resolution cell of the truth.  Returns, per scenario in order, one
-    dict per SNR with keys snr_db, rmse_m, rmse_hits_m (NaN when no run
-    succeeds, written as an empty field) and success_rate.
+    Each SNR point sets its noise_variance.  Runs are drawn by _blocks from
+    the _TAG_RUNS streams, rebuilt for each _SNR_BLOCK block of points, and
+    a draw group (_draw_groups) draws each batch once: rows depend on no
+    batch, SNR block or scenario beside them.  The estimate is the range of
+    the roi peak, ties going low; a run hits within half a resolution cell
+    of the truth.  Returns, per scenario in order, one dict per SNR with keys
+    snr_db, rmse_m, rmse_hits_m (NaN when no run hits) and success_rate.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
@@ -290,9 +310,8 @@ def rmse_sweeps(
 def _draw_groups(scenarios: list[RangingScenario]) -> list[list[int]]:
     """Indices of the scenarios whose runs make identical draws, in first-seen order.
 
-    Those share the target delays and magnitudes, the roi, n and l, the
-    constellation, m and the draw path (slots, or OFDM class counts);
-    bases, pulses and bandwidths may differ.
+    Those share the target delays and magnitudes, the roi, n and l, the constellation,
+    m and the draw path (slots, or OFDM class counts); bases, pulses and bandwidths may differ.
     """
     groups: dict[tuple, list[int]] = {}
     for k, s in enumerate(scenarios):
@@ -305,7 +324,11 @@ def _draw_groups(scenarios: list[RangingScenario]) -> list[list[int]]:
 
 def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db: list,
                  runs: int, seed: int, amplitude_ref: float) -> list[list[dict[str, float]]]:
-    """rmse_sweeps over one draw group, one row list per scenario, from sums kept in run order."""
+    """rmse_sweeps over one draw group, one row list per scenario, from sums kept in run order.
+
+    Each batch of runs is drawn once from its block's (phases, symbols, noise)
+    streams and the scenarios are scored on it in turn, in one _workspace.
+    """
     first = group[0]
     l = first.pulse.l
     lo, hi = first.roi
@@ -313,8 +336,9 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
     half_cells = np.array([resolution_cell_m(s.bandwidth_hz, l) / 2 for s in group])[:, None]
     rows: list[list] = [[] for _ in group]
     # sized for the largest SNR block; a shorter last block scores fewer points per run
-    batch = _batch_runs(group, min(len(snr_grid_db), _SNR_BLOCK) * (hi - lo + 1))
-    work = _workspace(first, batch, first.roi)
+    scored = min(len(snr_grid_db), _SNR_BLOCK) * (hi - lo + 1)
+    batch = min(runs, _batch_runs(group, scored))
+    work = _workspace(group, batch, first.roi, scored)
     for start in range(0, len(snr_grid_db), _SNR_BLOCK):
         block = snr_grid_db[start:start + _SNR_BLOCK]
         variances = np.array([noise_variance(snr_db, l, amplitude_ref) for snr_db in block])
@@ -322,13 +346,16 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
         terms = np.zeros((batch + 1, 3, len(group), len(block)))
         for streams, batches in _blocks(seed, _TAG_RUNS, runs, batch):
             for _, count in batches:
-                errors = _peak_lags(group, streams, count, variances, work) * steps - true_range_m
-                squared, hit, hit_squared = terms[1:count + 1].transpose(1, 0, 2, 3)
-                np.square(errors, out=squared)
+                amps = _drawn_amplitudes(first, streams[0], (count,))
+                powers, noise = _drawn(group, streams[1], streams[2], count, work)
+                errors, hit, hit_squared = terms[1:count + 1].transpose(1, 0, 2, 3)
+                for k, (scenario, power) in enumerate(zip(group, powers)):
+                    profiles = _profiles(scenario, power, noise, amps, variances, first.roi, work)
+                    errors[:, k] = (lo + np.argmax(profiles, axis=-1).T) * steps[k] - true_range_m
                 np.less_equal(np.abs(errors), half_cells, out=hit)
-                np.multiply(squared, hit, out=hit_squared)
+                np.square(errors, out=errors)  # now the squared errors
+                np.multiply(errors, hit, out=hit_squared)
                 _fold_rows(terms, count)
-                del errors  # not held through the next batch's draw
         for scored, *sums in zip(rows, *terms[0]):
             for snr_db, squared, hits, hit_squared in zip(block, *sums):
                 rmse_hits = float(np.sqrt(hit_squared / hits)) if hits else float("nan")
@@ -337,36 +364,6 @@ def _group_sweep(group: list[RangingScenario], true_range_m: float, snr_grid_db:
     return rows
 
 
-def _peak_lags(group: list[RangingScenario], streams: list[np.random.Generator], count: int,
-               variances: np.ndarray, work: tuple) -> np.ndarray:
-    """Roi peak lag per run, scenario and variance of count runs, (runs, scenarios, variances).
-
-    The runs are drawn once from the (phases, symbols, noise) streams and
-    the scenarios scored on them one after another, in one workspace.
-    """
-    first = group[0]
-    amplitudes = _drawn_amplitudes(first, streams[0], (count,))
-    powers, records = _drawn(group, streams[1], streams[2], count)
-    lags = np.empty((count, len(group), len(variances)), dtype=int)
-    for k, (scenario, power) in enumerate(zip(group, powers)):
-        profiles = _profiles(scenario, power, records, amplitudes, variances, first.roi, work)
-        lags[:, k] = first.roi[0] + np.argmax(profiles, axis=-1)
-    return lags
-
-
 def _batch_runs(group: list[RangingScenario], scored: int) -> int:
-    """Runs per batch of a draw group, at most _SE_BLOCK, so that its arrays fit _BATCH_BYTES.
-
-    Per run, in complex entries: the group's draw (_draw_entries), each scenario's
-    power (half a grid, being real), the noise record (2n), the kept band, the ACF
-    row and noise spread (2.5 grids) and one scenario's band scale (n), echo per target
-    and summed, and scored roi points and squares (1.5 each); per scenario and SNR point,
-    five reals (three running sums, the peak lag, its error).
-    """
-    first = group[0]
-    window = first.roi[1] - first.roi[0] + 1
-    draw = _draw_entries(first.constellation, first.basis, first.m)
-    per_run = 16 * (draw + (len(group) + 5) * first.grid // 2 + 3 * first.pulse.n
-                    + (len(first.targets) + 1) * window + 3 * scored // 2)
-    per_run += 8 * 5 * len(group) * (scored // window)
-    return min(_SE_BLOCK, max(1, _BATCH_BYTES // per_run))
+    """Runs per batch of a draw group scored at scored roi points: _batch under _BATCH_BYTES."""
+    return _batch(_run_layout(group, group[0].roi, scored), _BATCH_BYTES)

@@ -19,6 +19,15 @@ def _twin_draw(spec, basis, pulse, m, count, seed):
     return power, con.sample_symbols(spec, (count, m, basis.n), mc.stream(seed, 0, 0))
 
 
+def _slot_arithmetic(pulse, basis, slots):
+    """drawn_power's arithmetic on given slots (draws, m, n), op for op: sum |X|^2, times l G."""
+    if basis.kind == "ofdm":
+        power = basis.n * np.sum(np.abs(slots) ** 2, axis=-2)
+    else:
+        power = np.sum(np.abs(np.fft.fft(slots, axis=-1)) ** 2, axis=-2)
+    return (power[:, None, :] * pulse.gain_tile).reshape(len(power), -1)
+
+
 def _stream_draws(spec, shapes, m, seed, streams):
     """One draw per generator stream(seed, 0, r), r < streams, concatenated per pair of shapes."""
     runs = [mc.drawn_power(spec, shapes, m, mc.stream(seed, 0, r), 1) for r in range(streams)]
@@ -228,15 +237,16 @@ def test_run_trials_memory_does_not_grow_with_trials(monkeypatch, kind, m, chunk
 
 
 def test_run_trials_workspace_is_one_draw_of_several_chunks():
-    # acf-mc --basis sc --n 8 --l 2 --m 1100: batches of 9 trials, each taking
-    # three slot chunks in its own drawn_power call.  One draw's symbols are
-    # S = 512 * 8 * 16 B = 64 KiB and all its arrays 3.5 S (_draw_entries), so
-    # the peak stays under 4 S; a symbol workspace for the batch's 9 draws
-    # would alone be 9 S.
+    # acf-mc --basis sc --n 8 --l 2 --m 1100: each trial takes three slot
+    # chunks in a draw of its own, so the workspace holds one draw, and a
+    # trial costs only its power sum and ACF row: all 18 trials are one batch.
+    # One draw's symbols are S = 512 * 8 * 16 B = 64 KiB, and its spectrum,
+    # |X|^2 and point indices 2 S more (_draw_layout), so the peak stays
+    # under 4 S; a symbol workspace for the batch's 18 draws would alone be 18 S.
     n, l, m = 8, 2, 1100
     cfg = _base_config(basis=mod.make_basis("sc", n), pulse=pul.rrc_spectrum(n, l, 0.5),
                        trials=18, m=m)
-    assert mc._batch_trials(cfg) == 9
+    assert mc._batch_trials(cfg) == mc._SE_BLOCK
     mc.run_trials(cfg)  # fills lazy caches
     tracemalloc.start()
     try:
@@ -348,7 +358,7 @@ def test_slot_stream_stands_up_to_the_class_count(spec, m):
     n, l = 8, 3
     pulse, basis = pul.rrc_spectrum(n, l, 0.5), mod.make_basis("ofdm", n)
     got, slots = _twin_draw(spec, basis, pulse, m, 1, 3)
-    np.testing.assert_array_equal(got, mc._shaped(pulse, mc._bin_power(basis, slots)))
+    np.testing.assert_array_equal(got, _slot_arithmetic(pulse, basis, slots))
     expect = slot_power(pulse, basis, slots)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
 
@@ -364,7 +374,7 @@ def test_class_counts_above_the_class_count():
     np.testing.assert_array_equal(got, np.tile(power, l) * (l * pul.assemble_full_spectrum(pulse)))
     sc = mod.make_basis("sc", n)  # every other basis keeps the slot draw
     got, slots = _twin_draw(spec, sc, pulse, m, 1, 3)
-    np.testing.assert_array_equal(got, mc._shaped(pulse, mc._bin_power(sc, slots)))
+    np.testing.assert_array_equal(got, _slot_arithmetic(pulse, sc, slots))
     expect = slot_power(pulse, sc, slots)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * expect.max())
 

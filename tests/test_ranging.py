@@ -165,6 +165,38 @@ def test_mean_profile_is_the_closed_form_iceberg_and_sea(monkeypatch, kind, m, c
     assert np.abs(z).max() < 5.0
 
 
+@pytest.mark.parametrize("kind", ["sc", "ofdm"])
+def test_sweep_kernel_mean_profile_is_the_closed_form_for_two_targets(kind):
+    # fig6's draw group, 16-PSK at one slot on SC and on OFDM, scored by the
+    # sweep's kernel (_drawn, _drawn_amplitudes, _profiles in one workspace):
+    # targets whose phases are drawn uniformly add their terms, E profile[t] =
+    # sum_j |a_j|^2 E|R(t - d_j)|^2 + noise_var * n / m.  The targets sit three
+    # lags apart, inside each other's mainlobe, where fixed phases would leave
+    # a cross term.  The bound, fixed before any run: a lag's |z| passes 5 with
+    # probability 5.7e-7 under the null, so by the union bound over the 128
+    # lags a case fails by chance with probability under 7.3e-5, under 1.5e-4
+    # for the two cases.
+    n, l, m, runs, batch, noise_var = 32, 4, 1, 4096, 64, 0.5
+    c, b, p = _waveform(n, l, kind=kind, const="psk16")
+    targets = (rng_mod.Target(37, 0.8 * np.exp(0.4j)), rng_mod.Target(40, 0.5))
+    scene = rng_mod.RangingScenario(c, b, p, targets, roi=(0, n * l - 1), m=m)
+    window, variances = scene.roi, np.array([noise_var])
+    work = rng_mod._workspace([scene], batch, window, n * l)
+    phases, symbols, noise = np.random.default_rng(2033).spawn(3)
+    profiles = []
+    for _ in range(runs // batch):
+        amplitudes = rng_mod._drawn_amplitudes(scene, phases, (batch,))
+        (power,), records = rng_mod._drawn([scene], symbols, noise, batch, work)
+        profiles.append(rng_mod._profiles(scene, power, records, amplitudes, variances, window,
+                                          work)[0].copy())
+    profiles = np.concatenate(profiles)
+    total = acfstats.expected_sq_acf(p, b, con.kurtosis(c), m).total
+    expect = sum(abs(t.amplitude) ** 2 * np.roll(total, t.delay) for t in targets)
+    expect = expect + noise_var * n / m
+    z = (profiles.mean(axis=0) - expect) / (profiles.std(axis=0, ddof=1) / np.sqrt(runs))
+    assert np.abs(z).max() < 5.0
+
+
 def test_noise_floor_is_absolute():
     # no targets and constant-modulus symbols (||x||^2 = n in every slot):
     # the lag-averaged output is pure noise with mean noise_var * n / m.
@@ -522,10 +554,11 @@ def test_acf_row_echo_matches_full_fft_oracle(n, l):
     # a window at the end of the grid, as a sweep scores its roi
     window = (grid // 2, grid - 1)
     gen = np.random.default_rng(21)
-    (power,), noise = rng_mod._drawn([scene], gen, gen, 1)
+    work = rng_mod._workspace([scene], 3, window, len(variances) * (grid - window[0]))
+    (power,), noise = rng_mod._drawn([scene], gen, gen, 1, work)
     amplitudes = np.array([[t.amplitude for t in targets]])
     part = rng_mod._profiles(scene, power, noise, amplitudes, np.array(variances), window,
-                             rng_mod._workspace(scene, 3, window))[0]
+                             work)[:, 0]
     for got, want in zip(part, oracle[:, window[0]:]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
@@ -643,6 +676,40 @@ def test_group_sweep_memory_within_one_scenario_sweep():
 
     single = max(peak([s]) for s in group)
     assert peak(group) <= single + 16 * batch * scored
+
+
+def test_fig6_sweep_peaks_within_its_modelled_workspace():
+    # A warm sweep of fig6's draw group at 500 runs (32 batches of up to 16
+    # runs, four scenarios each) allocates its workspace, sized by the cost
+    # model within _BATCH_BYTES, and little else.  The slack, fixed before any run:
+    # outside the model are the echo window's fold lags (2 targets x 101 lags,
+    # under 4 KiB), each block's three generators, each batch's phases, peak
+    # lags and errors (under 3 KiB) and the row dicts; 64 KiB holds those, while
+    # one numpy iterator buffer for a broadcast or cast complex operand, up to
+    # 8192 x 16 B = 128 KiB, does not.
+    from acfshape.cli import _RECIPES, _build_scenarios, _resolve_range_config
+
+    echo, scene = _resolve_range_config(_RECIPES["fig6"]["config"], 500, 0)
+    group = [s for _, s in _build_scenarios(echo, scene)[0]]
+    lo, hi = group[0].roi
+    scored = len(echo["snr_db"]) * (hi - lo + 1)
+    layout = rng_mod._run_layout(group, (lo, hi), scored)
+    per, fixed = (sum(np.dtype(item[1]).itemsize * item[k] for item in layout) for k in (2, 3))
+    modelled = per * rng_mod._batch_runs(group, scored) + fixed
+    assert modelled <= acfstats._BATCH_BYTES
+
+    def sweep():
+        return rng_mod.rmse_sweeps(group, scene["geometry"]["true_range_m"], echo["snr_db"],
+                                   500, 0, scene["amplitude_ref"])
+
+    sweep()  # fills lazy caches: FFT plans, gain tiles
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= modelled + 64 * 1024, f"{peak} bytes against {modelled} modelled"
 
 
 def test_sweep_memory_does_not_grow_with_runs(monkeypatch):
