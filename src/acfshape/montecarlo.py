@@ -42,7 +42,8 @@ _TAG_SYMBOLS = 1
 _TAG_RUNS = (2, 4, 5)
 _TAG_PROFILE = 3
 
-# slots drawn per chunk of a trial or run; memory only, not results
+# slots drawn per chunk of a trial or run; memory only, not results, save that a one-slot
+# chunk on a dense map is a BLAS matrix-vector product, whose last bit may differ
 _SLOT_CHUNK = 512
 
 # trials or sweep runs per block, each with its own streams (and se merge): results depend on it
@@ -81,17 +82,20 @@ class MonteCarloResult:
     var: np.ndarray
 
 
-def _bin_power(basis: ModulationBasis, s: np.ndarray, work: _Workspace,
-               out: np.ndarray) -> np.ndarray:
-    """Slot-summed power of the basis spectrum into out, (..., n), before the pulse weights."""
+def _bin_power(basis: ModulationBasis, s: np.ndarray, work: _Workspace, out: np.ndarray,
+               running: bool) -> np.ndarray:
+    """|X|^2 of slots s, (draws, c, n), summed in slot order into out, (draws, n); running:
+    after out's sum of earlier slots as in _fold_rows, so chunks give one sum's bits."""
     if basis.kind != "ofdm":
         spectrum = work("spectrum", *s.shape)
         s = (np.fft.fft(s, axis=-1, out=spectrum) if basis.kind == "sc"
              else np.matmul(s, basis.spectral_map.T, out=spectrum))
-    power = np.abs(s, out=work("magnitude", *s.shape))
+    rows = work("magnitude", len(s), s.shape[1] + running, s.shape[2])
+    if running:
+        rows[:, 0] = out
+    power = np.abs(s, out=rows[:, running:])
     power **= 2
-    np.sum(power, axis=-2, out=out)
-    return out if basis.kind != "ofdm" else np.multiply(out, basis.n, out=out)
+    return np.sum(rows, axis=-2, out=out)
 
 
 def stream(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -152,19 +156,19 @@ def _batch(layout: list, budget: int) -> int:
 def _draw_layout(constellation: ConstellationSpec,
                  shapes: list[tuple[ModulationBasis, NyquistPulse]], m: int) -> list:
     """drawn_power's _Workspace layout per draw: class counts and their levels, or a chunk's
-    symbols, point indices, spectrum, |X|^2 and each pair's bin power (one draw's, beside
-    each pair's sum, when a draw takes several chunks); then one shaped power for all."""
+    symbols, point indices, spectrum and |X|^2 (one draw's, with a row for the sum so far,
+    when a draw takes several chunks); then each pair's bin power and one shaped power."""
     n, ln = shapes[0][1].n, shapes[0][1].l * shapes[0][1].n
     law = _class_law(constellation, shapes[0][0], m)
     if law is not None:
         return [(None, float, 2 * law[0].size * n, 0), ("bins", float, n, 0),
                 ("shaped", float, ln, 0)]
     c, several = min(m, _SLOT_CHUNK) * n, m > _SLOT_CHUNK
-    draw = [("symbols", complex, c), (None, int, c * (constellation.kind != "gaussian")),
-            ("spectrum", complex, c * any(basis.kind != "ofdm" for basis, _ in shapes)),
-            ("magnitude", float, c), ("bins", float, len(shapes) * n), ("shaped", float, ln)]
-    return ([(name, dtype, *((0, size) if several else (size, 0))) for name, dtype, size in draw]
-            + [("sums", float, len(shapes) * ln * several, 0)])
+    chunk = [("symbols", complex, c), (None, int, c * (constellation.kind != "gaussian")),
+             ("spectrum", complex, c * any(basis.kind != "ofdm" for basis, _ in shapes)),
+             ("magnitude", float, c + n * several)]
+    return ([(name, dtype, *((0, size) if several else (size, 0))) for name, dtype, size in chunk]
+            + [("bins", float, len(shapes) * n, 0), ("shaped", float, ln, 0)])
 
 
 def _shaped(pulse: NyquistPulse, power: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -186,11 +190,13 @@ def drawn_power(constellation: ConstellationSpec,
     the class counts N per subcarrier, and P_j = n * sum_c N_jc * level_c
     (a sum, so no BLAS call).  Otherwise each chunk of up to _SLOT_CHUNK
     slots takes one sample_symbols call of shape (draws, chunk, n), draws
-    of several chunks one draw per call, in turn; the bin power is formed
-    once per distinct basis and each pair adds it, shaped by its pulse, to
-    its own sum.  The draws are made in the call into work, a _Workspace
-    of _draw_layout for at least draws items, and the entries follow as an
-    iterator, each valid until the next; work None returns fresh arrays.
+    of several chunks one draw per call, in turn; each distinct basis adds
+    a chunk's bin power to the sum over earlier slots (_bin_power), so the
+    chunks shape memory only.  Then OFDM's bins take the factor n and each
+    pair shapes the bins by its pulse.  The draws are made in the call into
+    work, a _Workspace of _draw_layout for at least draws items, and the
+    entries follow as an iterator, each valid until the next; work None
+    returns fresh arrays.
     """
     n, ln = shapes[0][1].n, shapes[0][1].l * shapes[0][1].n
     laws = [_class_law(constellation, basis, m) for basis, _ in shapes]
@@ -201,28 +207,21 @@ def drawn_power(constellation: ConstellationSpec,
     keys = [basis.kind if basis.spectral_map is None else id(basis.spectral_map)
             for basis, _ in shapes]
     distinct = dict(zip(keys, (basis for basis, _ in shapes)))
-    several = laws[0] is None and m > _SLOT_CHUNK
+    bins = dict(zip(distinct, work("bins", len(distinct), draws, n)))
+    several = m > _SLOT_CHUNK
     if laws[0] is not None:
         levels, probs = laws[0]
-        counts = rng.multinomial(m, probs, size=(draws, n))
-        power = np.sum(counts * levels, axis=-1, out=work("bins", draws, n))
-        bins = dict.fromkeys(keys, np.multiply(power, n, out=power))
+        np.sum(rng.multinomial(m, probs, size=(draws, n)) * levels, axis=-1, out=bins[keys[0]])
     for turn in range(0 if laws[0] is not None else draws if several else 1):
         for start in range(0, m, _SLOT_CHUNK):
             block = work("symbols", 1 if several else draws, min(_SLOT_CHUNK, m - start), n)
             sample_symbols(constellation, block.shape, rng, out=block)
-            spectra = work("bins", len(distinct), len(block), n)
-            bins = {key: _bin_power(basis, block, work, out)
-                    for (key, basis), out in zip(distinct.items(), spectra)}
-            for k, (key, (_, pulse)) in enumerate(zip(keys, shapes) if several else ()):
-                # the first chunk's power is the sum so far; later chunks add theirs
-                total = work("sums", len(shapes), draws, ln)[k, turn:turn + 1]
-                term = _shaped(pulse, bins[key], work("shaped", 1, ln) if start else total)
-                if start:
-                    total += term
-    powers = (iter(work("sums", len(shapes), draws, ln)) if several else
-              (_shaped(pulse, bins[key], work("shaped", draws, ln))
-               for key, (_, pulse) in zip(keys, shapes)))
+            for key, basis in distinct.items():
+                _bin_power(basis, block, work, bins[key][turn:turn + len(block)], start > 0)
+    if "ofdm" in bins:
+        bins["ofdm"] *= n
+    powers = (_shaped(pulse, bins[key], work("shaped", draws, ln))
+              for key, (_, pulse) in zip(keys, shapes))
     return powers if kept else [power.copy() for power in powers]
 
 

@@ -188,9 +188,12 @@ def test_one_draw_call_over_c_equals_c_calls_in_turn(c, m, n, size, seed):
     (con.qam(16), "ofdm", 5, 2),
     (con.gaussian(), "ofdm", 3, None),
     (con.qam(16), "sc", 5, 2),
-], ids=["slots", "class-counts", "gaussian", "slot-chunks"])
+    (con.gaussian(), "ofdm", 5, 2),
+    (con.qam(16), "cdma", 5, None),
+], ids=["slots", "class-counts", "gaussian", "slot-chunks", "gaussian-slot-chunks", "cdma"])
 def test_run_trials_same_bits_at_any_batch(monkeypatch, spec, kind, m, chunk):
-    # 150 trials: two full blocks of 64 and a part block, each from its own stream
+    # 150 trials: two full blocks of 64 and a part block, each from its own stream; "cdma"
+    # draws its spectra by dense matrix products, of one trial's slots at batch 1
     if chunk is not None:
         monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)
     cfg = _base_config(constellation=spec, basis=mod.make_basis(kind, 8), trials=150, m=m)
@@ -207,6 +210,16 @@ def test_run_trials_same_bits_at_any_batch(monkeypatch, spec, kind, m, chunk):
     rng = mc.stream(0, 0, 0)
     turn = np.concatenate([mc.drawn_power(spec, shape, m, rng, 1)[0] for _ in range(2)])
     assert np.array_equal(both, turn)
+    if chunk is None:
+        return
+    # chunks shape memory only: a chunk's |X|^2 rows follow the sum so far, so slot chunks
+    # of 2, 2 and 1 give the bits of one chunk of m.  Dense maps are left out: there a
+    # one-slot chunk is a BLAS matrix-vector product, whose last bit may differ from the
+    # same row's in a larger product.
+    monkeypatch.undo()  # _SLOT_CHUNK at 512, above m
+    whole = mc.run_trials(cfg)
+    for field in ("mean_sq", "se", "mean", "var"):
+        np.testing.assert_array_equal(getattr(whole, field), getattr(default, field))
 
 
 @pytest.mark.parametrize("kind, m, chunk, trials", [
@@ -263,14 +276,15 @@ def test_run_trials_workspace_is_one_draw_of_several_chunks():
     (con.psk(16), "cdma", 1, None, 20000),
     (con.gaussian(), "ofdm", 2, None, 20000),
     (con.qam(16), "sc", 5, 2, 2000),
+    (con.qam(16), "sc", 600, None, 2000),  # chunks of 512 and 88 slots
 ], ids=["sc-qam16", "ofdm-qam16-class-counts", "cdma-psk16", "ofdm-gaussian",
-        "sc-qam16-slot-chunks"])
+        "sc-qam16-slot-chunks", "sc-qam16-m600"])
 def test_run_trials_agrees_with_closed_form(monkeypatch, spec, kind, m, chunk, trials):
     # Each lag's deviation from the closed form is gated at 5 standard errors,
     # fixed before any case was run: at most a 5.7e-7 two-sided normal tail per
     # lag, so under 1.1e-5 per case over the 9 distinct lags of l n = 16 (lags
-    # k and l n - k share |r|) for mean_sq and mean together, 5.2e-5 over the
-    # five cases.  Where se is 0 nothing is random and only round-off remains:
+    # k and l n - k share |r|) for mean_sq and mean together, 6.2e-5 over the
+    # six cases.  Where se is 0 nothing is random and only round-off remains:
     # at most trials * eps * n^2 in sums of terms up to n^2.
     if chunk is not None:
         monkeypatch.setattr(mc, "_SLOT_CHUNK", chunk)

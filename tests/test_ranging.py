@@ -93,20 +93,29 @@ def test_echo_trivial_cases():
 
 
 def test_run_once_matches_time_domain_oracle(monkeypatch):
-    n, m = 16, 3
+    n = 16
     targets = [
         rng_mod.Target(3, 0.8 * np.exp(0.4j)),
         rng_mod.Target(41, 0.1 * np.exp(-1.1j)),
     ]
-    scene = _scenario(n=n, l=4, targets=targets, m=m)
-    profile = rng_mod.run_once(scene, np.random.default_rng(2))
-    # run_once draws the symbols first, then the noise record
-    symbols = con.sample_symbols(scene.constellation, (m, n), np.random.default_rng(2))
-    oracle = _time_domain_profile(scene, symbols)
-    np.testing.assert_allclose(profile, oracle, rtol=0, atol=1e-12 * oracle.max())
-    monkeypatch.setattr(mc, "_SLOT_CHUNK", 2)
-    chunked = rng_mod.run_once(scene, np.random.default_rng(2))
-    np.testing.assert_allclose(chunked, oracle, rtol=0, atol=1e-12 * oracle.max())
+    # qam16 at its class count keeps the slot draw on OFDM; slot chunks of 2 then leave
+    # one slot last (2, 1 and 2, 2, 1)
+    for kind, const, m in (("ofdm", "qam16", 3), ("sc", "psk16", 5)):
+        scene = rng_mod.RangingScenario(*_waveform(n, 4, kind, const), tuple(targets),
+                                        (0, 4 * n - 1), m=m)
+        profile = rng_mod.run_once(scene, np.random.default_rng(2))
+        # run_once draws the symbols first, then the noise record
+        symbols = con.sample_symbols(scene.constellation, (m, n), np.random.default_rng(2))
+        oracle = _time_domain_profile(scene, symbols)
+        np.testing.assert_allclose(profile, oracle, rtol=0, atol=1e-12 * oracle.max())
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "_SLOT_CHUNK", 2)
+            chunked = rng_mod.run_once(scene, np.random.default_rng(2))
+        # chunks shape memory only: a chunk's |X|^2 rows follow the sum so far, so the
+        # chunks give the bits of one chunk of m.  Dense maps are left out: there a
+        # one-slot chunk is a BLAS matrix-vector product, whose last bit may differ from
+        # the same row's in a larger product.
+        np.testing.assert_array_equal(chunked, profile)
 
 
 def test_run_once_noiseless_single_target_is_exact():
@@ -661,7 +670,7 @@ def test_group_sweep_memory_within_one_scenario_sweep():
     truth, grid = rng_mod.range_for_lag(400, 200e6, l), [15.0, 20.0, 25.0, 30.0, 35.0]
     scored = len(grid) * (417 - 317 + 1)
     batch = rng_mod._batch_runs(group[:1], scored)
-    assert batch == rng_mod._batch_runs(group, scored) == 1  # one run's draw passes 1 MiB
+    assert batch == rng_mod._batch_runs(group, scored) == 1  # one run passes _BATCH_BYTES
 
     # an untraced sweep first builds what outlives it: each pulse's l * G tile, the FFT plans
     rng_mod.rmse_sweeps(group, truth, grid, runs=1, seed=0)
